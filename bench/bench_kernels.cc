@@ -10,9 +10,9 @@
 
 #include "base/threadpool.h"
 #include "bench/bench_meta.h"
-#include "core/ann_index.h"
 #include "core/candidate_generator.h"
 #include "core/stable_matching.h"
+#include "core/vector_index.h"
 #include "datagen/generator.h"
 #include "eval/metrics.h"
 #include "nn/gru.h"
@@ -277,19 +277,21 @@ BENCHMARK(BM_EvaluateAlignmentThreaded)
     ->Args({2048, 8})
     ->Unit(benchmark::kMillisecond);
 
-void BM_IvfQueryBatchThreaded(benchmark::State& state) {
+void BM_IvfSearchBatchThreaded(benchmark::State& state) {
   const int64_t n = state.range(0);
   ScopedThreads threads(static_cast<int>(state.range(1)));
   Rng rng(4);
   Tensor tgt = Tensor::RandomNormal({n, 64}, 1.0f, &rng);
   Tensor src = Tensor::RandomNormal({n, 64}, 1.0f, &rng);
-  const core::IvfIndex index(tgt, core::IvfOptions{});
+  tmath::L2NormalizeRowsInPlace(&tgt);
+  core::VectorIndex index(tgt.data(), n, 64);
+  index.BuildIvf(core::IvfOptions{});
   for (auto _ : state) {
-    auto c = index.QueryBatch(src, 10);
+    auto c = index.SearchBatch(src, 10);
     benchmark::DoNotOptimize(c.data());
   }
 }
-BENCHMARK(BM_IvfQueryBatchThreaded)
+BENCHMARK(BM_IvfSearchBatchThreaded)
     ->Args({4000, 1})
     ->Args({4000, 8})
     ->Unit(benchmark::kMillisecond);

@@ -1,14 +1,16 @@
 // google-benchmark microbenchmarks for the sdea::store quantized snapshot
 // layer: codebook encoding, the ADC scan kernels in every (mode, simd)
-// variant, snapshot open latency (the O(ms) mmap claim), and the end-to-end
-// compressed-candidates query against the full-precision baseline. Memory
-// footprints are emitted as counters so the JSON records the compression
-// ratios next to the latencies.
+// variant, snapshot open latency (the O(ms) mmap claim), the end-to-end
+// compressed-candidates query against the full-precision baseline, and a
+// recall@10-vs-latency row per retrieval configuration. Memory footprints
+// are emitted as counters so the JSON records the compression ratios next
+// to the latencies.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -236,7 +238,7 @@ void BM_StoreOpen1M(benchmark::State& state) {
   const double rss_before = VmRssMb();
   const Tensor queries = RandomRows(16, d, 13);
   for (int64_t i = 0; i < queries.dim(0); ++i) {
-    auto c = opened->Candidates(queries.Row(i), 10);
+    auto c = opened->NearestNeighbors(queries.Row(i), 10);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["sweep_rss_delta_mb"] =
@@ -305,6 +307,96 @@ BENCHMARK_CAPTURE(BM_CompressedCandidates, int8, store::Quantization::kInt8)
 BENCHMARK_CAPTURE(BM_CompressedCandidates, pq, store::Quantization::kPq)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+// The recall@10-vs-latency table: one row per retrieval configuration
+// over one seeded table and query set, each reporting its per-query
+// latency and its recall@10 against the exact scan. All four run through
+// core::VectorIndex — exact, IVF cells, and int8 / PQ ADC with the exact
+// rerank at the default pool.
+enum class Retrieval { kExact, kIvf, kInt8, kPq };
+
+struct RetrievalFixture {
+  static constexpr int64_t kRows = 50000, kDim = 64, kQueries = 64;
+
+  core::EmbeddingStore exact, ivf;
+  store::QuantizedStore int8, pq;
+  Tensor queries = RandomRows(kQueries, kDim, 15);
+  std::vector<std::vector<core::EmbeddingStore::Neighbor>> truth;
+
+  static const RetrievalFixture& Get() {
+    static const RetrievalFixture* fixture = new RetrievalFixture;
+    return *fixture;
+  }
+
+  std::vector<core::EmbeddingStore::Neighbor> Search(Retrieval config,
+                                                     const Tensor& q) const {
+    switch (config) {
+      case Retrieval::kExact:
+        return exact.NearestNeighbors(q, 10);
+      case Retrieval::kIvf:
+        return ivf.NearestNeighbors(q, 10);
+      case Retrieval::kInt8:
+        return int8.NearestNeighbors(q, 10);
+      case Retrieval::kPq:
+        return pq.NearestNeighbors(q, 10);
+    }
+    return {};
+  }
+
+ private:
+  RetrievalFixture() {
+    const Tensor table = RandomRows(kRows, kDim, 14);
+    exact = core::EmbeddingStore::Create(Names(kRows), table).value();
+    ivf = core::EmbeddingStore::Create(Names(kRows), table).value();
+    ivf.BuildIndex();
+    int8 = Open(table, store::Quantization::kInt8);
+    pq = Open(table, store::Quantization::kPq);
+    for (int64_t i = 0; i < kQueries; ++i) {
+      truth.push_back(exact.NearestNeighbors(queries.Row(i), 10));
+    }
+  }
+
+  static store::QuantizedStore Open(const Tensor& table,
+                                    store::Quantization kind) {
+    const std::string dir = TempStoreDir(
+        "sdea_bench_retrieval_" + std::string(store::QuantizationName(kind)));
+    store::StoreWriteOptions options;
+    options.quantization = kind;
+    SDEA_CHECK_OK(
+        store::QuantizedStore::Write(dir, Names(kRows), table, options));
+    auto opened = store::QuantizedStore::Open(dir);
+    SDEA_CHECK(opened.ok());
+    return std::move(opened).value();
+  }
+};
+
+void BM_Retrieval(benchmark::State& state, Retrieval config) {
+  const RetrievalFixture& f = RetrievalFixture::Get();
+  int64_t i = 0;
+  for (auto _ : state) {
+    auto answer = f.Search(config, f.queries.Row(i++ % f.kQueries));
+    benchmark::DoNotOptimize(answer.data());
+  }
+  int64_t found = 0;
+  for (int64_t q = 0; q < f.kQueries; ++q) {
+    for (const auto& got : f.Search(config, f.queries.Row(q))) {
+      for (const auto& want : f.truth[static_cast<size_t>(q)]) {
+        found += got.id == want.id;
+      }
+    }
+  }
+  state.counters["recall10"] = benchmark::Counter(
+      static_cast<double>(found) / static_cast<double>(f.kQueries * 10));
+  state.counters["rows"] = benchmark::Counter(static_cast<double>(f.kRows));
+}
+BENCHMARK_CAPTURE(BM_Retrieval, exact, Retrieval::kExact)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Retrieval, ivf, Retrieval::kIvf)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Retrieval, int8_rerank, Retrieval::kInt8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Retrieval, pq_rerank, Retrieval::kPq)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

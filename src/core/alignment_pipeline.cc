@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "core/stable_matching.h"
+#include "core/vector_index.h"
 #include "obs/trace.h"
-#include "tensor/topk.h"
 
 namespace sdea::core {
 
@@ -102,21 +102,16 @@ std::vector<AlignedPair> AlignmentPipeline::TopTargets(kg::EntityId source,
                                                        int64_t k) const {
   SDEA_CHECK(ran_);
   const Tensor& e1 = model_.embeddings1();
-  const Tensor& e2 = model_.embeddings2();
   SDEA_CHECK(source >= 0 && source < e1.dim(0));
-  Tensor q({1, e1.dim(1)});
-  q.SetRow(0, e1.Row(source));
-  Tensor t = e2;
-  tmath::L2NormalizeRowsInPlace(&q);
-  tmath::L2NormalizeRowsInPlace(&t);
-  const Tensor scores = tmath::MatmulTransposeB(q, t);
-  const int64_t m = scores.size();
-  const std::vector<int64_t> order = tmath::TopK(scores.data(), m, k);
+  Tensor targets = model_.embeddings2();
+  SDEA_CHECK_EQ(targets.dim(1), e1.dim(1));
+  tmath::L2NormalizeRowsInPlace(&targets);
+  const VectorIndex index(targets.data(), targets.dim(0), targets.dim(1));
   std::vector<AlignedPair> out;
-  out.reserve(order.size());
-  for (int64_t target : order) {
-    out.push_back(AlignedPair{source, static_cast<kg::EntityId>(target),
-                              scores[target]});
+  for (const VectorIndex::Hit& hit :
+       index.Search(e1.data() + source * e1.dim(1), k)) {
+    out.push_back(AlignedPair{source, static_cast<kg::EntityId>(hit.id),
+                              hit.score});
   }
   return out;
 }

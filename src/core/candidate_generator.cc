@@ -1,12 +1,21 @@
 #include "core/candidate_generator.h"
 
-#include <algorithm>
-
 #include "base/check.h"
-#include "tensor/kernels.h"
-#include "tensor/topk.h"
 
 namespace sdea::core {
+namespace {
+
+std::vector<std::vector<int64_t>> Candidates(const Tensor& src,
+                                             const Tensor& tgt, int64_t k,
+                                             const IvfOptions* ivf) {
+  Tensor t = tgt;
+  tmath::L2NormalizeRowsInPlace(&t);
+  VectorIndex index(t.data(), t.dim(0), t.dim(1));
+  if (ivf != nullptr) index.BuildIvf(*ivf);
+  return HitIds(index.SearchBatch(src, k));
+}
+
+}  // namespace
 
 std::vector<std::vector<int64_t>> GenerateCandidates(const Tensor& src,
                                                      const Tensor& tgt,
@@ -15,25 +24,13 @@ std::vector<std::vector<int64_t>> GenerateCandidates(const Tensor& src,
   SDEA_CHECK_EQ(tgt.rank(), 2);
   SDEA_CHECK_EQ(src.dim(1), tgt.dim(1));
   SDEA_CHECK_GT(k, 0);
-  Tensor s = src;
-  Tensor t = tgt;
-  tmath::L2NormalizeRowsInPlace(&s);
-  tmath::L2NormalizeRowsInPlace(&t);
-  const int64_t n = s.dim(0), m = t.dim(0);
-  std::vector<std::vector<int64_t>> out(static_cast<size_t>(n));
-  // Row-at-a-time scoring keeps the working set at O(m). Scoring goes
-  // through kernels::Gemv so the accumulation contract matches
-  // MatmulTransposeB exactly in either kernel mode; the old hand-rolled
-  // loop multiplied float*float before widening to double, which could
-  // rank near-tie candidates differently here than in the pipeline's
-  // score-matrix path.
-  std::vector<float> scores(static_cast<size_t>(m));
-  for (int64_t i = 0; i < n; ++i) {
-    const float* srow = s.data() + i * s.dim(1);
-    tmath::kernels::Gemv(t.data(), m, t.dim(1), srow, scores.data());
-    out[static_cast<size_t>(i)] = tmath::TopK(scores.data(), m, k);
-  }
-  return out;
+  return Candidates(src, tgt, k, nullptr);
+}
+
+std::vector<std::vector<int64_t>> GenerateCandidatesApprox(
+    const Tensor& src, const Tensor& tgt, int64_t k,
+    const IvfOptions& options) {
+  return Candidates(src, tgt, k, &options);
 }
 
 }  // namespace sdea::core

@@ -6,8 +6,6 @@
 #include <unordered_set>
 
 #include "base/fileio.h"
-#include "tensor/kernels.h"
-#include "tensor/topk.h"
 
 namespace sdea::core {
 namespace {
@@ -44,6 +42,8 @@ Result<EmbeddingStore> EmbeddingStore::Create(std::vector<std::string> names,
   store.names_ = std::move(names);
   store.embeddings_ = std::move(embeddings);
   tmath::L2NormalizeRowsInPlace(&store.embeddings_);
+  store.index_ =
+      VectorIndex(store.embeddings_.data(), store.size(), store.dim());
   return store;
 }
 
@@ -149,37 +149,16 @@ std::vector<EmbeddingStore::Neighbor> EmbeddingStore::NearestNeighbors(
   // guard serve/server.cc applies per request. A default-constructed store
   // (dim() == 0) has no contract to enforce.
   if (dim() > 0) SDEA_CHECK_EQ(query.size(), dim());
-  if (size() == 0 || k <= 0) return {};
-  Tensor q({1, dim()});
-  q.SetRow(0, query);
-  tmath::L2NormalizeRowsInPlace(&q);
-
-  std::vector<int64_t> ids;
-  std::vector<float> scores;
-  if (index_ != nullptr) {
-    ids = index_->Query(q.data(), dim(), k);
-  } else {
-    const int64_t n = size();
-    scores.resize(static_cast<size_t>(n));
-    tmath::kernels::Gemv(embeddings_.data(), n, dim(), q.data(),
-                         scores.data());
-    ids = tmath::TopK(scores.data(), n, k);
-  }
   std::vector<Neighbor> out;
-  out.reserve(ids.size());
-  for (int64_t id : ids) {
-    const float sim =
-        scores.empty()
-            ? tmath::kernels::ScoreDot(q.data(),
-                                       embeddings_.data() + id * dim(), dim())
-            : scores[static_cast<size_t>(id)];
-    out.push_back(Neighbor{names_[static_cast<size_t>(id)], id, sim});
+  for (const VectorIndex::Hit& hit : index_.Search(query.data(), k)) {
+    out.push_back(
+        Neighbor{names_[static_cast<size_t>(hit.id)], hit.id, hit.score});
   }
   return out;
 }
 
 void EmbeddingStore::BuildIndex(const IvfOptions& options) {
-  index_ = std::make_unique<IvfIndex>(embeddings_, options);
+  index_.BuildIvf(options);
 }
 
 }  // namespace sdea::core

@@ -1,12 +1,11 @@
 #ifndef SDEA_CORE_EMBEDDING_STORE_H_
 #define SDEA_CORE_EMBEDDING_STORE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/status.h"
-#include "core/ann_index.h"
+#include "core/vector_index.h"
 #include "tensor/tensor.h"
 
 namespace sdea::core {
@@ -18,6 +17,10 @@ namespace sdea::core {
 class EmbeddingStore {
  public:
   EmbeddingStore() = default;
+  // Move-only: index_ borrows the heap buffer of embeddings_, which a move
+  // carries along and a copy would not.
+  EmbeddingStore(EmbeddingStore&&) = default;
+  EmbeddingStore& operator=(EmbeddingStore&&) = default;
 
   /// Builds from parallel names/embeddings ([N, d], row i = names[i]).
   /// Names must be unique.
@@ -62,8 +65,9 @@ class EmbeddingStore {
     float similarity;
   };
 
-  /// Top-k most cosine-similar entries to `query` (length dim()). Exact
-  /// scan unless BuildIndex was called. The dim contract is checked before
+  /// Top-k most cosine-similar entries to `query` (length dim()), ranked
+  /// by core::VectorIndex over the stored rows: exact scan unless
+  /// BuildIndex was called. The dim contract is checked before
   /// any early return: a wrong-dim query aborts (SDEA_CHECK) even when the
   /// store is empty or k <= 0, matching serve/server.cc's per-request dim
   /// guard. Defensive edges: k <= 0 or an empty store yields an empty
@@ -72,15 +76,15 @@ class EmbeddingStore {
   std::vector<Neighbor> NearestNeighbors(const Tensor& query,
                                          int64_t k) const;
 
-  /// Builds the IVF index so NearestNeighbors runs approximately but
-  /// sub-linearly.
+  /// Adds IVF cells to the index so NearestNeighbors runs approximately
+  /// but sub-linearly.
   void BuildIndex(const IvfOptions& options = {});
-  bool has_index() const { return index_ != nullptr; }
+  bool has_index() const { return index_.has_ivf(); }
 
  private:
   std::vector<std::string> names_;
   Tensor embeddings_;  // L2-normalized rows.
-  std::unique_ptr<IvfIndex> index_;
+  VectorIndex index_;  // Ranks embeddings_ in place.
 };
 
 }  // namespace sdea::core

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "base/status.h"
-#include "core/ann_index.h"
+#include "core/vector_index.h"
 #include "eval/abstention.h"
 #include "obs/registry.h"
 #include "core/embedding_store.h"

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "base/status.h"
-#include "core/ann_index.h"
+#include "core/vector_index.h"
 #include "core/embedding_store.h"
 #include "kg/columnar.h"
 #include "store/quantized_store.h"

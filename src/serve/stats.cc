@@ -108,7 +108,6 @@ ServeStats::ServeStats(obs::MetricsRegistry* registry) {
   embedding_queries_ = registry_->GetCounter("serve.embedding_queries");
   failed_queries_ = registry_->GetCounter("serve.failed_queries");
   no_match_answers_ = registry_->GetCounter("serve.no_match_answers");
-  batches_ = registry_->GetCounter("serve.batches");
   batched_queries_ = registry_->GetCounter("serve.batched_queries");
   cache_hits_ = registry_->GetCounter("serve.cache_hits");
   cache_misses_ = registry_->GetCounter("serve.cache_misses");
@@ -139,7 +138,6 @@ void ServeStats::RecordFailedQuery() { failed_queries_->Increment(); }
 void ServeStats::RecordNoMatch() { no_match_answers_->Increment(); }
 
 void ServeStats::RecordBatch(uint64_t batch_size) {
-  batches_->Increment();
   batched_queries_->Increment(batch_size);
   batch_size_hist_->Record(static_cast<double>(batch_size));
 }
@@ -166,13 +164,16 @@ StatsSnapshot ServeStats::Snapshot() const {
   snap.embedding_queries = embedding_queries_->Value();
   snap.failed_queries = failed_queries_->Value();
   snap.no_match_answers = no_match_answers_->Value();
-  snap.batches = batches_->Value();
+  // The histogram before batched_queries: RecordBatch adds a batch's size
+  // there first, so every batch counted here is already in the sum and
+  // mean_batch_size() stays >= 1 under concurrent writers.
+  CopyBuckets(batch_size_hist_->Snapshot(), &snap.batch_size_hist);
+  for (uint64_t count : snap.batch_size_hist) snap.batches += count;
   snap.batched_queries = batched_queries_->Value();
   snap.cache_hits = cache_hits_->Value();
   snap.cache_misses = cache_misses_->Value();
   snap.encoded_texts = encoded_texts_->Value();
   snap.snapshot_swaps = snapshot_swaps_->Value();
-  CopyBuckets(batch_size_hist_->Snapshot(), &snap.batch_size_hist);
   for (int s = 0; s < StatsSnapshot::kNumStages; ++s) {
     CopyBuckets(latency_hist_[static_cast<size_t>(s)]->Snapshot(),
                 &snap.latency_hist[static_cast<size_t>(s)]);
@@ -186,7 +187,6 @@ void ServeStats::Reset() {
   embedding_queries_->Reset();
   failed_queries_->Reset();
   no_match_answers_->Reset();
-  batches_->Reset();
   batched_queries_->Reset();
   cache_hits_->Reset();
   cache_misses_->Reset();

@@ -30,7 +30,9 @@ struct StatsSnapshot {
   /// snapshot swap is the signal that the new embeddings moved under the
   /// calibrated threshold.
   uint64_t no_match_answers = 0;
-  uint64_t batches = 0;            ///< Dispatched batches (incl. failed).
+  /// Dispatched batches (incl. failed): the batch-size histogram's total,
+  /// so the two always agree within one snapshot.
+  uint64_t batches = 0;
   uint64_t batched_queries = 0;    ///< Sum of batch sizes.
   uint64_t cache_hits = 0;         ///< Text lookups served from the cache.
   uint64_t cache_misses = 0;       ///< Text lookups that needed encoding.
@@ -99,7 +101,6 @@ class ServeStats {
   obs::Counter* embedding_queries_;
   obs::Counter* failed_queries_;
   obs::Counter* no_match_answers_;
-  obs::Counter* batches_;
   obs::Counter* batched_queries_;
   obs::Counter* cache_hits_;
   obs::Counter* cache_misses_;

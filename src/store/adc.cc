@@ -1,5 +1,7 @@
 #include "store/adc.h"
 
+#include <vector>
+
 #include "base/check.h"
 #include "tensor/kernels.h"
 
@@ -84,6 +86,22 @@ void AdcScanPq(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
     }
     out[i] = acc;
   }
+}
+
+void AdcScan(const Codebook& codebook, const float* q, const uint8_t* codes,
+             int64_t rows, float* out) {
+  if (codebook.kind() == Quantization::kInt8) {
+    std::vector<float> q_scaled(static_cast<size_t>(codebook.dim()));
+    Int8PrepareQuery(q, codebook.scales().data(), codebook.dim(),
+                     q_scaled.data());
+    AdcScanInt8(codes, rows, codebook.dim(), q_scaled.data(), out);
+    return;
+  }
+  std::vector<float> lut(
+      static_cast<size_t>(codebook.pq_subspaces() * codebook.pq_centroids()));
+  PqBuildLut(q, codebook, lut.data());
+  AdcScanPq(codes, rows, codebook.pq_subspaces(), codebook.pq_centroids(),
+            lut.data(), out);
 }
 
 }  // namespace sdea::store

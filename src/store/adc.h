@@ -49,6 +49,12 @@ void PqBuildLut(const float* q, const Codebook& codebook, float* lut);
 void AdcScanPq(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
                const float* lut, float* out);
 
+/// ADC scores of `rows` code rows against the normalized query `q`,
+/// whichever quantization `codebook` holds: builds the query-side table
+/// (the scale-folded int8 query or the PQ LUT), then runs the scan.
+void AdcScan(const Codebook& codebook, const float* q, const uint8_t* codes,
+             int64_t rows, float* out);
+
 namespace internal {
 
 /// AVX2 TU entry points (store/adc_avx2.cc); only called when runtime

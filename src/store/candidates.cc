@@ -1,12 +1,8 @@
 #include "store/candidates.h"
 
-#include <algorithm>
-
 #include "base/check.h"
-#include "base/threadpool.h"
+#include "core/vector_index.h"
 #include "store/adc.h"
-#include "tensor/kernels.h"
-#include "tensor/topk.h"
 
 namespace sdea::store {
 
@@ -17,13 +13,12 @@ std::vector<std::vector<int64_t>> GenerateCandidatesCompressed(
   SDEA_CHECK_EQ(tgt.rank(), 2);
   SDEA_CHECK_EQ(src.dim(1), tgt.dim(1));
   SDEA_CHECK_GT(k, 0);
-  Tensor s = src;
   Tensor t = tgt;
-  tmath::L2NormalizeRowsInPlace(&s);
   tmath::L2NormalizeRowsInPlace(&t);
-  const int64_t n = s.dim(0), m = t.dim(0), d = s.dim(1);
-  std::vector<std::vector<int64_t>> out(static_cast<size_t>(n));
-  if (n == 0 || m == 0) return out;
+  const int64_t m = t.dim(0), d = t.dim(1);
+  if (src.dim(0) == 0 || m == 0) {
+    return std::vector<std::vector<int64_t>>(static_cast<size_t>(src.dim(0)));
+  }
 
   // Quantize the target side once; every query scans codes.
   Codebook codebook;
@@ -35,52 +30,13 @@ std::vector<std::vector<int64_t>> GenerateCandidatesCompressed(
     codebook = std::move(*trained);
   }
   const std::vector<uint8_t> codes = codebook.EncodeRows(t.data(), m);
-
-  const int64_t pool = std::min<int64_t>(
-      m, options.rerank_pool > 0 ? options.rerank_pool
-                                 : std::max<int64_t>(4 * k, k + 16));
-  const int64_t lut_size = codebook.kind() == Quantization::kPq
-                               ? codebook.pq_subspaces() *
-                                     codebook.pq_centroids()
-                               : d;
-  base::ParallelFor(
-      n, base::GrainForWork(n, m * codebook.code_bytes()),
-      [&](int64_t begin, int64_t end) {
-        // Per-shard scratch: ADC scores over all targets plus the
-        // query-side table (scaled query or PQ LUT).
-        std::vector<float> scores(static_cast<size_t>(m));
-        std::vector<float> table(static_cast<size_t>(lut_size));
-        std::vector<float> exact;
-        for (int64_t i = begin; i < end; ++i) {
-          const float* q = s.data() + i * d;
-          if (codebook.kind() == Quantization::kInt8) {
-            Int8PrepareQuery(q, codebook.scales().data(), d, table.data());
-            AdcScanInt8(codes.data(), m, d, table.data(), scores.data());
-          } else {
-            PqBuildLut(q, codebook, table.data());
-            AdcScanPq(codes.data(), m, codebook.pq_subspaces(),
-                      codebook.pq_centroids(), table.data(), scores.data());
-          }
-          const std::vector<int64_t> survivors =
-              tmath::TopK(scores.data(), m, pool);
-          const int64_t pn = static_cast<int64_t>(survivors.size());
-          exact.resize(static_cast<size_t>(pn));
-          for (int64_t j = 0; j < pn; ++j) {
-            exact[static_cast<size_t>(j)] = tmath::kernels::ScoreDot(
-                q, t.data() + survivors[static_cast<size_t>(j)] * d, d);
-          }
-          // Ties by ascending target row id, the GenerateCandidates
-          // contract, via the tie-id overload.
-          const std::vector<int64_t> top = tmath::TopKWithTieIds(
-              exact.data(), pn, std::min<int64_t>(k, pn), survivors.data());
-          std::vector<int64_t>& row_out = out[static_cast<size_t>(i)];
-          row_out.reserve(top.size());
-          for (int64_t pos : top) {
-            row_out.push_back(survivors[static_cast<size_t>(pos)]);
-          }
-        }
-      });
-  return out;
+  const core::VectorIndex index(
+      m, d,
+      [&](const float* q, float* scores) {
+        AdcScan(codebook, q, codes.data(), m, scores);
+      },
+      [&](int64_t id) { return t.data() + id * d; }, options.rerank_pool);
+  return core::HitIds(index.SearchBatch(src, k));
 }
 
 }  // namespace sdea::store

@@ -21,11 +21,12 @@ struct CompressedCandidateOptions {
 /// Drop-in variant of core::GenerateCandidates (same contract: both
 /// sides L2-normalized internally, out[i] = top-k target row ids for
 /// source row i, ranked best-first) that scans quantized target codes
-/// instead of fp32 rows: the target side is quantized once, every query
-/// ADC-scans the codes (1 or dim bytes/row instead of 4*dim), and the
-/// survivor pool is reranked exactly with kernels::ScoreDot against the
-/// normalized fp32 targets. Queries are sharded across threads with each
-/// row writing only its own slot — deterministic for every thread count.
+/// instead of fp32 rows: the target side is quantized once, and a
+/// core::VectorIndex ADC-scans the codes for every query (1 or dim
+/// bytes/row instead of 4*dim) and reranks the survivor pool exactly
+/// against the normalized fp32 targets. Queries are sharded across
+/// threads with each row writing only its own slot — deterministic for
+/// every thread count.
 std::vector<std::vector<int64_t>> GenerateCandidatesCompressed(
     const Tensor& src, const Tensor& tgt, int64_t k,
     const CompressedCandidateOptions& options = {});

@@ -8,11 +8,10 @@
 
 #include "base/check.h"
 #include "base/fileio.h"
+#include "core/vector_index.h"
 #include "obs/registry.h"
 #include "store/adc.h"
 #include "store/wire.h"
-#include "tensor/kernels.h"
-#include "tensor/topk.h"
 
 namespace sdea::store {
 namespace {
@@ -205,40 +204,6 @@ std::string QuantizedStore::name(int64_t id) const {
   return std::string(blob + begin, end - begin);
 }
 
-void QuantizedStore::AdcScanAll(const float* qnorm, float* scores) const {
-  const Codebook& cb = manifest_.codebook;
-  if (cb.kind() == Quantization::kInt8) {
-    std::vector<float> q_scaled(static_cast<size_t>(cb.dim()));
-    Int8PrepareQuery(qnorm, cb.scales().data(), cb.dim(), q_scaled.data());
-    for (const Shard& shard : shards_) {
-      AdcScanInt8(shard.map.data() + shard.header.codes_offset,
-                  shard.header.rows, cb.dim(), q_scaled.data(),
-                  scores + shard.row_begin);
-    }
-    return;
-  }
-  std::vector<float> lut(
-      static_cast<size_t>(cb.pq_subspaces() * cb.pq_centroids()));
-  PqBuildLut(qnorm, cb, lut.data());
-  for (const Shard& shard : shards_) {
-    AdcScanPq(shard.map.data() + shard.header.codes_offset,
-              shard.header.rows, cb.pq_subspaces(), cb.pq_centroids(),
-              lut.data(), scores + shard.row_begin);
-  }
-}
-
-std::vector<int64_t> QuantizedStore::Candidates(const Tensor& query,
-                                                int64_t pool) const {
-  if (dim() > 0) SDEA_CHECK_EQ(query.size(), dim());
-  if (total_rows_ == 0 || pool <= 0) return {};
-  Tensor q({1, dim()});
-  q.SetRow(0, query);
-  tmath::L2NormalizeRowsInPlace(&q);
-  std::vector<float> scores(static_cast<size_t>(total_rows_));
-  AdcScanAll(q.data(), scores.data());
-  return tmath::TopK(scores.data(), total_rows_, pool);
-}
-
 std::vector<QuantizedStore::Neighbor> QuantizedStore::NearestNeighbors(
     const Tensor& query, int64_t k,
     const StoreQueryOptions& options) const {
@@ -249,55 +214,36 @@ std::vector<QuantizedStore::Neighbor> QuantizedStore::NearestNeighbors(
   const StoreMetrics& metrics = StoreMetrics::Get();
   metrics.queries->Increment();
 
-  Tensor q({1, dim()});
-  q.SetRow(0, query);
-  tmath::L2NormalizeRowsInPlace(&q);
-
-  const auto adc_start = std::chrono::steady_clock::now();
-  std::vector<float> scores(static_cast<size_t>(total_rows_));
-  AdcScanAll(q.data(), scores.data());
-
-  const bool rerank = options.rerank && manifest_.store_full_precision;
-  const int64_t pool =
-      rerank ? std::min<int64_t>(
-                   total_rows_,
-                   options.rerank_pool > 0 ? options.rerank_pool
-                                           : std::max<int64_t>(4 * k, k + 16))
-             : k;
-  const std::vector<int64_t> survivors =
-      tmath::TopK(scores.data(), total_rows_, pool);
-  metrics.adc_us->Record(ElapsedUs(adc_start));
+  // The index owns the ranking; the store hands it the per-shard ADC scan
+  // and, when the snapshot kept them, the mmap'd fp32 rows to rerank on.
+  // store.adc_us times the scan; store.rerank_us everything after it (the
+  // survivor pool, the exact rescoring and the final order).
+  auto scan_end = std::chrono::steady_clock::now();
+  const auto scan = [&](const float* q, float* scores) {
+    const auto start = std::chrono::steady_clock::now();
+    for (const Shard& shard : shards_) {
+      AdcScan(manifest_.codebook, q,
+              shard.map.data() + shard.header.codes_offset,
+              shard.header.rows, scores + shard.row_begin);
+    }
+    metrics.adc_us->Record(ElapsedUs(start));
+    scan_end = std::chrono::steady_clock::now();
+  };
+  core::VectorIndex::RowFn rows;
+  if (has_full_precision()) rows = [this](int64_t id) { return row(id); };
+  const core::VectorIndex index(total_rows_, dim(), scan, std::move(rows),
+                                options.rerank_pool);
+  const std::vector<core::VectorIndex::Hit> hits =
+      index.Search(query.data(), k);
+  if (const int64_t pool = index.RerankPool(k); pool > 0) {
+    metrics.rerank_us->Record(ElapsedUs(scan_end));
+    metrics.rerank_rows->Increment(static_cast<uint64_t>(pool));
+  }
 
   std::vector<Neighbor> out;
-  if (!rerank) {
-    out.reserve(survivors.size());
-    for (int64_t id : survivors) {
-      out.push_back(Neighbor{name(id), id, scores[static_cast<size_t>(id)]});
-    }
-    return out;
-  }
-
-  // Exact rerank over the survivors: ScoreDot on the mmap'd fp32 rows
-  // (Gemv's per-row contract in both kernel modes), ranked under the same
-  // total order as the full-precision store — ties by ascending ROW id
-  // via the tie-id overload, not by pool position.
-  const auto rerank_start = std::chrono::steady_clock::now();
-  const int64_t pn = static_cast<int64_t>(survivors.size());
-  std::vector<float> exact(static_cast<size_t>(pn));
-  for (int64_t i = 0; i < pn; ++i) {
-    exact[static_cast<size_t>(i)] =
-        tmath::kernels::ScoreDot(q.data(), row(survivors[i]), dim());
-  }
-  const std::vector<int64_t> top = tmath::TopKWithTieIds(
-      exact.data(), pn, std::min<int64_t>(k, pn), survivors.data());
-  metrics.rerank_us->Record(ElapsedUs(rerank_start));
-  metrics.rerank_rows->Increment(static_cast<uint64_t>(pn));
-
-  out.reserve(top.size());
-  for (int64_t pos : top) {
-    const int64_t id = survivors[static_cast<size_t>(pos)];
-    out.push_back(
-        Neighbor{name(id), id, exact[static_cast<size_t>(pos)]});
+  out.reserve(hits.size());
+  for (const core::VectorIndex::Hit& hit : hits) {
+    out.push_back(Neighbor{name(hit.id), hit.id, hit.score});
   }
   return out;
 }

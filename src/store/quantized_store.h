@@ -36,10 +36,6 @@ struct StoreQueryOptions {
   /// recall; the pool where full-precision top-1 is reproduced exactly on
   /// the benchmark pairs is recorded in EXPERIMENTS.md.
   int64_t rerank_pool = 0;
-  /// Skip the rerank and return raw ADC scores (candidate generation and
-  /// benchmarks; also the forced path when the snapshot was written
-  /// without full-precision rows).
-  bool rerank = true;
 };
 
 /// A memory-mapped quantized embedding snapshot: the serving counterpart
@@ -48,12 +44,13 @@ struct StoreQueryOptions {
 /// O(ms) regardless of row count — and queries page in exactly the code
 /// regions they scan plus the fp32 rows they rerank.
 ///
-/// Queries run ADC over every row (int8 or PQ codes), keep a survivor
-/// pool via tmath::TopK, then rerank survivors with kernels::ScoreDot on
-/// the mmap'd fp32 rows under the same total order as
-/// EmbeddingStore::NearestNeighbors — so whenever the true top-1 survives
-/// the pool (measured, not assumed), the top-1 answer is bit-identical to
-/// the full-precision store's.
+/// Queries rank through core::VectorIndex, the same search behind
+/// EmbeddingStore::NearestNeighbors: the store hands it the per-shard ADC
+/// scan over every row (int8 or PQ codes) and the mmap'd fp32 rows, and
+/// the index keeps the survivor pool and reranks it with
+/// kernels::ScoreDot under the same total order — so whenever the true
+/// top-1 survives the pool (measured, not assumed), the top-1 answer is
+/// bit-identical to the full-precision store's.
 ///
 /// Thread-safe for concurrent queries (read-only after Open). Move-only:
 /// results of name() and row() point into the mappings, so holders must
@@ -109,11 +106,6 @@ class QuantizedStore {
       const Tensor& query, int64_t k,
       const StoreQueryOptions& options = {}) const;
 
-  /// ADC-only candidate pool: global row ids of the `pool` best ADC
-  /// scores, ranked best-first (the candidate-generation entry point —
-  /// no fp32 pages touched).
-  std::vector<int64_t> Candidates(const Tensor& query, int64_t pool) const;
-
  private:
   struct Shard {
     MmapFile map;
@@ -122,7 +114,6 @@ class QuantizedStore {
   };
 
   const Shard& ShardForRow(int64_t id, int64_t* local) const;
-  void AdcScanAll(const float* qnorm, float* scores) const;
 
   Manifest manifest_;
   std::vector<Shard> shards_;

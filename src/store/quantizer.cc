@@ -10,7 +10,7 @@
 #include "base/check.h"
 #include "base/rng.h"
 #include "base/threadpool.h"
-#include "core/ann_index.h"
+#include "core/vector_index.h"
 #include "store/wire.h"
 #include "tensor/kernels.h"
 
@@ -132,7 +132,8 @@ Result<Codebook> Codebook::TrainPq(const Tensor& rows,
     km.iters = options.kmeans_iters;
     km.seed = options.seed + static_cast<uint64_t>(s);
     km.spherical = false;
-    core::KMeansResult result = core::KMeansRows(sub, k, km);
+    core::KMeansResult result =
+        core::KMeansRows(sub.data(), sn, subdim, k, km);
     SDEA_CHECK_EQ(result.centroids.dim(0), k);
     std::memcpy(cb.centroids_.data() + s * k * subdim,
                 result.centroids.data(),

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "base/status.h"
-#include "core/ann_index.h"
+#include "core/vector_index.h"
 #include "serve/snapshot.h"
 #include "tensor/tensor.h"
 

@@ -206,5 +206,57 @@ TEST(EmbeddingStoreTest, NearestNeighborsEdgeCasesWithIndex) {
   EXPECT_LE(store.NearestNeighbors(query, 500).size(), 20u);
 }
 
+TEST(EmbeddingStoreTest, IvfAnswersAreSortedOnNearDuplicateRows) {
+  // Each odd row is the row before it plus N(0, 1e-6) noise, so pairs of
+  // rows score within a few ulps of each other. An IVF answer must still
+  // come back in the store's own order: similarities never increase and
+  // equal scores list ascending ids. When the index ranked a second,
+  // re-normalized copy of the table while the store reported scores
+  // against its own rows, 104 of these 500 answers came back unsorted and
+  // 59 had a negative top1 - top2 margin, which the abstain rule rejects
+  // (85 and 44 in fast kernel mode).
+  const int64_t n = 500, d = 64;
+  Rng rng(41);
+  Tensor emb = Tensor::RandomNormal({n, d}, 1.0f, &rng);
+  for (int64_t i = 1; i < n; i += 2) {
+    for (int64_t j = 0; j < d; ++j) {
+      emb.at(i, j) =
+          emb.at(i - 1, j) + static_cast<float>(rng.Normal(0.0, 1e-6));
+    }
+  }
+  std::vector<std::string> names;
+  for (int64_t i = 0; i < n; ++i) names.push_back("e" + std::to_string(i));
+  auto store_r = EmbeddingStore::Create(std::move(names), emb);
+  ASSERT_TRUE(store_r.ok());
+  EmbeddingStore store = std::move(store_r).value();
+  store.BuildIndex();
+
+  Rng query_rng(42);
+  int64_t unsorted = 0, negative_margin = 0;
+  for (int64_t q = 0; q < n; ++q) {
+    Tensor query = emb.Row(q);
+    for (int64_t j = 0; j < d; ++j) {
+      query[j] += static_cast<float>(query_rng.Normal(0.0, 0.3));
+    }
+    const auto nn = store.NearestNeighbors(query, 10);
+    ASSERT_FALSE(nn.empty());
+    bool sorted = true;
+    for (size_t i = 1; i < nn.size(); ++i) {
+      const EmbeddingStore::Neighbor& a = nn[i - 1];
+      const EmbeddingStore::Neighbor& b = nn[i];
+      if (a.similarity < b.similarity ||
+          (a.similarity == b.similarity && a.id > b.id)) {
+        sorted = false;
+      }
+    }
+    if (!sorted) ++unsorted;
+    if (nn.size() > 1 && nn[0].similarity - nn[1].similarity < 0.0f) {
+      ++negative_margin;
+    }
+  }
+  EXPECT_EQ(unsorted, 0) << "of " << n << " answers";
+  EXPECT_EQ(negative_margin, 0) << "of " << n << " answers";
+}
+
 }  // namespace
 }  // namespace sdea::core

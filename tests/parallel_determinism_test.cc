@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "base/threadpool.h"
-#include "core/ann_index.h"
+#include "core/candidate_generator.h"
 #include "core/stable_matching.h"
 #include "eval/metrics.h"
 #include "tensor/kernels.h"
@@ -146,22 +146,29 @@ TEST(ParallelDeterminismTest, StableMatchEmbeddingsMatchesSerialExactly) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelDeterminismTest, IvfIndexQueryMatchesSerialExactly) {
+TEST(ParallelDeterminismTest, GenerateCandidatesMatchesSerialExactly) {
+  Rng rng(20);
+  const Tensor tgt = Tensor::RandomNormal({200, 16}, 1.0f, &rng);
+  const Tensor src = Tensor::RandomNormal({60, 16}, 1.0f, &rng);
+  const auto serial = RunWithThreads(
+      1, [&] { return core::GenerateCandidates(src, tgt, 10); });
+  const auto parallel = RunWithThreads(
+      8, [&] { return core::GenerateCandidates(src, tgt, 10); });
+  EXPECT_EQ(serial, parallel);
+}
+
+TEST(ParallelDeterminismTest, IvfSearchBatchMatchesSerialExactly) {
   Rng rng(19);
   const Tensor tgt = Tensor::RandomNormal({300, 16}, 1.0f, &rng);
   const Tensor src = Tensor::RandomNormal({40, 16}, 1.0f, &rng);
   core::IvfOptions opt;
   opt.num_probes = 4;
   // Build + batched query under each thread count: covers the parallel
-  // k-means assignment, the final assignment pass, and QueryBatch.
-  const auto serial = RunWithThreads(1, [&] {
-    const core::IvfIndex index(tgt, opt);
-    return index.QueryBatch(src, 10);
-  });
-  const auto parallel = RunWithThreads(8, [&] {
-    const core::IvfIndex index(tgt, opt);
-    return index.QueryBatch(src, 10);
-  });
+  // k-means assignment, the final assignment pass, and SearchBatch.
+  const auto serial = RunWithThreads(
+      1, [&] { return core::GenerateCandidatesApprox(src, tgt, 10, opt); });
+  const auto parallel = RunWithThreads(
+      8, [&] { return core::GenerateCandidatesApprox(src, tgt, 10, opt); });
   EXPECT_EQ(serial, parallel);
 }
 

@@ -174,11 +174,11 @@ TEST(QuantizedStoreTest, AdcOnlyModeAndCandidates) {
   // Without fp32 the rerank silently degrades to ADC scores.
   const auto adc = qstore->NearestNeighbors(q, 5);
   ASSERT_EQ(adc.size(), 5u);
-  const std::vector<int64_t> pool = qstore->Candidates(q, 20);
+  const auto pool = qstore->NearestNeighbors(q, 20);
   ASSERT_EQ(pool.size(), 20u);
-  // The ADC top-k heads the candidate pool in the same order.
+  // The ADC top-k heads the wider ADC answer in the same order.
   for (size_t i = 0; i < adc.size(); ++i) {
-    EXPECT_EQ(pool[i], adc[i].id);
+    EXPECT_EQ(pool[i].id, adc[i].id);
   }
 }
 
@@ -192,7 +192,6 @@ TEST(QuantizedStoreTest, EmptyAndEdgeCases) {
   EXPECT_EQ(qstore->dim(), 8);
   const Tensor q = RandomRows(1, 8, 1).Row(0);
   EXPECT_TRUE(qstore->NearestNeighbors(q, 5).empty());
-  EXPECT_TRUE(qstore->Candidates(q, 5).empty());
 
   // Duplicate names are rejected before anything lands on disk.
   EXPECT_FALSE(QuantizedStore::Write(TempDir("sdea_qstore_dup"),
