@@ -335,9 +335,10 @@ text::SubwordTokenizer* SharedTokenizer() {
     cfg.num_matched = 300;
     const auto bench = datagen::BenchmarkGenerator().Generate(cfg);
     std::vector<std::string> corpus;
-    for (const auto& tr : bench.kg1.attribute_triples()) {
-      corpus.push_back(tr.value);
-    }
+    bench.kg1.Snapshot().ForEachAttribute(
+        [&](int64_t, kg::EntityId, kg::AttributeId, const std::string& v) {
+          corpus.push_back(v);
+        });
     SDEA_CHECK_OK(t->Train(corpus, text::TokenizerConfig{}));
     return t;
   }();

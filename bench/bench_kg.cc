@@ -1,6 +1,7 @@
 // Columnar KG store microbenchmarks: full-scan and neighbors-scan against
-// the seed row-store views (the facade's legacy mirror vectors), snapshot
-// pin cost, reader tail latency while a writer commits concurrently, and
+// a row-store layout (the pre-columnar KnowledgeGraph's row vectors and
+// adjacency lists, rebuilt here as a bench-local fixture), snapshot pin
+// cost, reader tail latency while a writer commits concurrently, and
 // memory per triple for both representations. Emits BENCH_kg.json; CI
 // archives it next to the other BENCH_*.json artifacts.
 #include <benchmark/benchmark.h>
@@ -68,41 +69,78 @@ kg::KnowledgeGraph BuildGraph(int64_t rel_rows, int64_t attr_rows) {
   return g;
 }
 
-// Heap footprint of the seed representation: contiguous row vectors plus
-// the per-value string heap (what the pre-columnar KnowledgeGraph held).
-int64_t RowStoreHeapBytes(const kg::KnowledgeGraph& g) {
-  int64_t bytes = static_cast<int64_t>(g.relational_triples().capacity() *
-                                       sizeof(kg::RelationalTriple));
-  bytes += static_cast<int64_t>(g.attribute_triples().capacity() *
-                                sizeof(kg::AttributeTriple));
-  for (const kg::AttributeTriple& t : g.attribute_triples()) {
-    if (t.value.size() > sizeof(std::string)) {
-      bytes += static_cast<int64_t>(t.value.capacity());
-    }
+// The row-store layout the columnar rows are compared against: one
+// contiguous vector per triple kind, copied once from a snapshot scan in
+// setup.
+struct AttrRow {
+  kg::EntityId entity;
+  kg::AttributeId attribute;
+  std::string value;
+};
+
+struct RowStore {
+  std::vector<kg::RelationalTriple> rels;
+  std::vector<AttrRow> attrs;
+
+  explicit RowStore(const kg::KgSnapshot& snap) {
+    rels.reserve(static_cast<size_t>(snap.num_relational_triples()));
+    snap.ForEachRelational(
+        [&](int64_t, kg::EntityId h, kg::RelationId r, kg::EntityId t) {
+          rels.push_back(kg::RelationalTriple{h, r, t});
+        });
+    attrs.reserve(static_cast<size_t>(snap.num_attribute_triples()));
+    snap.ForEachAttribute([&](int64_t, kg::EntityId e, kg::AttributeId a,
+                              const std::string& value) {
+      attrs.push_back(AttrRow{e, a, value});
+    });
   }
-  return bytes;
+
+  // Heap footprint: the row vectors plus the per-value string heap.
+  int64_t HeapBytes() const {
+    int64_t bytes = static_cast<int64_t>(
+        rels.capacity() * sizeof(kg::RelationalTriple) +
+        attrs.capacity() * sizeof(AttrRow));
+    for (const AttrRow& t : attrs) {
+      if (t.value.size() > sizeof(std::string)) {
+        bytes += static_cast<int64_t>(t.value.capacity());
+      }
+    }
+    return bytes;
+  }
+};
+
+// Per-entity edge lists in insertion order (the head's outgoing edge
+// before the tail's incoming one), filled once from a snapshot scan.
+std::vector<std::vector<kg::NeighborEdge>> BuildAdjacency(
+    const kg::KgSnapshot& snap) {
+  std::vector<std::vector<kg::NeighborEdge>> adjacency(
+      static_cast<size_t>(snap.num_entities()));
+  snap.ForEachRelational(
+      [&](int64_t, kg::EntityId h, kg::RelationId r, kg::EntityId t) {
+        adjacency[static_cast<size_t>(h)].push_back(
+            kg::NeighborEdge{r, t, /*outgoing=*/true});
+        adjacency[static_cast<size_t>(t)].push_back(
+            kg::NeighborEdge{r, h, /*outgoing=*/false});
+      });
+  return adjacency;
 }
 
 void BM_FullScanRows(benchmark::State& state) {
   const int64_t n = state.range(0);
-  const kg::KnowledgeGraph g = BuildGraph(n, n);
-  // Touch both views once so the lazy mirrors are materialized in setup,
-  // not inside the timed loop.
-  benchmark::DoNotOptimize(g.relational_triples().size());
-  benchmark::DoNotOptimize(g.attribute_triples().size());
+  const RowStore rows(BuildGraph(n, n).Snapshot());
   for (auto _ : state) {
     int64_t acc = 0;
-    for (const kg::RelationalTriple& t : g.relational_triples()) {
+    for (const kg::RelationalTriple& t : rows.rels) {
       acc += t.head + t.relation + t.tail;
     }
-    for (const kg::AttributeTriple& t : g.attribute_triples()) {
+    for (const AttrRow& t : rows.attrs) {
       acc += t.entity + static_cast<int64_t>(t.value.size());
     }
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(state.iterations() * 2 * n);
   state.counters["rows_bytes_per_triple"] = benchmark::Counter(
-      static_cast<double>(RowStoreHeapBytes(g)) / static_cast<double>(2 * n));
+      static_cast<double>(rows.HeapBytes()) / static_cast<double>(2 * n));
 }
 BENCHMARK(BM_FullScanRows)->Arg(100000)->Arg(500000);
 
@@ -131,12 +169,12 @@ BENCHMARK(BM_FullScanColumnar)->Arg(100000)->Arg(500000);
 
 void BM_NeighborsRows(benchmark::State& state) {
   const int64_t n = state.range(0);
-  const kg::KnowledgeGraph g = BuildGraph(n, 0);
-  benchmark::DoNotOptimize(g.neighbors(0).size());  // Materialize mirrors.
+  const std::vector<std::vector<kg::NeighborEdge>> adjacency =
+      BuildAdjacency(BuildGraph(n, 0).Snapshot());
   for (auto _ : state) {
     int64_t acc = 0;
-    for (kg::EntityId e = 0; e < kEntities; ++e) {
-      for (const kg::NeighborEdge& edge : g.neighbors(e)) {
+    for (const std::vector<kg::NeighborEdge>& edges : adjacency) {
+      for (const kg::NeighborEdge& edge : edges) {
         acc += edge.neighbor;
       }
     }

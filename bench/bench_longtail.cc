@@ -38,11 +38,12 @@ int main(int argc, char** argv) {
   Tensor src({static_cast<int64_t>(run.seeds.test.size()),
               gcn.embeddings1().dim(1)});
   std::vector<int64_t> gold, degrees;
+  const kg::KgSnapshot snap1 = run.bench.kg1.Snapshot();
   for (size_t i = 0; i < run.seeds.test.size(); ++i) {
     src.SetRow(static_cast<int64_t>(i),
                gcn.embeddings1().Row(run.seeds.test[i].first));
     gold.push_back(run.seeds.test[i].second);
-    degrees.push_back(run.bench.kg1.degree(run.seeds.test[i].first));
+    degrees.push_back(snap1.DegreeOf(run.seeds.test[i].first));
   }
   const auto gcn_buckets = eval::EvaluateByDegree(
       src, gcn.embeddings2(), gold, degrees, buckets);

@@ -37,19 +37,17 @@ int main() {
 
   // Show one comment-only long-tail entity, like Fig. 2's e_{2,1}.
   auto comment_attr = bench.kg2.FindAttribute("comment");
-  for (kg::EntityId e = 0; e < bench.kg2.num_entities(); ++e) {
-    const auto& attrs = bench.kg2.attribute_triples_of(e);
+  const kg::KgSnapshot snap2 = bench.kg2.Snapshot();
+  for (kg::EntityId e = 0; e < snap2.num_entities(); ++e) {
+    const std::vector<int64_t> attrs = snap2.AttributeRowsOf(e);
     if (attrs.size() == 1 && comment_attr.ok() &&
-        bench.kg2.attribute_triples()[static_cast<size_t>(attrs[0])]
-                .attribute == *comment_attr &&
-        bench.kg2.degree(e) <= 3) {
+        snap2.AttributeIdsAt(attrs[0]).second == *comment_attr &&
+        snap2.DegreeOf(e) <= 3) {
       std::printf("long-tail entity %s (degree %lld), only attribute:\n",
-                  bench.kg2.entity_name(e).c_str(),
-                  static_cast<long long>(bench.kg2.degree(e)));
+                  snap2.entity_name(e).c_str(),
+                  static_cast<long long>(snap2.DegreeOf(e)));
       std::printf("  comment = \"%.100s...\"\n\n",
-                  bench.kg2.attribute_triples()[static_cast<size_t>(
-                                                    attrs[0])]
-                      .value.c_str());
+                  snap2.ValueAt(attrs[0]).c_str());
       break;
     }
   }

@@ -24,14 +24,15 @@ int main() {
   gen_config.kg2_lang_seed = 2;  // Disjoint surface forms: cross-lingual.
   datagen::BenchmarkGenerator generator;
   datagen::GeneratedBenchmark bench = generator.Generate(gen_config);
-  std::printf("KG1: %lld entities, %zu rel triples, %zu attr triples\n",
-              static_cast<long long>(bench.kg1.num_entities()),
-              bench.kg1.relational_triples().size(),
-              bench.kg1.attribute_triples().size());
-  std::printf("KG2: %lld entities, %zu rel triples, %zu attr triples\n",
-              static_cast<long long>(bench.kg2.num_entities()),
-              bench.kg2.relational_triples().size(),
-              bench.kg2.attribute_triples().size());
+  auto print_counts = [](const char* label, const kg::KnowledgeGraph& g) {
+    const kg::KgSnapshot snap = g.Snapshot();
+    std::printf("%s: %lld entities, %lld rel triples, %lld attr triples\n",
+                label, static_cast<long long>(snap.num_entities()),
+                static_cast<long long>(snap.num_relational_triples()),
+                static_cast<long long>(snap.num_attribute_triples()));
+  };
+  print_counts("KG1", bench.kg1);
+  print_counts("KG2", bench.kg2);
 
   // 2) Split the ground truth 2:1:7 (train : valid : test), as in the paper.
   kg::AlignmentSeeds seeds =

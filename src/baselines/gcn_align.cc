@@ -1,9 +1,9 @@
 #include "baselines/gcn_align.h"
 
 #include <cmath>
-#include <tuple>
 
 #include "base/check.h"
+#include "baselines/union_graph.h"
 #include "nn/loss.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
@@ -13,46 +13,14 @@
 namespace sdea::baselines {
 namespace {
 
-// Raw (unnormalized) union-graph edges with self-loops, as COO triplets.
-std::vector<std::tuple<int64_t, int64_t, float>> UnionEdges(
-    const kg::KnowledgeGraph& kg1, const kg::KnowledgeGraph& kg2) {
-  std::vector<std::tuple<int64_t, int64_t, float>> coo;
-  const int64_t n1 = kg1.num_entities();
-  const int64_t total = n1 + kg2.num_entities();
-  for (const kg::RelationalTriple& t : kg1.relational_triples()) {
-    coo.emplace_back(t.head, t.tail, 1.0f);
-    coo.emplace_back(t.tail, t.head, 1.0f);
-  }
-  for (const kg::RelationalTriple& t : kg2.relational_triples()) {
-    coo.emplace_back(n1 + t.head, n1 + t.tail, 1.0f);
-    coo.emplace_back(n1 + t.tail, n1 + t.head, 1.0f);
-  }
-  for (int64_t i = 0; i < total; ++i) coo.emplace_back(i, i, 1.0f);
-  return coo;
-}
-
-// Symmetric normalization D^-1/2 (A+I) D^-1/2 of COO edges.
-CsrMatrix NormalizedAdjacency(
-    int64_t n, std::vector<std::tuple<int64_t, int64_t, float>> coo) {
-  std::vector<double> degree(static_cast<size_t>(n), 0.0);
-  for (const auto& [r, c, v] : coo) degree[static_cast<size_t>(r)] += v;
-  for (auto& [r, c, v] : coo) {
-    const double dr = std::max(degree[static_cast<size_t>(r)], 1e-9);
-    const double dc = std::max(degree[static_cast<size_t>(c)], 1e-9);
-    v = static_cast<float>(v / std::sqrt(dr * dc));
-  }
-  return CsrMatrix::FromTriplets(n, n, coo);
-}
-
 // Feature-dependent attention weights over the raw edges (stop-gradient:
 // weights are recomputed from the current features each refresh but treated
 // as constants by autograd), followed by row-softmax.
-CsrMatrix AttentionAdjacency(
-    int64_t n, const std::vector<std::tuple<int64_t, int64_t, float>>& coo,
-    const Tensor& features, const Tensor& attn_vec) {
+CsrMatrix AttentionAdjacency(int64_t n, const CooEdges& coo,
+                             const Tensor& features, const Tensor& attn_vec) {
   const int64_t d = features.dim(1);
   SDEA_CHECK_EQ(attn_vec.size(), 2 * d);
-  std::vector<std::tuple<int64_t, int64_t, float>> weighted;
+  CooEdges weighted;
   weighted.reserve(coo.size());
   std::vector<double> row_max(static_cast<size_t>(n), -1e30);
   std::vector<float> raw(coo.size());
@@ -85,27 +53,6 @@ CsrMatrix AttentionAdjacency(
                            std::max(row_sum[static_cast<size_t>(r)], 1e-12)));
   }
   return CsrMatrix::FromTriplets(n, n, weighted);
-}
-
-// Hashed attribute-name count features, L2-normalized per row. Attribute
-// names are hashed so identical names across KGs share dimensions.
-Tensor AttributeFeatures(const kg::KnowledgeGraph& kg1,
-                         const kg::KnowledgeGraph& kg2, int64_t dim) {
-  const int64_t n1 = kg1.num_entities();
-  const int64_t total = n1 + kg2.num_entities();
-  Tensor out({total, dim});
-  auto fill = [&](const kg::KnowledgeGraph& g, int64_t offset) {
-    for (const kg::AttributeTriple& t : g.attribute_triples()) {
-      const std::string& name = g.attribute_name(t.attribute);
-      const size_t h = std::hash<std::string>{}(name) %
-                       static_cast<size_t>(dim);
-      out[(offset + t.entity) * dim + static_cast<int64_t>(h)] += 1.0f;
-    }
-  };
-  fill(kg1, 0);
-  fill(kg2, n1);
-  tmath::L2NormalizeRowsInPlace(&out);
-  return out;
 }
 
 // The trainable parameters live in a small module for uniform handling.
@@ -189,8 +136,8 @@ Status GcnAlign::Fit(const AlignInput& input) {
   CsrMatrix adjacency = NormalizedAdjacency(total, raw_edges);
   Tensor attr_features;
   if (config_.use_attributes) {
-    attr_features =
-        AttributeFeatures(*input.kg1, *input.kg2, config_.attr_feature_dim);
+    attr_features = AttributeNameCounts(*input.kg1, *input.kg2,
+                                        config_.attr_feature_dim);
   }
 
   Rng rng(config_.seed);

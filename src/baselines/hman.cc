@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "base/check.h"
+#include "baselines/union_graph.h"
 #include "nn/loss.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
@@ -10,39 +11,22 @@
 namespace sdea::baselines {
 namespace {
 
-// Hashed relation-name count features over the union entity space.
+// Hashed relation-name count features over the union entity space: each
+// triple counts its relation name on both endpoints.
 Tensor RelationFeatures(const kg::KnowledgeGraph& kg1,
                         const kg::KnowledgeGraph& kg2, int64_t dim) {
   const int64_t n1 = kg1.num_entities();
   const int64_t total = n1 + kg2.num_entities();
   Tensor out({total, dim});
   auto fill = [&](const kg::KnowledgeGraph& g, int64_t offset) {
-    for (const kg::RelationalTriple& t : g.relational_triples()) {
-      const size_t h = std::hash<std::string>{}(
-                           g.relation_name(t.relation)) %
+    const kg::KgSnapshot snap = g.Snapshot();
+    snap.ForEachRelational([&](int64_t /*row*/, kg::EntityId head,
+                               kg::RelationId r, kg::EntityId tail) {
+      const size_t h = std::hash<std::string>{}(snap.relation_name(r)) %
                        static_cast<size_t>(dim);
-      out[(offset + t.head) * dim + static_cast<int64_t>(h)] += 1.0f;
-      out[(offset + t.tail) * dim + static_cast<int64_t>(h)] += 1.0f;
-    }
-  };
-  fill(kg1, 0);
-  fill(kg2, n1);
-  tmath::L2NormalizeRowsInPlace(&out);
-  return out;
-}
-
-Tensor AttributeCountFeatures(const kg::KnowledgeGraph& kg1,
-                              const kg::KnowledgeGraph& kg2, int64_t dim) {
-  const int64_t n1 = kg1.num_entities();
-  const int64_t total = n1 + kg2.num_entities();
-  Tensor out({total, dim});
-  auto fill = [&](const kg::KnowledgeGraph& g, int64_t offset) {
-    for (const kg::AttributeTriple& t : g.attribute_triples()) {
-      const size_t h = std::hash<std::string>{}(
-                           g.attribute_name(t.attribute)) %
-                       static_cast<size_t>(dim);
-      out[(offset + t.entity) * dim + static_cast<int64_t>(h)] += 1.0f;
-    }
+      out[(offset + head) * dim + static_cast<int64_t>(h)] += 1.0f;
+      out[(offset + tail) * dim + static_cast<int64_t>(h)] += 1.0f;
+    });
   };
   fill(kg1, 0);
   fill(kg2, n1);
@@ -122,7 +106,7 @@ Status Hman::Fit(const AlignInput& input) {
       RelationFeatures(*input.kg1, *input.kg2, config_.feature_dim), input,
       config_, "hman.rel", &rng);
   const Tensor attr_emb = TrainChannel(
-      AttributeCountFeatures(*input.kg1, *input.kg2, config_.feature_dim),
+      AttributeNameCounts(*input.kg1, *input.kg2, config_.feature_dim),
       input, config_, "hman.attr", &rng);
 
   // Concatenate channels (GCN output is per-side, FNNs are union-indexed).

@@ -4,6 +4,7 @@
 
 #include "base/check.h"
 #include "base/rng.h"
+#include "baselines/union_graph.h"
 #include "train/trainer.h"
 
 namespace sdea::baselines {
@@ -93,14 +94,8 @@ Status IpTransE::Fit(const AlignInput& input) {
   }
 
   // Union triples (KG2 ids offset) and outgoing adjacency on merged ids.
-  std::vector<kg::RelationalTriple> triples = input.kg1->relational_triples();
-  const int32_t r1_count = static_cast<int32_t>(input.kg1->num_relations());
-  for (const kg::RelationalTriple& t : input.kg2->relational_triples()) {
-    triples.push_back(kg::RelationalTriple{
-        static_cast<kg::EntityId>(t.head + n1),
-        static_cast<kg::RelationId>(t.relation + r1_count),
-        static_cast<kg::EntityId>(t.tail + n1)});
-  }
+  const std::vector<kg::RelationalTriple> triples =
+      UnionTriples(*input.kg1, *input.kg2);
   OutEdges out;
   out.edges.resize(static_cast<size_t>(total));
   auto resolve = [&](int64_t raw) {

@@ -3,28 +3,26 @@
 #include <algorithm>
 
 #include "base/check.h"
+#include "baselines/union_graph.h"
 #include "text/pretrain.h"
 #include "text/tokenizer.h"
 
 namespace sdea::baselines {
 namespace {
 
-// One "sentence" per entity: its attribute names, space-joined. Attribute
-// correlation (names co-occurring on the same entities) becomes word
-// co-occurrence for the pre-trainer — the Skip-gram recipe of JAPE.
+// One "sentence" per entity: its attribute names, space-joined in row
+// order. Attribute correlation (names co-occurring on the same entities)
+// becomes word co-occurrence for the pre-trainer — the Skip-gram recipe of
+// JAPE.
 std::vector<std::string> AttributeNameSentences(const kg::KnowledgeGraph& g) {
-  std::vector<std::string> out;
-  out.reserve(static_cast<size_t>(g.num_entities()));
-  for (kg::EntityId e = 0; e < g.num_entities(); ++e) {
-    std::string sentence;
-    for (int64_t idx : g.attribute_triples_of(e)) {
-      const kg::AttributeTriple& t =
-          g.attribute_triples()[static_cast<size_t>(idx)];
-      if (!sentence.empty()) sentence += ' ';
-      sentence += g.attribute_name(t.attribute);
-    }
-    out.push_back(std::move(sentence));
-  }
+  const kg::KgSnapshot snap = g.Snapshot();
+  std::vector<std::string> out(static_cast<size_t>(snap.num_entities()));
+  snap.ForEachAttribute([&](int64_t /*row*/, kg::EntityId e, kg::AttributeId a,
+                            const std::string& /*value*/) {
+    std::string& sentence = out[static_cast<size_t>(e)];
+    if (!sentence.empty()) sentence += ' ';
+    sentence += snap.attribute_name(a);
+  });
   return out;
 }
 
@@ -87,17 +85,8 @@ Status Jape::Fit(const AlignInput& input) {
   for (const auto& [a, b] : input.seeds->train) {
     merge[static_cast<size_t>(n1 + b)] = a;
   }
-  std::vector<kg::RelationalTriple> triples =
-      input.kg1->relational_triples();
-  const int32_t r1 = static_cast<int32_t>(input.kg1->num_relations());
-  for (const kg::RelationalTriple& t : input.kg2->relational_triples()) {
-    triples.push_back(kg::RelationalTriple{
-        static_cast<kg::EntityId>(t.head + n1),
-        static_cast<kg::RelationId>(t.relation + r1),
-        static_cast<kg::EntityId>(t.tail + n1)});
-  }
   TransE model(total, relations, config_.transe);
-  model.Train(triples, merge);
+  model.Train(UnionTriples(*input.kg1, *input.kg2), merge);
   const Tensor all = model.EntityEmbeddings(merge);
   Tensor struct1({n1, model.dim()});
   Tensor struct2({n2, model.dim()});

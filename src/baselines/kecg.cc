@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 
 #include "base/check.h"
+#include "baselines/union_graph.h"
 #include "nn/loss.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
@@ -12,31 +12,6 @@
 
 namespace sdea::baselines {
 namespace {
-
-// Normalized union adjacency (same construction as the GCN baselines).
-CsrMatrix UnionAdjacency(const kg::KnowledgeGraph& kg1,
-                         const kg::KnowledgeGraph& kg2) {
-  const int64_t n1 = kg1.num_entities();
-  const int64_t total = n1 + kg2.num_entities();
-  std::vector<std::tuple<int64_t, int64_t, float>> coo;
-  for (const kg::RelationalTriple& t : kg1.relational_triples()) {
-    coo.emplace_back(t.head, t.tail, 1.0f);
-    coo.emplace_back(t.tail, t.head, 1.0f);
-  }
-  for (const kg::RelationalTriple& t : kg2.relational_triples()) {
-    coo.emplace_back(n1 + t.head, n1 + t.tail, 1.0f);
-    coo.emplace_back(n1 + t.tail, n1 + t.head, 1.0f);
-  }
-  for (int64_t i = 0; i < total; ++i) coo.emplace_back(i, i, 1.0f);
-  std::vector<double> degree(static_cast<size_t>(total), 0.0);
-  for (const auto& [r, c, v] : coo) degree[static_cast<size_t>(r)] += v;
-  for (auto& [r, c, v] : coo) {
-    v = static_cast<float>(
-        v / std::sqrt(std::max(degree[static_cast<size_t>(r)], 1e-9) *
-                      std::max(degree[static_cast<size_t>(c)], 1e-9)));
-  }
-  return CsrMatrix::FromTriplets(total, total, coo);
-}
 
 // Hand-rolled TransE margin epoch operating directly on the shared entity
 // table (so the GNN sees the structural updates and vice versa).
@@ -97,16 +72,10 @@ Status Kecg::Fit(const AlignInput& input) {
 
   // Union triples with offset KG2 ids (no seed merging: KECG ties the
   // graphs through the cross-graph loss instead).
-  std::vector<kg::RelationalTriple> triples =
-      input.kg1->relational_triples();
-  const int32_t r1 = static_cast<int32_t>(input.kg1->num_relations());
-  for (const kg::RelationalTriple& t : input.kg2->relational_triples()) {
-    triples.push_back(kg::RelationalTriple{
-        static_cast<kg::EntityId>(t.head + n1),
-        static_cast<kg::RelationId>(t.relation + r1),
-        static_cast<kg::EntityId>(t.tail + n1)});
-  }
-  const CsrMatrix adjacency = UnionAdjacency(*input.kg1, *input.kg2);
+  const std::vector<kg::RelationalTriple> triples =
+      UnionTriples(*input.kg1, *input.kg2);
+  const CsrMatrix adjacency =
+      NormalizedAdjacency(total, UnionEdges(*input.kg1, *input.kg2));
 
   Rng rng(config_.seed);
   const float s = 1.0f / std::sqrt(static_cast<float>(d));

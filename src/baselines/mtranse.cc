@@ -1,5 +1,6 @@
 #include "baselines/mtranse.h"
 
+#include "baselines/union_graph.h"
 #include "train/trainer.h"
 
 namespace sdea::baselines {
@@ -65,8 +66,8 @@ Status MTransE::Fit(const AlignInput& input) {
   TransE model2(input.kg2->num_entities(),
                 std::max<int64_t>(1, input.kg2->num_relations()), tc);
   const std::vector<int32_t> identity;
-  model1.Train(input.kg1->relational_triples(), identity);
-  model2.Train(input.kg2->relational_triples(), identity);
+  model1.Train(RelationalRows(*input.kg1), identity);
+  model2.Train(RelationalRows(*input.kg2), identity);
 
   const Tensor e1 = model1.EntityEmbeddings(identity);
   const Tensor e2 = model2.EntityEmbeddings(identity);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/check.h"
+#include "baselines/union_graph.h"
 #include "nn/optimizer.h"
 
 namespace sdea::baselines {
@@ -44,12 +45,8 @@ JointGraph BuildJointGraph(const AlignInput& input,
     g.adjacency[static_cast<size_t>(h)].emplace_back(r, t);
     g.adjacency[static_cast<size_t>(t)].emplace_back(r, h);
   };
-  for (const kg::RelationalTriple& t : input.kg1->relational_triples()) {
+  for (const kg::RelationalTriple& t : UnionTriples(*input.kg1, *input.kg2)) {
     add(resolve(t.head), t.relation, resolve(t.tail));
-  }
-  const int64_t r1 = input.kg1->num_relations();
-  for (const kg::RelationalTriple& t : input.kg2->relational_triples()) {
-    add(resolve(n1 + t.head), r1 + t.relation, resolve(n1 + t.tail));
   }
   return g;
 }

@@ -3,26 +3,9 @@
 #include <algorithm>
 
 #include "base/check.h"
+#include "baselines/union_graph.h"
 
 namespace sdea::baselines {
-namespace {
-
-// Builds the union triple list with KG2 ids offset by n1 (entities) and r1
-// (relations).
-std::vector<kg::RelationalTriple> UnionTriples(const kg::KnowledgeGraph& kg1,
-                                               const kg::KnowledgeGraph& kg2) {
-  std::vector<kg::RelationalTriple> out = kg1.relational_triples();
-  const int32_t n1 = static_cast<int32_t>(kg1.num_entities());
-  const int32_t r1 = static_cast<int32_t>(kg1.num_relations());
-  for (const kg::RelationalTriple& t : kg2.relational_triples()) {
-    out.push_back(kg::RelationalTriple{t.head + n1, t.relation + r1,
-                                       t.tail + n1});
-  }
-  return out;
-}
-
-}  // namespace
-
 TransEAlign::Config BootEaConfig(TransEConfig transe) {
   TransEAlign::Config c;
   c.transe = std::move(transe);

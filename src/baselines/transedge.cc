@@ -5,6 +5,7 @@
 
 #include "base/check.h"
 #include "base/rng.h"
+#include "baselines/union_graph.h"
 #include "nn/loss.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
@@ -134,13 +135,8 @@ Status TransEdge::Fit(const AlignInput& input) {
   auto resolve = [&](int64_t raw) {
     return merge[static_cast<size_t>(raw)];
   };
-  for (const kg::RelationalTriple& t : input.kg1->relational_triples()) {
+  for (const kg::RelationalTriple& t : UnionTriples(*input.kg1, *input.kg2)) {
     triples.push_back({resolve(t.head), t.relation, resolve(t.tail)});
-  }
-  const int64_t r1 = input.kg1->num_relations();
-  for (const kg::RelationalTriple& t : input.kg2->relational_triples()) {
-    triples.push_back(
-        {resolve(n1 + t.head), r1 + t.relation, resolve(n1 + t.tail)});
   }
   if (triples.empty()) {
     return Status::InvalidArgument("TransEdge: no relational triples");

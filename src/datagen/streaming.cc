@@ -25,39 +25,43 @@ std::vector<int64_t> AssignIncrements(
   return inc;
 }
 
-/// Rebuilds the base state of `full` (entities with increment 0 and the
-/// triples among them), replaying the generator's id order so the result is
+/// Rebuilds the base state of the full graph pinned in `snap` (entities
+/// with increment 0 and the triples among them), scanning it in row order
+/// and replaying the generator's id order so the result is
 /// deterministic. The relation/attribute vocabularies are added upfront in
 /// full: schema arrives with the base state, only facts stream in.
-kg::KnowledgeGraph BuildBase(const kg::KnowledgeGraph& full,
+kg::KnowledgeGraph BuildBase(const kg::KgSnapshot& snap,
                              const std::vector<int64_t>& inc) {
   kg::KnowledgeGraph base;
   base.BeginBulkLoad();
-  for (kg::RelationId r = 0; r < full.num_relations(); ++r) {
-    base.AddRelation(full.relation_name(r));
+  for (kg::RelationId r = 0; r < snap.num_relations(); ++r) {
+    base.AddRelation(snap.relation_name(r));
   }
-  for (kg::AttributeId a = 0; a < full.num_attributes(); ++a) {
-    base.AddAttribute(full.attribute_name(a));
+  for (kg::AttributeId a = 0; a < snap.num_attributes(); ++a) {
+    base.AddAttribute(snap.attribute_name(a));
   }
-  for (kg::EntityId e = 0; e < full.num_entities(); ++e) {
-    if (inc[static_cast<size_t>(e)] == 0) base.AddEntity(full.entity_name(e));
+  for (kg::EntityId e = 0; e < snap.num_entities(); ++e) {
+    if (inc[static_cast<size_t>(e)] == 0) base.AddEntity(snap.entity_name(e));
   }
-  for (const kg::RelationalTriple& t : full.relational_triples()) {
-    if (inc[static_cast<size_t>(t.head)] != 0 ||
-        inc[static_cast<size_t>(t.tail)] != 0) {
-      continue;
+  snap.ForEachRelational([&](int64_t /*row*/, kg::EntityId head,
+                             kg::RelationId rel, kg::EntityId tail) {
+    if (inc[static_cast<size_t>(head)] != 0 ||
+        inc[static_cast<size_t>(tail)] != 0) {
+      return;
     }
-    const kg::EntityId h = base.AddEntity(full.entity_name(t.head));
-    const kg::RelationId r = base.AddRelation(full.relation_name(t.relation));
-    const kg::EntityId tl = base.AddEntity(full.entity_name(t.tail));
-    base.AddRelationalTriple(h, r, tl);
-  }
-  for (const kg::AttributeTriple& t : full.attribute_triples()) {
-    if (inc[static_cast<size_t>(t.entity)] != 0) continue;
-    const kg::EntityId e = base.AddEntity(full.entity_name(t.entity));
-    const kg::AttributeId a = base.AddAttribute(full.attribute_name(t.attribute));
-    base.AddAttributeTriple(e, a, t.value);
-  }
+    const kg::EntityId h = base.AddEntity(snap.entity_name(head));
+    const kg::RelationId r = base.AddRelation(snap.relation_name(rel));
+    const kg::EntityId t = base.AddEntity(snap.entity_name(tail));
+    base.AddRelationalTriple(h, r, t);
+  });
+  snap.ForEachAttribute([&](int64_t /*row*/, kg::EntityId entity,
+                            kg::AttributeId attribute,
+                            const std::string& value) {
+    if (inc[static_cast<size_t>(entity)] != 0) return;
+    const kg::EntityId e = base.AddEntity(snap.entity_name(entity));
+    const kg::AttributeId a = base.AddAttribute(snap.attribute_name(attribute));
+    base.AddAttributeTriple(e, a, value);
+  });
   base.EndBulkLoad();
   return base;
 }
@@ -65,55 +69,52 @@ kg::KnowledgeGraph BuildBase(const kg::KnowledgeGraph& full,
 /// Fills the per-increment updates for one side: arrivals (entities with
 /// increment i and the triples that become stateable at i) plus seeded
 /// attribute edits on base entities.
-void BuildSideUpdates(const kg::KnowledgeGraph& full,
+void BuildSideUpdates(const kg::KgSnapshot& snap,
                       const std::vector<int64_t>& inc, int64_t num_increments,
                       double attr_edit_frac, Rng* rng,
                       std::vector<incr::UpdateBatch>* batches,
                       incr::KgUpdate incr::UpdateBatch::* side) {
-  for (kg::EntityId e = 0; e < full.num_entities(); ++e) {
+  auto update = [&](int64_t i) -> incr::KgUpdate& {
+    return (*batches)[static_cast<size_t>(i - 1)].*side;
+  };
+  for (kg::EntityId e = 0; e < snap.num_entities(); ++e) {
     const int64_t i = inc[static_cast<size_t>(e)];
-    if (i > 0) {
-      ((*batches)[static_cast<size_t>(i - 1)].*side)
-          .new_entities.push_back(full.entity_name(e));
+    if (i > 0) update(i).new_entities.push_back(snap.entity_name(e));
+  }
+  snap.ForEachRelational([&](int64_t /*row*/, kg::EntityId h,
+                             kg::RelationId r, kg::EntityId t) {
+    const int64_t i = std::max(inc[static_cast<size_t>(h)],
+                               inc[static_cast<size_t>(t)]);
+    if (i == 0) return;
+    update(i).relational.push_back(
+        {snap.entity_name(h), snap.relation_name(r), snap.entity_name(t)});
+  });
+  // Arriving attribute rows go to their increment; base rows are the pool
+  // the edits below sample from.
+  std::vector<int64_t> base_rows;
+  snap.ForEachAttribute([&](int64_t row, kg::EntityId e, kg::AttributeId a,
+                            const std::string& value) {
+    const int64_t i = inc[static_cast<size_t>(e)];
+    if (i == 0) {
+      base_rows.push_back(row);
+      return;
     }
-  }
-  for (const kg::RelationalTriple& t : full.relational_triples()) {
-    const int64_t i = std::max(inc[static_cast<size_t>(t.head)],
-                               inc[static_cast<size_t>(t.tail)]);
-    if (i == 0) continue;
-    ((*batches)[static_cast<size_t>(i - 1)].*side)
-        .relational.push_back({full.entity_name(t.head),
-                               full.relation_name(t.relation),
-                               full.entity_name(t.tail)});
-  }
-  const std::vector<kg::AttributeTriple>& attrs = full.attribute_triples();
-  for (const kg::AttributeTriple& t : attrs) {
-    const int64_t i = inc[static_cast<size_t>(t.entity)];
-    if (i == 0) continue;
-    ((*batches)[static_cast<size_t>(i - 1)].*side)
-        .attributes.push_back({full.entity_name(t.entity),
-                               full.attribute_name(t.attribute), t.value});
-  }
+    update(i).attributes.push_back(
+        {snap.entity_name(e), snap.attribute_name(a), value});
+  });
   // Edits: per increment, revise the value of a seeded sample of *base*
   // attribute triples. The source row stays in the base graph; the edit
   // arrives as a fresher fact about an entity serving already knows.
-  std::vector<size_t> base_rows;
-  for (size_t row = 0; row < attrs.size(); ++row) {
-    if (inc[static_cast<size_t>(attrs[row].entity)] == 0) {
-      base_rows.push_back(row);
-    }
-  }
   const size_t edits_per_inc = static_cast<size_t>(
       attr_edit_frac * static_cast<double>(base_rows.size()));
   for (int64_t i = 1; i <= num_increments; ++i) {
     if (edits_per_inc == 0 || base_rows.empty()) break;
     for (size_t k = 0; k < edits_per_inc; ++k) {
-      const kg::AttributeTriple& t =
-          attrs[base_rows[rng->UniformInt(base_rows.size())]];
-      ((*batches)[static_cast<size_t>(i - 1)].*side)
-          .attributes.push_back({full.entity_name(t.entity),
-                                 full.attribute_name(t.attribute),
-                                 t.value + " (rev " + std::to_string(i) + ")"});
+      const int64_t row = base_rows[rng->UniformInt(base_rows.size())];
+      const auto [e, a] = snap.AttributeIdsAt(row);
+      update(i).attributes.push_back(
+          {snap.entity_name(e), snap.attribute_name(a),
+           snap.ValueAt(row) + " (rev " + std::to_string(i) + ")"});
     }
   }
 }
@@ -160,19 +161,21 @@ StreamingBenchmark GenerateStreaming(const StreamingConfig& config) {
   const std::vector<int64_t> inc2 =
       AssignIncrements(full.kg2.num_entities(), streamed2);
 
+  const kg::KgSnapshot snap1 = full.kg1.Snapshot();
+  const kg::KgSnapshot snap2 = full.kg2.Snapshot();
   StreamingBenchmark out;
   out.name = full.name + "_stream";
-  out.kg1 = BuildBase(full.kg1, inc1);
-  out.kg2 = BuildBase(full.kg2, inc2);
+  out.kg1 = BuildBase(snap1, inc1);
+  out.kg2 = BuildBase(snap2, inc2);
   out.pretrain_corpus = std::move(full.pretrain_corpus);
   out.truth_names = std::move(truth_names);
 
   out.increments.resize(static_cast<size_t>(num_increments));
   Rng edit_rng1 = rng.Fork();
   Rng edit_rng2 = rng.Fork();
-  BuildSideUpdates(full.kg1, inc1, num_increments, config.attr_edit_frac,
+  BuildSideUpdates(snap1, inc1, num_increments, config.attr_edit_frac,
                    &edit_rng1, &out.increments, &incr::UpdateBatch::kg1);
-  BuildSideUpdates(full.kg2, inc2, num_increments, config.attr_edit_frac,
+  BuildSideUpdates(snap2, inc2, num_increments, config.attr_edit_frac,
                    &edit_rng2, &out.increments, &incr::UpdateBatch::kg2);
 
   // Base truth: every ground-truth pair whose two sides are both in the

@@ -75,18 +75,18 @@ Status Oversized() {
   return Status::InvalidArgument("binary KG count exceeds file size");
 }
 
-void EncodeNameTables(const KnowledgeGraph& graph, std::string* out) {
-  AppendU32(out, static_cast<uint32_t>(graph.num_entities()));
-  for (EntityId e = 0; e < graph.num_entities(); ++e) {
-    AppendString(out, graph.entity_name(e));
+void EncodeNameTables(const KgSnapshot& snap, std::string* out) {
+  AppendU32(out, static_cast<uint32_t>(snap.num_entities()));
+  for (EntityId e = 0; e < snap.num_entities(); ++e) {
+    AppendString(out, snap.entity_name(e));
   }
-  AppendU32(out, static_cast<uint32_t>(graph.num_relations()));
-  for (RelationId r = 0; r < graph.num_relations(); ++r) {
-    AppendString(out, graph.relation_name(r));
+  AppendU32(out, static_cast<uint32_t>(snap.num_relations()));
+  for (RelationId r = 0; r < snap.num_relations(); ++r) {
+    AppendString(out, snap.relation_name(r));
   }
-  AppendU32(out, static_cast<uint32_t>(graph.num_attributes()));
-  for (AttributeId a = 0; a < graph.num_attributes(); ++a) {
-    AppendString(out, graph.attribute_name(a));
+  AppendU32(out, static_cast<uint32_t>(snap.num_attributes()));
+  for (AttributeId a = 0; a < snap.num_attributes(); ++a) {
+    AppendString(out, snap.attribute_name(a));
   }
 }
 
@@ -292,14 +292,12 @@ Result<KnowledgeGraph> DecodeBinaryV2(Reader reader) {
 std::string EncodeBinary(const KnowledgeGraph& graph) {
   std::string out;
   out.append(kMagicV2, sizeof(kMagicV2));
-  EncodeNameTables(graph, &out);
-
-  const ColumnarKgStore& store = graph.columnar();
+  const KgSnapshot snap = graph.Snapshot();
+  EncodeNameTables(snap, &out);
 
   // Relational section: rows re-chunked at the fixed on-disk size, each
   // chunk written as three contiguous u32 columns.
-  const int64_t rel_rows = store.latest_rel_rows();
-  AppendU32(&out, static_cast<uint32_t>(rel_rows));
+  AppendU32(&out, static_cast<uint32_t>(snap.num_relational_triples()));
   AppendU32(&out, kRelChunkRows);
   std::vector<uint32_t> heads, rels, tails;
   auto flush_rel = [&] {
@@ -310,8 +308,8 @@ std::string EncodeBinary(const KnowledgeGraph& graph) {
     rels.clear();
     tails.clear();
   };
-  store.LatestForEachRelational(
-      0, [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
+  snap.ForEachRelational(
+      [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
         heads.push_back(static_cast<uint32_t>(h));
         rels.push_back(static_cast<uint32_t>(r));
         tails.push_back(static_cast<uint32_t>(t));
@@ -321,8 +319,7 @@ std::string EncodeBinary(const KnowledgeGraph& graph) {
 
   // Attribute section: id columns plus a per-chunk value encoding decided
   // by the chunk's own duplication (dictionary when it pays for itself).
-  const int64_t attr_rows = store.latest_attr_rows();
-  AppendU32(&out, static_cast<uint32_t>(attr_rows));
+  AppendU32(&out, static_cast<uint32_t>(snap.num_attribute_triples()));
   AppendU32(&out, kAttrChunkRows);
   std::vector<uint32_t> ents, attrs;
   std::vector<const std::string*> values;
@@ -352,14 +349,13 @@ std::string EncodeBinary(const KnowledgeGraph& graph) {
     attrs.clear();
     values.clear();
   };
-  store.LatestForEachAttribute(
-      0, [&](int64_t /*row*/, EntityId e, AttributeId a,
-             const std::string& value) {
-        ents.push_back(static_cast<uint32_t>(e));
-        attrs.push_back(static_cast<uint32_t>(a));
-        values.push_back(&value);
-        if (values.size() == kAttrChunkRows) flush_attr();
-      });
+  snap.ForEachAttribute([&](int64_t /*row*/, EntityId e, AttributeId a,
+                            const std::string& value) {
+    ents.push_back(static_cast<uint32_t>(e));
+    attrs.push_back(static_cast<uint32_t>(a));
+    values.push_back(&value);
+    if (values.size() == kAttrChunkRows) flush_attr();
+  });
   if (!values.empty()) flush_attr();
   return out;
 }
@@ -367,23 +363,22 @@ std::string EncodeBinary(const KnowledgeGraph& graph) {
 std::string EncodeBinaryV1(const KnowledgeGraph& graph) {
   std::string out;
   out.append(kMagicV1, sizeof(kMagicV1));
-  EncodeNameTables(graph, &out);
-  const ColumnarKgStore& store = graph.columnar();
-  AppendU32(&out, static_cast<uint32_t>(store.latest_rel_rows()));
-  store.LatestForEachRelational(
-      0, [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
+  const KgSnapshot snap = graph.Snapshot();
+  EncodeNameTables(snap, &out);
+  AppendU32(&out, static_cast<uint32_t>(snap.num_relational_triples()));
+  snap.ForEachRelational(
+      [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
         AppendU32(&out, static_cast<uint32_t>(h));
         AppendU32(&out, static_cast<uint32_t>(r));
         AppendU32(&out, static_cast<uint32_t>(t));
       });
-  AppendU32(&out, static_cast<uint32_t>(store.latest_attr_rows()));
-  store.LatestForEachAttribute(
-      0, [&](int64_t /*row*/, EntityId e, AttributeId a,
-             const std::string& value) {
-        AppendU32(&out, static_cast<uint32_t>(e));
-        AppendU32(&out, static_cast<uint32_t>(a));
-        AppendString(&out, value);
-      });
+  AppendU32(&out, static_cast<uint32_t>(snap.num_attribute_triples()));
+  snap.ForEachAttribute([&](int64_t /*row*/, EntityId e, AttributeId a,
+                            const std::string& value) {
+    AppendU32(&out, static_cast<uint32_t>(e));
+    AppendU32(&out, static_cast<uint32_t>(a));
+    AppendString(&out, value);
+  });
   return out;
 }
 

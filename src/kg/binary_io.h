@@ -25,7 +25,8 @@ namespace sdea::kg {
 ///    triples. DecodeBinary still loads it, so files saved before the
 ///    columnar store keep working.
 
-/// Serializes `graph` into the SDEAKGB2 chunked columnar wire format.
+/// Serializes `graph` into the SDEAKGB2 chunked columnar wire format,
+/// reading one pinned snapshot (the graph's last commit).
 std::string EncodeBinary(const KnowledgeGraph& graph);
 
 /// Serializes `graph` into the legacy SDEAKGB1 row format (kept so tests

@@ -100,6 +100,16 @@ int64_t KgSnapshot::DegreeOf(EntityId e) const {
   return degree;
 }
 
+std::vector<int64_t> KgSnapshot::Degrees() const {
+  std::vector<int64_t> degrees(static_cast<size_t>(n_entities_), 0);
+  ForEachRelational(
+      [&](int64_t /*row*/, EntityId h, RelationId /*r*/, EntityId t) {
+        ++degrees[static_cast<size_t>(h)];
+        ++degrees[static_cast<size_t>(t)];
+      });
+  return degrees;
+}
+
 std::vector<int64_t> KgSnapshot::AttributeRowsOf(EntityId e) const {
   std::vector<int64_t> out;
   if (e < 0 || e >= n_entities_ || attr_chunks_ == nullptr) return out;
@@ -385,15 +395,6 @@ uint64_t ColumnarKgStore::Commit() {
   head_.relation_names_ = relation_names_;
   head_.attribute_names_ = attribute_names_;
   return head_.epoch_;
-}
-
-bool ColumnarKgStore::HasUncommitted() const {
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  return head_.rel_rows_ != appended_rel_rows_ ||
-         head_.attr_rows_ != appended_attr_rows_ ||
-         head_.n_entities_ != appended_entities_ ||
-         head_.n_relations_ != appended_relations_ ||
-         head_.n_attributes_ != appended_attributes_;
 }
 
 KgSnapshot ColumnarKgStore::Snapshot() const {

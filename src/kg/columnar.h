@@ -321,6 +321,10 @@ class KgSnapshot {
   /// self-loops counted twice). 0 for out-of-range ids.
   int64_t DegreeOf(EntityId e) const;
 
+  /// DegreeOf for every entity at once, indexed by id: one pass over the
+  /// relational rows.
+  std::vector<int64_t> Degrees() const;
+
   /// Global attribute rows of entity `e`, ascending (== insertion order).
   /// Empty for out-of-range ids.
   std::vector<int64_t> AttributeRowsOf(EntityId e) const;
@@ -375,8 +379,10 @@ class KgSnapshot {
 ///  * Any number of threads may call Snapshot() concurrently with the
 ///    writer; each snapshot is a consistent watermark-prefix of everything
 ///    committed, and scanning it is lock-free.
-///  * The Latest* views read uncommitted writer state and are writer-thread
-///    only (the KnowledgeGraph facade uses them for its legacy accessors).
+///  * The latest_num_* counts and Latest*Name views read uncommitted writer
+///    state and are writer-thread only: the KnowledgeGraph facade uses them
+///    to intern names and check ids while a bulk load is in flight. Triples
+///    are read only through snapshots.
 ///
 /// Appends become visible to *new* snapshots only at the next Commit();
 /// pinned snapshots never change. Chunk columns are preallocated, so an
@@ -411,9 +417,6 @@ class ColumnarKgStore {
   /// chunk-list pointers — no allocation, sub-microsecond.
   uint64_t Commit();
 
-  /// True when appends exist that no commit covers yet.
-  bool HasUncommitted() const;
-
   // ---- Reader API (any thread) --------------------------------------------
 
   /// Pins the head commit. Safe concurrently with the writer.
@@ -424,35 +427,10 @@ class ColumnarKgStore {
   int64_t latest_num_entities() const { return appended_entities_; }
   int64_t latest_num_relations() const { return appended_relations_; }
   int64_t latest_num_attributes() const { return appended_attributes_; }
-  int64_t latest_rel_rows() const { return appended_rel_rows_; }
-  int64_t latest_attr_rows() const { return appended_attr_rows_; }
 
   const std::string& LatestEntityName(EntityId id) const;
   const std::string& LatestRelationName(RelationId id) const;
   const std::string& LatestAttributeName(AttributeId id) const;
-
-  /// Visits appended relational rows [from_row, latest_rel_rows()) in row
-  /// order: fn(row, head, relation, tail). Includes uncommitted rows.
-  template <typename Fn>
-  void LatestForEachRelational(int64_t from_row, Fn&& fn) const {
-    ScanChunks(*rel_chunks_, appended_rel_rows_, from_row,
-               [&](const RelationalChunk& c, int64_t i) {
-                 fn(c.base_row + i, c.head[static_cast<size_t>(i)],
-                    c.relation[static_cast<size_t>(i)],
-                    c.tail[static_cast<size_t>(i)]);
-               });
-  }
-
-  /// Visits appended attribute rows [from_row, latest_attr_rows()):
-  /// fn(row, entity, attribute, const std::string& value).
-  template <typename Fn>
-  void LatestForEachAttribute(int64_t from_row, Fn&& fn) const {
-    ScanChunks(*attr_chunks_, appended_attr_rows_, from_row,
-               [&](const AttributeChunk& c, int64_t i) {
-                 fn(c.base_row + i, c.entity[static_cast<size_t>(i)],
-                    c.attribute[static_cast<size_t>(i)], c.value_at(i));
-               });
-  }
 
   /// Approximate heap footprint of the columnar data (columns, dictionaries,
   /// seal indexes, name chunks) — the numerator of bench_kg's
@@ -460,19 +438,6 @@ class ColumnarKgStore {
   int64_t ApproxHeapBytes() const;
 
  private:
-  template <typename List, typename Fn>
-  void ScanChunks(const List& chunks, int64_t end_row, int64_t from_row,
-                  Fn&& fn) const {
-    for (const auto& chunk : chunks) {
-      const int64_t visible =
-          std::min<int64_t>(chunk->capacity, end_row - chunk->base_row);
-      if (visible <= 0) break;
-      const int64_t first =
-          std::max<int64_t>(0, from_row - chunk->base_row);
-      for (int64_t i = first; i < visible; ++i) fn(*chunk, i);
-    }
-  }
-
   EntityId AppendName(std::shared_ptr<const NameChunkList>* list,
                       int64_t* count, std::string name);
   void SealRelChunk(RelationalChunk* chunk);

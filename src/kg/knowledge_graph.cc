@@ -8,16 +8,6 @@
 namespace sdea::kg {
 namespace {
 
-const std::vector<NeighborEdge>& EmptyNeighbors() {
-  static const std::vector<NeighborEdge> empty;
-  return empty;
-}
-
-const std::vector<int64_t>& EmptyIndices() {
-  static const std::vector<int64_t> empty;
-  return empty;
-}
-
 bool HasTsvBreakingChars(const std::string& s) {
   return s.find_first_of("\t\n\r") != std::string::npos;
 }
@@ -31,24 +21,26 @@ KnowledgeGraph::KnowledgeGraph(const ColumnarOptions& options)
     : store_(std::make_unique<ColumnarKgStore>(options)) {}
 
 KnowledgeGraph KnowledgeGraph::Clone() const {
+  const KgSnapshot snap = Snapshot();
   KnowledgeGraph out(store_->options());
   out.BeginBulkLoad();
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    out.AddEntity(entity_name(e));
+  for (EntityId e = 0; e < snap.num_entities(); ++e) {
+    out.AddEntity(snap.entity_name(e));
   }
-  for (RelationId r = 0; r < num_relations(); ++r) {
-    out.AddRelation(relation_name(r));
+  for (RelationId r = 0; r < snap.num_relations(); ++r) {
+    out.AddRelation(snap.relation_name(r));
   }
-  for (AttributeId a = 0; a < num_attributes(); ++a) {
-    out.AddAttribute(attribute_name(a));
+  for (AttributeId a = 0; a < snap.num_attributes(); ++a) {
+    out.AddAttribute(snap.attribute_name(a));
   }
-  store_->LatestForEachRelational(
-      0, [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
+  snap.ForEachRelational(
+      [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
         out.AddRelationalTriple(h, r, t);
       });
-  store_->LatestForEachAttribute(
-      0, [&](int64_t /*row*/, EntityId e, AttributeId a,
-             const std::string& value) { out.AddAttributeTriple(e, a, value); });
+  snap.ForEachAttribute([&](int64_t /*row*/, EntityId e, AttributeId a,
+                            const std::string& value) {
+    out.AddAttributeTriple(e, a, value);
+  });
   out.EndBulkLoad();
   return out;
 }
@@ -135,104 +127,16 @@ Result<AttributeId> KnowledgeGraph::FindAttribute(
   return it->second;
 }
 
-void KnowledgeGraph::TopUpRowMirrors() const {
-  const int64_t rel_rows = store_->latest_rel_rows();
-  if (row_mirror_rel_rows_ < rel_rows) {
-    rel_mirror_.reserve(static_cast<size_t>(rel_rows));
-    store_->LatestForEachRelational(
-        row_mirror_rel_rows_,
-        [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
-          rel_mirror_.push_back(RelationalTriple{h, r, t});
-        });
-    row_mirror_rel_rows_ = rel_rows;
-  }
-  const int64_t attr_rows = store_->latest_attr_rows();
-  if (row_mirror_attr_rows_ < attr_rows) {
-    attr_mirror_.reserve(static_cast<size_t>(attr_rows));
-    store_->LatestForEachAttribute(
-        row_mirror_attr_rows_,
-        [&](int64_t /*row*/, EntityId e, AttributeId a,
-            const std::string& value) {
-          attr_mirror_.push_back(AttributeTriple{e, a, value});
-        });
-    row_mirror_attr_rows_ = attr_rows;
-  }
-}
-
-void KnowledgeGraph::TopUpEntityMirrors() const {
-  adjacency_mirror_.resize(static_cast<size_t>(num_entities()));
-  entity_attr_mirror_.resize(static_cast<size_t>(num_entities()));
-  const int64_t rel_rows = store_->latest_rel_rows();
-  if (entity_mirror_rel_rows_ < rel_rows) {
-    store_->LatestForEachRelational(
-        entity_mirror_rel_rows_,
-        [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
-          adjacency_mirror_[static_cast<size_t>(h)].push_back(
-              NeighborEdge{r, t, /*outgoing=*/true});
-          adjacency_mirror_[static_cast<size_t>(t)].push_back(
-              NeighborEdge{r, h, /*outgoing=*/false});
-        });
-    entity_mirror_rel_rows_ = rel_rows;
-  }
-  const int64_t attr_rows = store_->latest_attr_rows();
-  if (entity_mirror_attr_rows_ < attr_rows) {
-    store_->LatestForEachAttribute(
-        entity_mirror_attr_rows_,
-        [&](int64_t row, EntityId e, AttributeId /*a*/,
-            const std::string& /*value*/) {
-          entity_attr_mirror_[static_cast<size_t>(e)].push_back(row);
-        });
-    entity_mirror_attr_rows_ = attr_rows;
-  }
-}
-
-const std::vector<RelationalTriple>& KnowledgeGraph::relational_triples()
-    const {
-  TopUpRowMirrors();
-  return rel_mirror_;
-}
-
-const std::vector<AttributeTriple>& KnowledgeGraph::attribute_triples()
-    const {
-  TopUpRowMirrors();
-  return attr_mirror_;
-}
-
-const std::vector<NeighborEdge>& KnowledgeGraph::neighbors(EntityId e) const {
-  if (e < 0 || e >= num_entities()) return EmptyNeighbors();
-  TopUpEntityMirrors();
-  return adjacency_mirror_[static_cast<size_t>(e)];
-}
-
-const std::vector<int64_t>& KnowledgeGraph::attribute_triples_of(
-    EntityId e) const {
-  if (e < 0 || e >= num_entities()) return EmptyIndices();
-  TopUpEntityMirrors();
-  return entity_attr_mirror_[static_cast<size_t>(e)];
-}
-
-int64_t KnowledgeGraph::degree(EntityId e) const {
-  if (e < 0 || e >= num_entities()) return 0;
-  return static_cast<int64_t>(neighbors(e).size());
-}
-
 KgStatistics KnowledgeGraph::ComputeStatistics() const {
+  const KgSnapshot snap = Snapshot();
   KgStatistics s;
-  s.num_entities = num_entities();
-  s.num_relations = num_relations();
-  s.num_attributes = num_attributes();
-  s.num_relational_triples = store_->latest_rel_rows();
-  s.num_attribute_triples = store_->latest_attr_rows();
-  // One columnar pass accumulates every entity's degree; no adjacency
-  // mirror is materialized.
-  std::vector<int64_t> degrees(static_cast<size_t>(num_entities()), 0);
-  store_->LatestForEachRelational(
-      0, [&](int64_t /*row*/, EntityId h, RelationId /*r*/, EntityId t) {
-        ++degrees[static_cast<size_t>(h)];
-        ++degrees[static_cast<size_t>(t)];
-      });
+  s.num_entities = snap.num_entities();
+  s.num_relations = snap.num_relations();
+  s.num_attributes = snap.num_attributes();
+  s.num_relational_triples = snap.num_relational_triples();
+  s.num_attribute_triples = snap.num_attribute_triples();
   int64_t with_edges = 0, le3 = 0, le5 = 0, le10 = 0;
-  for (const int64_t d : degrees) {
+  for (const int64_t d : snap.Degrees()) {
     if (d == 0) continue;
     ++with_edges;
     if (d <= 3) ++le3;
@@ -248,46 +152,46 @@ KgStatistics KnowledgeGraph::ComputeStatistics() const {
 }
 
 Status KnowledgeGraph::SaveTsv(const std::string& prefix) const {
+  const KgSnapshot snap = Snapshot();
   // Names become unescaped key fields in both files; a tab or newline in a
   // name cannot be written compatibly, so reject it up front rather than
   // corrupt the row structure.
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    if (HasTsvBreakingChars(entity_name(e))) {
+  for (EntityId e = 0; e < snap.num_entities(); ++e) {
+    if (HasTsvBreakingChars(snap.entity_name(e))) {
       return Status::InvalidArgument(
           "entity name contains tab/newline, not representable in TSV: " +
-          entity_name(e));
+          snap.entity_name(e));
     }
   }
-  for (RelationId r = 0; r < num_relations(); ++r) {
-    if (HasTsvBreakingChars(relation_name(r))) {
+  for (RelationId r = 0; r < snap.num_relations(); ++r) {
+    if (HasTsvBreakingChars(snap.relation_name(r))) {
       return Status::InvalidArgument(
           "relation name contains tab/newline, not representable in TSV: " +
-          relation_name(r));
+          snap.relation_name(r));
     }
   }
-  for (AttributeId a = 0; a < num_attributes(); ++a) {
-    if (HasTsvBreakingChars(attribute_name(a))) {
+  for (AttributeId a = 0; a < snap.num_attributes(); ++a) {
+    if (HasTsvBreakingChars(snap.attribute_name(a))) {
       return Status::InvalidArgument(
           "attribute name contains tab/newline, not representable in TSV: " +
-          attribute_name(a));
+          snap.attribute_name(a));
     }
   }
   std::vector<std::vector<std::string>> rel_rows;
-  rel_rows.reserve(static_cast<size_t>(store_->latest_rel_rows()));
-  store_->LatestForEachRelational(
-      0, [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
-        rel_rows.push_back(
-            {entity_name(h), relation_name(r), entity_name(t)});
+  rel_rows.reserve(static_cast<size_t>(snap.num_relational_triples()));
+  snap.ForEachRelational(
+      [&](int64_t /*row*/, EntityId h, RelationId r, EntityId t) {
+        rel_rows.push_back({snap.entity_name(h), snap.relation_name(r),
+                            snap.entity_name(t)});
       });
   SDEA_RETURN_IF_ERROR(WriteTsv(prefix + "_rel_triples", rel_rows));
   std::vector<std::vector<std::string>> attr_rows;
-  attr_rows.reserve(static_cast<size_t>(store_->latest_attr_rows()));
-  store_->LatestForEachAttribute(
-      0, [&](int64_t /*row*/, EntityId e, AttributeId a,
-             const std::string& value) {
-        attr_rows.push_back(
-            {entity_name(e), attribute_name(a), EscapeTsvField(value)});
-      });
+  attr_rows.reserve(static_cast<size_t>(snap.num_attribute_triples()));
+  snap.ForEachAttribute([&](int64_t /*row*/, EntityId e, AttributeId a,
+                            const std::string& value) {
+    attr_rows.push_back({snap.entity_name(e), snap.attribute_name(a),
+                         EscapeTsvField(value)});
+  });
   return WriteTsv(prefix + "_attr_triples", attr_rows);
 }
 

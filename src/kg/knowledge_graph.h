@@ -34,20 +34,23 @@ struct KgStatistics {
 /// are interned to dense ids, and triples live in chunked dense-id columns
 /// with epoch-versioned snapshot visibility.
 ///
-/// This class is the single-writer facade. Its mutation API and its legacy
-/// accessors (the `const std::vector<...>&` views below) are writer-thread
-/// only. Concurrent readers pin a KgSnapshot via Snapshot() and scan that:
-/// snapshots are immutable watermark-prefixes of the committed graph and
-/// stay consistent while the writer keeps adding.
+/// This class is the single-writer facade. Triples are read one way only,
+/// through a KgSnapshot pinned with Snapshot(): scans use
+/// ForEachRelational/ForEachAttribute, lookups use RelationalAt,
+/// AttributeIdsAt, ValueAt, NeighborsOf, DegreeOf and AttributeRowsOf.
+/// Snapshots are immutable watermark-prefixes of the committed graph and
+/// stay consistent while the writer keeps adding, so any thread may pin
+/// and scan one at any time. The other const members (counts, names,
+/// Find*, the whole-graph readers) mutate nothing: many threads may call
+/// them at once, but not concurrently with the writer.
 ///
 /// Each Add* publishes a commit, so Snapshot() always reflects every prior
 /// Add. Bulk construction (loaders, the generator) brackets its adds with
 /// BeginBulkLoad()/EndBulkLoad() to defer commits to one publish at the
-/// end.
-///
-/// The legacy row/adjacency views are materialized lazily the first time
-/// they are used (and topped up incrementally afterwards), so code that
-/// sticks to snapshots and visitors never pays for the row-store mirror.
+/// end. The whole-graph readers (Clone, ComputeStatistics, SaveTsv and
+/// the binary encoders) pin one snapshot each, so they see the last
+/// commit: inside a bulk-load bracket they miss the rows added since
+/// BeginBulkLoad(). Call them after EndBulkLoad().
 class KnowledgeGraph {
  public:
   KnowledgeGraph();
@@ -111,27 +114,8 @@ class KnowledgeGraph {
   Result<RelationId> FindRelation(const std::string& name) const;
   Result<AttributeId> FindAttribute(const std::string& name) const;
 
-  /// Legacy row view of the relational triples, materialized from the
-  /// columns on first use. Prefer Snapshot().ForEachRelational on scans.
-  const std::vector<RelationalTriple>& relational_triples() const;
-
-  /// Legacy row view of the attribute triples (value strings are copied
-  /// out of the columns). Prefer Snapshot().ForEachAttribute on scans.
-  const std::vector<AttributeTriple>& attribute_triples() const;
-
-  /// Edges incident to `e` (both directions), in insertion order. Returns
-  /// an empty list for out-of-range ids (never undefined behaviour).
-  const std::vector<NeighborEdge>& neighbors(EntityId e) const;
-
-  /// Indices into attribute_triples() for entity `e`, in insertion order.
-  /// Empty for out-of-range ids.
-  const std::vector<int64_t>& attribute_triples_of(EntityId e) const;
-
-  /// Relational degree of `e` (count of incident relational triples).
-  /// 0 for out-of-range ids.
-  int64_t degree(EntityId e) const;
-
-  /// Computes Table I / Table VI style statistics (one columnar pass).
+  /// Computes Table I / Table VI style statistics from one pinned
+  /// snapshot (one columnar pass).
   KgStatistics ComputeStatistics() const;
 
   // ---- Serialization (DBP15K-style TSV layout) ------------------------------
@@ -151,8 +135,6 @@ class KnowledgeGraph {
 
  private:
   void MaybeCommit();
-  void TopUpRowMirrors() const;
-  void TopUpEntityMirrors() const;
 
   std::unique_ptr<ColumnarKgStore> store_;
   bool bulk_load_ = false;
@@ -160,16 +142,6 @@ class KnowledgeGraph {
   std::unordered_map<std::string, EntityId> entity_ids_;
   std::unordered_map<std::string, RelationId> relation_ids_;
   std::unordered_map<std::string, AttributeId> attribute_ids_;
-
-  // Lazily materialized legacy views (writer-thread only; see class docs).
-  mutable std::vector<RelationalTriple> rel_mirror_;
-  mutable std::vector<AttributeTriple> attr_mirror_;
-  mutable int64_t row_mirror_rel_rows_ = 0;
-  mutable int64_t row_mirror_attr_rows_ = 0;
-  mutable std::vector<std::vector<NeighborEdge>> adjacency_mirror_;
-  mutable std::vector<std::vector<int64_t>> entity_attr_mirror_;
-  mutable int64_t entity_mirror_rel_rows_ = 0;
-  mutable int64_t entity_mirror_attr_rows_ = 0;
 };
 
 /// A ground-truth alignment between two KGs plus its 2:1:7 split

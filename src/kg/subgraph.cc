@@ -6,21 +6,6 @@
 #include "base/check.h"
 
 namespace sdea::kg {
-namespace {
-
-/// One columnar pass over the snapshot's relational rows accumulating every
-/// entity's degree — replaces a per-entity adjacency walk.
-std::vector<int64_t> ComputeDegrees(const KgSnapshot& snap) {
-  std::vector<int64_t> degrees(static_cast<size_t>(snap.num_entities()), 0);
-  snap.ForEachRelational(
-      [&](int64_t /*row*/, EntityId h, RelationId /*r*/, EntityId t) {
-        ++degrees[static_cast<size_t>(h)];
-        ++degrees[static_cast<size_t>(t)];
-      });
-  return degrees;
-}
-
-}  // namespace
 
 KnowledgeGraph CondenseByPopularity(const KnowledgeGraph& graph,
                                     const CondenseOptions& options,
@@ -29,7 +14,7 @@ KnowledgeGraph CondenseByPopularity(const KnowledgeGraph& graph,
   const int64_t n = snap.num_entities();
   // Rank entities by degree (desc); entities in the top
   // popularity_fraction are "popular".
-  const std::vector<int64_t> degrees = ComputeDegrees(snap);
+  const std::vector<int64_t> degrees = snap.Degrees();
   std::vector<EntityId> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](EntityId a, EntityId b) {
@@ -108,10 +93,8 @@ KnowledgeGraph CondenseByPopularity(const KnowledgeGraph& graph,
 std::vector<int64_t> DegreeHistogram(const KnowledgeGraph& graph,
                                      int64_t max_degree) {
   SDEA_CHECK_GE(max_degree, 1);
-  const KgSnapshot snap = graph.Snapshot();
-  const std::vector<int64_t> degrees = ComputeDegrees(snap);
   std::vector<int64_t> hist(static_cast<size_t>(max_degree) + 1, 0);
-  for (const int64_t degree : degrees) {
+  for (const int64_t degree : graph.Snapshot().Degrees()) {
     const int64_t d = std::min(degree, max_degree);
     ++hist[static_cast<size_t>(d)];
   }

@@ -2,7 +2,6 @@
 #define SDEA_KG_TYPES_H_
 
 #include <cstdint>
-#include <string>
 
 namespace sdea::kg {
 
@@ -19,16 +18,6 @@ struct RelationalTriple {
   EntityId tail;
 
   bool operator==(const RelationalTriple&) const = default;
-};
-
-/// (entity, attribute, value) — Definition 1's attributed triple. Values are
-/// free text (short fields, numbers, or long sentences).
-struct AttributeTriple {
-  EntityId entity;
-  AttributeId attribute;
-  std::string value;
-
-  bool operator==(const AttributeTriple&) const = default;
 };
 
 /// One edge as seen from an entity: the relation and the other endpoint.

@@ -10,6 +10,7 @@
 #include "baselines/gcn_align.h"
 #include "baselines/mtranse.h"
 #include "baselines/transe_align.h"
+#include "baselines/union_graph.h"
 #include "datagen/generator.h"
 
 namespace sdea::baselines {
@@ -54,19 +55,21 @@ TEST(TransETest, TrainingReducesTripleDistance) {
   c.epochs = 30;
   TransE model(f.bench.kg1.num_entities(), f.bench.kg1.num_relations(), c);
   const std::vector<int32_t> identity;
+  const std::vector<kg::RelationalTriple> triples =
+      RelationalRows(f.bench.kg1);
   // Average ||h + r - t|| over triples, before vs after training.
   auto avg_distance = [&]() {
     const Tensor e = model.EntityEmbeddings(identity);
     double sum = 0.0;
-    for (const auto& t : f.bench.kg1.relational_triples()) {
+    for (const auto& t : triples) {
       const Tensor h = e.Row(t.head);
       const Tensor tt = e.Row(t.tail);
       sum += tmath::SquaredL2Distance(h, tt);
     }
-    return sum / f.bench.kg1.relational_triples().size();
+    return sum / triples.size();
   };
   const double before = avg_distance();
-  model.Train(f.bench.kg1.relational_triples(), identity);
+  model.Train(triples, identity);
   // Embeddings must have moved (head/tail of linked triples get related).
   const double after = avg_distance();
   EXPECT_NE(before, after);

@@ -25,11 +25,10 @@ GeneratorConfig XlingConfig(uint64_t seed) {
 // Collects the word set of all attribute values of a KG.
 std::set<std::string> ValueWords(const kg::KnowledgeGraph& g) {
   std::set<std::string> out;
-  for (const auto& t : g.attribute_triples()) {
-    for (const auto& w : text::NormalizeAndSplit(t.value)) {
-      out.insert(w);
-    }
-  }
+  g.Snapshot().ForEachAttribute(
+      [&](int64_t, kg::EntityId, kg::AttributeId, const std::string& value) {
+        for (const auto& w : text::NormalizeAndSplit(value)) out.insert(w);
+      });
   return out;
 }
 
@@ -65,9 +64,10 @@ TEST(BorrowingTest, MonolingualPairsUnaffected) {
   auto name1 = b.kg1.FindAttribute("name");
   ASSERT_TRUE(name1.ok());
   int64_t with_name = 0;
-  for (const auto& t : b.kg1.attribute_triples()) {
-    if (t.attribute == *name1) ++with_name;
-  }
+  b.kg1.Snapshot().ForEachAttribute(
+      [&](int64_t, kg::EntityId, kg::AttributeId a, const std::string&) {
+        if (a == *name1) ++with_name;
+      });
   EXPECT_GT(with_name, 100);
 }
 
@@ -114,13 +114,14 @@ TEST(ComparableCorpusTest, NoEntityUniqueWordsLeak) {
   // small 2-syllable space), so restrict to 4-syllable unique words where
   // accidental collisions are vanishingly rare.
   std::set<std::string> unique_words;
-  for (const auto& t : b.kg1.attribute_triples()) {
-    if (t.attribute != *name1) continue;
-    const auto words = SplitWhitespace(t.value);
-    if (words.size() >= 2 && words[1].size() >= 8) {
-      unique_words.insert(words[1]);
-    }
-  }
+  b.kg1.Snapshot().ForEachAttribute(
+      [&](int64_t, kg::EntityId, kg::AttributeId a, const std::string& value) {
+        if (a != *name1) return;
+        const auto words = SplitWhitespace(value);
+        if (words.size() >= 2 && words[1].size() >= 8) {
+          unique_words.insert(words[1]);
+        }
+      });
   ASSERT_GT(unique_words.size(), 20u);
   int64_t leaks = 0;
   for (const auto& sentence : b.pretrain_corpus) {

@@ -52,12 +52,12 @@ TEST(GeneratorTest, Deterministic) {
   const GeneratedBenchmark b =
       BenchmarkGenerator().Generate(SmallConfig(11));
   EXPECT_EQ(a.kg1.num_entities(), b.kg1.num_entities());
-  EXPECT_EQ(a.kg1.relational_triples().size(),
-            b.kg1.relational_triples().size());
+  const kg::KgSnapshot sa = a.kg1.Snapshot();
+  const kg::KgSnapshot sb = b.kg1.Snapshot();
+  EXPECT_EQ(sa.num_relational_triples(), sb.num_relational_triples());
   EXPECT_EQ(a.ground_truth, b.ground_truth);
-  ASSERT_FALSE(a.kg1.attribute_triples().empty());
-  EXPECT_EQ(a.kg1.attribute_triples()[0].value,
-            b.kg1.attribute_triples()[0].value);
+  ASSERT_FALSE(sa.num_attribute_triples() == 0);
+  EXPECT_EQ(sa.ValueAt(0), sb.ValueAt(0));
 }
 
 TEST(GeneratorTest, DifferentSeedsDiffer) {
@@ -65,8 +65,8 @@ TEST(GeneratorTest, DifferentSeedsDiffer) {
       BenchmarkGenerator().Generate(SmallConfig(1));
   const GeneratedBenchmark b =
       BenchmarkGenerator().Generate(SmallConfig(2));
-  EXPECT_NE(a.kg1.relational_triples().size(),
-            b.kg1.relational_triples().size());
+  EXPECT_NE(a.kg1.Snapshot().num_relational_triples(),
+            b.kg1.Snapshot().num_relational_triples());
 }
 
 TEST(GeneratorTest, TranslatedModeHasDisjointNames) {
@@ -107,9 +107,10 @@ TEST(GeneratorTest, OpaqueModeUsesQIds) {
   // And no name-attribute triples exist in KG2 (a Q-id KG has no labels).
   auto name_attr = b.kg2.FindAttribute("name");
   if (name_attr.ok()) {
-    for (const auto& t : b.kg2.attribute_triples()) {
-      EXPECT_NE(t.attribute, *name_attr);
-    }
+    b.kg2.Snapshot().ForEachAttribute(
+        [&](int64_t, kg::EntityId, kg::AttributeId a, const std::string&) {
+          EXPECT_NE(a, *name_attr);
+        });
   }
 }
 
@@ -118,8 +119,9 @@ TEST(GeneratorTest, GeneralConceptsAreSuperHubs) {
   c.general_link_prob = 0.9;
   const GeneratedBenchmark b = BenchmarkGenerator().Generate(c);
   int64_t max_degree = 0;
+  const kg::KgSnapshot snap = b.kg1.Snapshot();
   for (kg::EntityId e = 0; e < b.kg1.num_entities(); ++e) {
-    max_degree = std::max(max_degree, b.kg1.degree(e));
+    max_degree = std::max(max_degree, snap.DegreeOf(e));
   }
   // A handful of type concepts absorb a large share of all entities.
   EXPECT_GT(max_degree, 300 / c.num_general_concepts / 2);
@@ -131,13 +133,14 @@ TEST(GeneratorTest, CommentsAreLongText) {
   auto attr = b.kg1.FindAttribute("comment");
   ASSERT_TRUE(attr.ok());
   int64_t comments = 0;
-  for (const auto& t : b.kg1.attribute_triples()) {
-    if (t.attribute != *attr) continue;
-    ++comments;
-    const auto words = SplitWhitespace(t.value);
-    EXPECT_GE(words.size(), 20u);
-    EXPECT_LE(words.size(), 60u);
-  }
+  b.kg1.Snapshot().ForEachAttribute(
+      [&](int64_t, kg::EntityId, kg::AttributeId a, const std::string& value) {
+        if (a != *attr) return;
+        ++comments;
+        const auto words = SplitWhitespace(value);
+        EXPECT_GE(words.size(), 20u);
+        EXPECT_LE(words.size(), 60u);
+      });
   EXPECT_GT(comments, 50);
 }
 
@@ -151,11 +154,11 @@ TEST(GeneratorTest, LongTailStrippingOnlyAffectsKg2LowDegree) {
   // Stripped KG2 entities must still carry their comment (the paper's
   // Fabian_Bruskewitz case: all information lives in the long text).
   int64_t comment_only = 0;
+  const kg::KgSnapshot snap = b.kg2.Snapshot();
   for (kg::EntityId e = 0; e < b.kg2.num_entities(); ++e) {
-    const auto& attrs = b.kg2.attribute_triples_of(e);
+    const std::vector<int64_t> attrs = snap.AttributeRowsOf(e);
     if (attrs.size() == 1 &&
-        b.kg2.attribute_triples()[static_cast<size_t>(attrs[0])].attribute ==
-            *comment2) {
+        snap.AttributeIdsAt(attrs[0]).second == *comment2) {
       ++comment_only;
     }
   }
@@ -228,8 +231,8 @@ TEST(PresetTest, AllPresetsGenerateAtSmallScale) {
     const GeneratorConfig cfg = ScaledConfig(spec.config, 0.02);
     const GeneratedBenchmark b = BenchmarkGenerator().Generate(cfg);
     EXPECT_GT(b.kg1.num_entities(), 0) << spec.id;
-    EXPECT_GT(b.kg1.relational_triples().size(), 0u) << spec.id;
-    EXPECT_GT(b.kg1.attribute_triples().size(), 0u) << spec.id;
+    EXPECT_GT(b.kg1.Snapshot().num_relational_triples(), 0) << spec.id;
+    EXPECT_GT(b.kg1.Snapshot().num_attribute_triples(), 0) << spec.id;
     EXPECT_FALSE(b.ground_truth.empty()) << spec.id;
   }
 }

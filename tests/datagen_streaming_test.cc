@@ -52,12 +52,12 @@ TEST(StreamingTest, ReplayReconvergesToTheFullBenchmark) {
   // may exceed the full graph's because edits re-state revised values.
   EXPECT_EQ(stream.kg1.num_entities(), full.kg1.num_entities());
   EXPECT_EQ(stream.kg2.num_entities(), full.kg2.num_entities());
-  EXPECT_EQ(stream.kg1.relational_triples().size(),
-            full.kg1.relational_triples().size());
-  EXPECT_EQ(stream.kg2.relational_triples().size(),
-            full.kg2.relational_triples().size());
-  EXPECT_GE(stream.kg1.attribute_triples().size(),
-            full.kg1.attribute_triples().size());
+  EXPECT_EQ(stream.kg1.Snapshot().num_relational_triples(),
+            full.kg1.Snapshot().num_relational_triples());
+  EXPECT_EQ(stream.kg2.Snapshot().num_relational_triples(),
+            full.kg2.Snapshot().num_relational_triples());
+  EXPECT_GE(stream.kg1.Snapshot().num_attribute_triples(),
+            full.kg1.Snapshot().num_attribute_triples());
   for (kg::EntityId e = 0; e < full.kg1.num_entities(); ++e) {
     ASSERT_TRUE(stream.kg1.FindEntity(full.kg1.entity_name(e)).ok());
   }
@@ -98,8 +98,8 @@ TEST(StreamingTest, StreamIsBitReproducible) {
             incr::EncodeUpdateLog(b.increments));
   EXPECT_EQ(a.base_truth, b.base_truth);
   EXPECT_EQ(a.kg1.num_entities(), b.kg1.num_entities());
-  EXPECT_EQ(a.kg1.relational_triples().size(),
-            b.kg1.relational_triples().size());
+  EXPECT_EQ(a.kg1.Snapshot().num_relational_triples(),
+            b.kg1.Snapshot().num_relational_triples());
 
   // A different stream seed carves the same world differently.
   StreamingConfig reseeded = config;

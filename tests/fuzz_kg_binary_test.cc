@@ -55,8 +55,8 @@ TEST(KgBinaryFuzzTest, ValidBlobDecodes) {
   auto decoded = DecodeBinary(blob);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->num_entities(), g.num_entities());
-  EXPECT_EQ(decoded->relational_triples().size(),
-            g.relational_triples().size());
+  EXPECT_EQ(decoded->Snapshot().num_relational_triples(),
+            g.Snapshot().num_relational_triples());
   // The decoded graph re-encodes to the identical bytes: the chunked
   // format round-trips exactly.
   EXPECT_EQ(EncodeBinary(*decoded), blob);
@@ -69,13 +69,12 @@ TEST(KgBinaryFuzzTest, LegacyV1BlobStillLoads) {
   auto decoded = DecodeBinary(v1);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->num_entities(), g.num_entities());
-  ASSERT_EQ(decoded->relational_triples().size(),
-            g.relational_triples().size());
-  ASSERT_EQ(decoded->attribute_triples().size(),
-            g.attribute_triples().size());
-  for (size_t i = 0; i < g.attribute_triples().size(); ++i) {
-    EXPECT_EQ(decoded->attribute_triples()[i].value,
-              g.attribute_triples()[i].value);
+  const KgSnapshot got = decoded->Snapshot();
+  const KgSnapshot want = g.Snapshot();
+  ASSERT_EQ(got.num_relational_triples(), want.num_relational_triples());
+  ASSERT_EQ(got.num_attribute_triples(), want.num_attribute_triples());
+  for (int64_t i = 0; i < want.num_attribute_triples(); ++i) {
+    EXPECT_EQ(got.ValueAt(i), want.ValueAt(i));
   }
   // Loading legacy bytes and re-saving produces the current format with
   // the same content.
@@ -281,8 +280,8 @@ TEST(KgBinaryFuzzTest, SaveBinaryIsAtomicUnderInjectedFaults) {
     auto loaded = LoadBinary(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded->num_entities(), g.num_entities());
-    EXPECT_EQ(loaded->relational_triples().size(),
-              g.relational_triples().size());
+    EXPECT_EQ(loaded->Snapshot().num_relational_triples(),
+              g.Snapshot().num_relational_triples());
   }
 }
 

@@ -116,8 +116,8 @@ TEST(UpdateLogTest, ReplayAppliesFromCursorAndInterns) {
 
   EXPECT_EQ(kg1.num_entities(), 4);  // a b c lonely
   EXPECT_EQ(kg1.num_relations(), 1);
-  EXPECT_EQ(kg1.relational_triples().size(), 2u);
-  EXPECT_EQ(kg1.attribute_triples().size(), 2u);
+  EXPECT_EQ(kg1.Snapshot().num_relational_triples(), 2);
+  EXPECT_EQ(kg1.Snapshot().num_attribute_triples(), 2);
   EXPECT_EQ(kg2.num_entities(), 2);
 
   EXPECT_FALSE(log->Replay(-1, &kg1, &kg2).ok());

@@ -27,18 +27,18 @@ TEST(BinaryIoTest, RoundTripGeneratedGraph) {
   EXPECT_EQ(loaded->num_entities(), bench.kg1.num_entities());
   EXPECT_EQ(loaded->num_relations(), bench.kg1.num_relations());
   EXPECT_EQ(loaded->num_attributes(), bench.kg1.num_attributes());
-  ASSERT_EQ(loaded->relational_triples().size(),
-            bench.kg1.relational_triples().size());
-  ASSERT_EQ(loaded->attribute_triples().size(),
-            bench.kg1.attribute_triples().size());
+  const KgSnapshot got = loaded->Snapshot();
+  const KgSnapshot want = bench.kg1.Snapshot();
+  ASSERT_EQ(got.num_relational_triples(), want.num_relational_triples());
+  ASSERT_EQ(got.num_attribute_triples(), want.num_attribute_triples());
   // Spot-check exact content (names and triples preserve order).
   for (EntityId e = 0; e < loaded->num_entities(); e += 37) {
     EXPECT_EQ(loaded->entity_name(e), bench.kg1.entity_name(e));
   }
-  EXPECT_EQ(loaded->relational_triples()[0],
-            bench.kg1.relational_triples()[0]);
-  EXPECT_EQ(loaded->attribute_triples().back(),
-            bench.kg1.attribute_triples().back());
+  EXPECT_EQ(got.RelationalAt(0), want.RelationalAt(0));
+  const int64_t last = want.num_attribute_triples() - 1;
+  EXPECT_EQ(got.AttributeIdsAt(last), want.AttributeIdsAt(last));
+  EXPECT_EQ(got.ValueAt(last), want.ValueAt(last));
 }
 
 TEST(BinaryIoTest, RejectsGarbage) {
@@ -72,7 +72,7 @@ TEST(BinaryIoTest, EmptyGraphRoundTrips) {
   auto loaded = LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_entities(), 0);
-  EXPECT_TRUE(loaded->relational_triples().empty());
+  EXPECT_EQ(loaded->Snapshot().num_relational_triples(), 0);
 }
 
 TEST(BinaryIoTest, ValuesWithTabsAndNewlinesSurvive) {
@@ -86,7 +86,7 @@ TEST(BinaryIoTest, ValuesWithTabsAndNewlinesSurvive) {
   ASSERT_TRUE(SaveBinary(g, path).ok());
   auto loaded = LoadBinary(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->attribute_triples()[0].value, nasty);
+  EXPECT_EQ(loaded->Snapshot().ValueAt(0), nasty);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Columnar store + facade contract suite: chunk sealing at tiny
-// capacities, snapshot/facade equivalence, dictionary vs plain value
-// encoding, pinned-snapshot immutability, out-of-range id contracts,
-// bulk-load commit deferral, and snapshot pin cost.
+// capacities, snapshot reads against a reference computed from the input
+// formulas, dictionary vs plain value encoding, pinned-snapshot
+// immutability, out-of-range id contracts, bulk-load commit deferral, and
+// snapshot pin cost.
 #include "kg/columnar.h"
 
 #include <gtest/gtest.h>
@@ -27,8 +28,27 @@ ColumnarOptions TinyChunks() {
   return opts;
 }
 
+/// BuildGraph's row formulas. Entity ids follow insertion order
+/// e0..e{n-1}; relations r0, r1 and attributes a0, a1 get ids 0 and 1.
+RelationalTriple RelRow(int64_t i, int64_t entities) {
+  return RelationalTriple{static_cast<EntityId>((i * 7) % entities),
+                          static_cast<RelationId>(i % 2),
+                          static_cast<EntityId>((i * 5 + 1) % entities)};
+}
+
+struct AttrRow {
+  EntityId entity;
+  AttributeId attribute;
+  std::string value;
+};
+
+AttrRow AttrRowAt(int64_t i, int64_t entities) {
+  return AttrRow{static_cast<EntityId>((i * 3) % entities),
+                 static_cast<AttributeId>(i % 2),
+                 "value-" + std::to_string(i % 5)};
+}
+
 /// A deterministic graph with enough triples to fill several chunks.
-/// Entity ids follow insertion order e0..e{n-1}.
 KnowledgeGraph BuildGraph(int64_t entities, int64_t rel_triples,
                           int64_t attr_triples) {
   KnowledgeGraph g(TinyChunks());
@@ -36,69 +56,118 @@ KnowledgeGraph BuildGraph(int64_t entities, int64_t rel_triples,
   for (int64_t i = 0; i < entities; ++i) {
     g.AddEntity("e" + std::to_string(i));
   }
-  const RelationId r0 = g.AddRelation("r0");
-  const RelationId r1 = g.AddRelation("r1");
-  const AttributeId a0 = g.AddAttribute("a0");
-  const AttributeId a1 = g.AddAttribute("a1");
+  g.AddRelation("r0");
+  g.AddRelation("r1");
+  g.AddAttribute("a0");
+  g.AddAttribute("a1");
   for (int64_t i = 0; i < rel_triples; ++i) {
-    g.AddRelationalTriple(static_cast<EntityId>((i * 7) % entities),
-                          (i % 2 == 0) ? r0 : r1,
-                          static_cast<EntityId>((i * 5 + 1) % entities));
+    const RelationalTriple t = RelRow(i, entities);
+    g.AddRelationalTriple(t.head, t.relation, t.tail);
   }
   for (int64_t i = 0; i < attr_triples; ++i) {
-    g.AddAttributeTriple(static_cast<EntityId>((i * 3) % entities),
-                         (i % 2 == 0) ? a0 : a1,
-                         "value-" + std::to_string(i % 5));
+    AttrRow a = AttrRowAt(i, entities);
+    g.AddAttributeTriple(a.entity, a.attribute, std::move(a.value));
   }
   g.EndBulkLoad();
   return g;
 }
 
-TEST(KgColumnarTest, SnapshotMatchesFacadeRowViews) {
-  const KnowledgeGraph g = BuildGraph(11, 41, 23);
-  const KgSnapshot snap = g.Snapshot();
-  ASSERT_EQ(snap.num_relational_triples(), 41);
-  ASSERT_EQ(snap.num_attribute_triples(), 23);
+/// Per-entity edges in insertion order, computed from the triple list
+/// alone: each triple gives the head's outgoing edge, then the tail's
+/// incoming edge.
+std::vector<std::vector<NeighborEdge>> ReferenceAdjacency(
+    int64_t entities, const std::vector<RelationalTriple>& rels) {
+  std::vector<std::vector<NeighborEdge>> adjacency(
+      static_cast<size_t>(entities));
+  for (const RelationalTriple& t : rels) {
+    adjacency[static_cast<size_t>(t.head)].push_back(
+        NeighborEdge{t.relation, t.tail, /*outgoing=*/true});
+    adjacency[static_cast<size_t>(t.tail)].push_back(
+        NeighborEdge{t.relation, t.head, /*outgoing=*/false});
+  }
+  return adjacency;
+}
 
-  const auto& rels = g.relational_triples();
+/// What BuildGraph(entities, rel_triples, attr_triples) holds, derived
+/// from the formulas without reading any store: the independent oracle
+/// the snapshot reads are checked against.
+struct Reference {
+  std::vector<RelationalTriple> rels;
+  std::vector<AttrRow> attrs;
+  std::vector<std::vector<NeighborEdge>> adjacency;
+  std::vector<std::vector<int64_t>> attr_rows;  ///< Per entity, ascending.
+};
+
+Reference BuildReference(int64_t entities, int64_t rel_triples,
+                         int64_t attr_triples) {
+  Reference ref;
+  for (int64_t i = 0; i < rel_triples; ++i) {
+    ref.rels.push_back(RelRow(i, entities));
+  }
+  ref.adjacency = ReferenceAdjacency(entities, ref.rels);
+  ref.attr_rows.resize(static_cast<size_t>(entities));
+  for (int64_t i = 0; i < attr_triples; ++i) {
+    ref.attrs.push_back(AttrRowAt(i, entities));
+    ref.attr_rows[static_cast<size_t>(ref.attrs.back().entity)].push_back(i);
+  }
+  return ref;
+}
+
+/// Every relational and attribute row of `snap` equals `ref`'s, by scan
+/// and by row lookup.
+void ExpectRowsMatch(const KgSnapshot& snap, const Reference& ref) {
+  ASSERT_EQ(snap.num_relational_triples(),
+            static_cast<int64_t>(ref.rels.size()));
+  ASSERT_EQ(snap.num_attribute_triples(),
+            static_cast<int64_t>(ref.attrs.size()));
   int64_t visited = 0;
   snap.ForEachRelational([&](int64_t row, EntityId h, RelationId r,
                              EntityId t) {
     ASSERT_EQ(row, visited);
-    EXPECT_EQ(h, rels[static_cast<size_t>(row)].head);
-    EXPECT_EQ(r, rels[static_cast<size_t>(row)].relation);
-    EXPECT_EQ(t, rels[static_cast<size_t>(row)].tail);
+    EXPECT_EQ(h, ref.rels[static_cast<size_t>(row)].head);
+    EXPECT_EQ(r, ref.rels[static_cast<size_t>(row)].relation);
+    EXPECT_EQ(t, ref.rels[static_cast<size_t>(row)].tail);
     const RelationalTriple at = snap.RelationalAt(row);
     EXPECT_EQ(at.head, h);
     EXPECT_EQ(at.relation, r);
     EXPECT_EQ(at.tail, t);
     ++visited;
   });
-  EXPECT_EQ(visited, 41);
+  EXPECT_EQ(visited, static_cast<int64_t>(ref.rels.size()));
 
-  const auto& attrs = g.attribute_triples();
   visited = 0;
   snap.ForEachAttribute([&](int64_t row, EntityId e, AttributeId a,
                             const std::string& value) {
     ASSERT_EQ(row, visited);
-    EXPECT_EQ(e, attrs[static_cast<size_t>(row)].entity);
-    EXPECT_EQ(a, attrs[static_cast<size_t>(row)].attribute);
-    EXPECT_EQ(value, attrs[static_cast<size_t>(row)].value);
+    EXPECT_EQ(e, ref.attrs[static_cast<size_t>(row)].entity);
+    EXPECT_EQ(a, ref.attrs[static_cast<size_t>(row)].attribute);
+    EXPECT_EQ(value, ref.attrs[static_cast<size_t>(row)].value);
     const auto [se, sa] = snap.AttributeIdsAt(row);
     EXPECT_EQ(se, e);
     EXPECT_EQ(sa, a);
     EXPECT_EQ(snap.ValueAt(row), value);
     ++visited;
   });
-  EXPECT_EQ(visited, 23);
+  EXPECT_EQ(visited, static_cast<int64_t>(ref.attrs.size()));
 }
 
-TEST(KgColumnarTest, NeighborsMatchLegacyInsertionOrder) {
+TEST(KgColumnarTest, SnapshotMatchesReferenceRows) {
+  const KnowledgeGraph g = BuildGraph(11, 41, 23);
+  ExpectRowsMatch(g.Snapshot(), BuildReference(11, 41, 23));
+}
+
+TEST(KgColumnarTest, NeighborsMatchReferenceInsertionOrder) {
   const KnowledgeGraph g = BuildGraph(9, 37, 0);
+  const Reference ref = BuildReference(9, 37, 0);
   const KgSnapshot snap = g.Snapshot();
+  const std::vector<int64_t> degrees = snap.Degrees();
+  ASSERT_EQ(degrees.size(), ref.adjacency.size());
   for (EntityId e = 0; e < g.num_entities(); ++e) {
-    EXPECT_EQ(snap.NeighborsOf(e), g.neighbors(e)) << "entity " << e;
-    EXPECT_EQ(snap.DegreeOf(e), g.degree(e));
+    const auto& expected = ref.adjacency[static_cast<size_t>(e)];
+    EXPECT_EQ(snap.NeighborsOf(e), expected) << "entity " << e;
+    EXPECT_EQ(snap.DegreeOf(e), static_cast<int64_t>(expected.size()));
+    EXPECT_EQ(degrees[static_cast<size_t>(e)],
+              static_cast<int64_t>(expected.size()));
   }
 }
 
@@ -109,26 +178,32 @@ TEST(KgColumnarTest, SelfLoopYieldsOutgoingEdgeFirst) {
   // Filler edges around the loop so the chunk seals and the merged
   // by_head/by_tail path runs.
   const EntityId other = g.AddEntity("y");
-  for (int i = 0; i < 3; ++i) g.AddRelationalTriple(e, r, other);
-  g.AddRelationalTriple(e, r, e);  // self-loop
-  for (int i = 0; i < 3; ++i) g.AddRelationalTriple(other, r, e);
+  std::vector<RelationalTriple> rows;
+  for (int i = 0; i < 3; ++i) rows.push_back({e, r, other});
+  rows.push_back({e, r, e});  // self-loop
+  for (int i = 0; i < 3; ++i) rows.push_back({other, r, e});
+  for (const RelationalTriple& t : rows) {
+    g.AddRelationalTriple(t.head, t.relation, t.tail);
+  }
 
-  const std::vector<NeighborEdge> edges = g.Snapshot().NeighborsOf(e);
-  EXPECT_EQ(edges, g.neighbors(e));
+  const KgSnapshot snap = g.Snapshot();
+  const std::vector<NeighborEdge> edges = snap.NeighborsOf(e);
+  EXPECT_EQ(edges, ReferenceAdjacency(2, rows)[static_cast<size_t>(e)]);
   // The self-loop contributes two consecutive edges, outgoing first.
   ASSERT_EQ(edges.size(), 8u);
   EXPECT_TRUE(edges[3].outgoing);
   EXPECT_EQ(edges[3].neighbor, e);
   EXPECT_FALSE(edges[4].outgoing);
   EXPECT_EQ(edges[4].neighbor, e);
-  EXPECT_EQ(g.degree(e), 8);
+  EXPECT_EQ(snap.DegreeOf(e), 8);
 }
 
-TEST(KgColumnarTest, AttributeRowsMatchLegacyIndices) {
+TEST(KgColumnarTest, AttributeRowsMatchReferenceIndices) {
   const KnowledgeGraph g = BuildGraph(7, 0, 29);
+  const Reference ref = BuildReference(7, 0, 29);
   const KgSnapshot snap = g.Snapshot();
   for (EntityId e = 0; e < g.num_entities(); ++e) {
-    EXPECT_EQ(snap.AttributeRowsOf(e), g.attribute_triples_of(e))
+    EXPECT_EQ(snap.AttributeRowsOf(e), ref.attr_rows[static_cast<size_t>(e)])
         << "entity " << e;
   }
 }
@@ -137,9 +212,6 @@ TEST(KgColumnarTest, OutOfRangeIdsAreGracefulEverywhere) {
   const KnowledgeGraph g = BuildGraph(5, 13, 9);
   const KgSnapshot snap = g.Snapshot();
   for (const EntityId bad : {EntityId{-1}, EntityId{5}, EntityId{1000}}) {
-    EXPECT_TRUE(g.neighbors(bad).empty());
-    EXPECT_TRUE(g.attribute_triples_of(bad).empty());
-    EXPECT_EQ(g.degree(bad), 0);
     EXPECT_TRUE(snap.NeighborsOf(bad).empty());
     EXPECT_TRUE(snap.AttributeRowsOf(bad).empty());
     EXPECT_EQ(snap.DegreeOf(bad), 0);
@@ -204,8 +276,6 @@ TEST(KgColumnarTest, BulkLoadDefersCommit) {
   }
   // Mid-bulk snapshots pin the last publish, not the in-flight rows.
   EXPECT_EQ(g.Snapshot().num_relational_triples(), 1);
-  // The writer-side legacy views do see everything appended.
-  EXPECT_EQ(g.relational_triples().size(), 21u);
   g.EndBulkLoad();
   EXPECT_EQ(g.Snapshot().num_relational_triples(), 21);
 }
@@ -266,18 +336,10 @@ TEST(KgColumnarTest, CloneIsDeepAndEqual) {
   EXPECT_EQ(copy.num_entities(), g.num_entities());
   EXPECT_EQ(copy.num_relations(), g.num_relations());
   EXPECT_EQ(copy.num_attributes(), g.num_attributes());
-  ASSERT_EQ(copy.relational_triples().size(), g.relational_triples().size());
-  for (size_t i = 0; i < g.relational_triples().size(); ++i) {
-    EXPECT_EQ(copy.relational_triples()[i].head,
-              g.relational_triples()[i].head);
-    EXPECT_EQ(copy.relational_triples()[i].tail,
-              g.relational_triples()[i].tail);
+  for (EntityId e = 0; e < g.num_entities(); ++e) {
+    EXPECT_EQ(copy.entity_name(e), g.entity_name(e));
   }
-  ASSERT_EQ(copy.attribute_triples().size(), g.attribute_triples().size());
-  for (size_t i = 0; i < g.attribute_triples().size(); ++i) {
-    EXPECT_EQ(copy.attribute_triples()[i].value,
-              g.attribute_triples()[i].value);
-  }
+  ExpectRowsMatch(copy.Snapshot(), BuildReference(8, 19, 12));
 }
 
 TEST(KgColumnarTest, SnapshotPinIsSubMillisecond) {

@@ -50,9 +50,10 @@ TEST(KnowledgeGraphTest, NeighborsBothDirections) {
   KnowledgeGraph g = SampleGraph();
   const EntityId ronaldo = *g.FindEntity("C._Ronaldo");
   const EntityId madrid = *g.FindEntity("Real_Madrid_C.F.");
-  EXPECT_EQ(g.degree(ronaldo), 2);
-  EXPECT_EQ(g.degree(madrid), 1);
-  const auto& edges = g.neighbors(madrid);
+  const KgSnapshot snap = g.Snapshot();
+  EXPECT_EQ(snap.DegreeOf(ronaldo), 2);
+  EXPECT_EQ(snap.DegreeOf(madrid), 1);
+  const std::vector<NeighborEdge> edges = snap.NeighborsOf(madrid);
   ASSERT_EQ(edges.size(), 1u);
   EXPECT_EQ(edges[0].neighbor, ronaldo);
   EXPECT_FALSE(edges[0].outgoing);
@@ -61,10 +62,10 @@ TEST(KnowledgeGraphTest, NeighborsBothDirections) {
 TEST(KnowledgeGraphTest, AttributeTriplesOfEntity) {
   KnowledgeGraph g = SampleGraph();
   const EntityId ronaldo = *g.FindEntity("C._Ronaldo");
-  const auto& idx = g.attribute_triples_of(ronaldo);
+  const KgSnapshot snap = g.Snapshot();
+  const std::vector<int64_t> idx = snap.AttributeRowsOf(ronaldo);
   ASSERT_EQ(idx.size(), 2u);
-  EXPECT_EQ(g.attribute_triples()[static_cast<size_t>(idx[0])].value,
-            "Cristiano Ronaldo");
+  EXPECT_EQ(snap.ValueAt(idx[0]), "Cristiano Ronaldo");
 }
 
 TEST(KnowledgeGraphTest, Statistics) {
@@ -106,10 +107,12 @@ TEST(KnowledgeGraphTest, TsvRoundTrip) {
   const KnowledgeGraph& g2 = *r;
   EXPECT_EQ(g2.num_entities(), g.num_entities());
   EXPECT_EQ(g2.num_relations(), g.num_relations());
-  EXPECT_EQ(g2.relational_triples().size(), g.relational_triples().size());
-  EXPECT_EQ(g2.attribute_triples().size(), g.attribute_triples().size());
+  const KgSnapshot snap = g.Snapshot();
+  const KgSnapshot snap2 = g2.Snapshot();
+  EXPECT_EQ(snap2.num_relational_triples(), snap.num_relational_triples());
+  EXPECT_EQ(snap2.num_attribute_triples(), snap.num_attribute_triples());
   const EntityId ronaldo = *g2.FindEntity("C._Ronaldo");
-  EXPECT_EQ(g2.degree(ronaldo), 2);
+  EXPECT_EQ(snap2.DegreeOf(ronaldo), 2);
 }
 
 TEST(KnowledgeGraphTest, LoadMissingFileFails) {
@@ -144,9 +147,11 @@ TEST(KnowledgeGraphTest, TsvRoundTripsValuesWithTabsAndNewlines) {
   ASSERT_TRUE(g.SaveTsv(prefix).ok());
   auto loaded = KnowledgeGraph::LoadTsv(prefix);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->attribute_triples().size(), values.size());
+  const KgSnapshot snap = loaded->Snapshot();
+  ASSERT_EQ(snap.num_attribute_triples(),
+            static_cast<int64_t>(values.size()));
   for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(loaded->attribute_triples()[i].value, values[i])
+    EXPECT_EQ(snap.ValueAt(static_cast<int64_t>(i)), values[i])
         << "value " << i;
   }
 }
@@ -175,11 +180,11 @@ TEST(KnowledgeGraphTest, SaveTsvRejectsUnescapableNames) {
 }
 
 TEST(KnowledgeGraphTest, OutOfRangeIdsReturnEmptyNotUb) {
-  const KnowledgeGraph g = SampleGraph();
+  const KgSnapshot snap = SampleGraph().Snapshot();
   for (const EntityId bad : {EntityId{-1}, EntityId{3}, EntityId{9999}}) {
-    EXPECT_TRUE(g.neighbors(bad).empty());
-    EXPECT_TRUE(g.attribute_triples_of(bad).empty());
-    EXPECT_EQ(g.degree(bad), 0);
+    EXPECT_TRUE(snap.NeighborsOf(bad).empty());
+    EXPECT_TRUE(snap.AttributeRowsOf(bad).empty());
+    EXPECT_EQ(snap.DegreeOf(bad), 0);
   }
 }
 

@@ -44,13 +44,14 @@ TEST(MergeTest, FusesMatchedAndCarriesUnmatched) {
   // 2 (kg1) + 1 carried = 3 entities, not 5.
   EXPECT_EQ(merged->num_entities(), 3);
   // Fused ronaldo has both name and birthYear.
+  const KgSnapshot snap = merged->Snapshot();
   const EntityId ronaldo = *merged->FindEntity("C._Ronaldo");
-  EXPECT_EQ(merged->attribute_triples_of(ronaldo).size(), 2u);
+  EXPECT_EQ(snap.AttributeRowsOf(ronaldo).size(), 2u);
   // Both relational facts survive (playsFor from KB1, memberOf from KB2).
-  EXPECT_EQ(merged->degree(ronaldo), 2);
+  EXPECT_EQ(snap.DegreeOf(ronaldo), 2);
   // Exclusive entity carried with degree 1.
   const EntityId excl = *merged->FindEntity("Only_In_KB2");
-  EXPECT_EQ(merged->degree(excl), 1);
+  EXPECT_EQ(snap.DegreeOf(excl), 1);
 }
 
 TEST(MergeTest, SchemaPrefixOnKg2OnlyNames) {
@@ -93,7 +94,7 @@ TEST(MergeTest, DeduplicatesIdenticalFacts) {
       MergeKnowledgeBases(a, b, {0, 1}, MergeOptions{}, &report);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(report.duplicate_relational, 1);
-  EXPECT_EQ(merged->relational_triples().size(), 1u);
+  EXPECT_EQ(merged->Snapshot().num_relational_triples(), 1);
 }
 
 TEST(MergeTest, NameCollisionOnCarriedEntity) {

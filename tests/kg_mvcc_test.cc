@@ -2,16 +2,20 @@
 // appends formula-generated triples and publishes commits while reader
 // threads pin snapshots and verify every visible row against the formula.
 // A snapshot must always be an exact watermark-prefix of the committed
-// stream — no torn rows, no missing rows, no rows from the future. Runs
-// under TSan in CI (label: kg); everything is seeded and deterministic.
+// stream — no torn rows, no missing rows, no rows from the future. The
+// last case runs every const facade read from several threads at once.
+// Runs under TSan in CI (label: kg); everything is seeded and
+// deterministic.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "kg/binary_io.h"
 #include "kg/columnar.h"
 #include "kg/knowledge_graph.h"
 
@@ -229,6 +233,90 @@ TEST(KgMvccTest, PinnedEpochsNestUnderConcurrentWrites) {
       ASSERT_EQ(t.head, HeadAt(row));
       ASSERT_EQ(t.tail, TailAt(row));
     }
+  }
+}
+
+/// Everything the const facade reads return for one graph.
+struct FacadeReads {
+  std::vector<EntityId> found;
+  std::vector<std::string> names;
+  std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t, double, double,
+             double>
+      stats;
+  std::string encoded;
+  std::string clone_encoded;
+  std::vector<std::vector<NeighborEdge>> neighbors;
+  std::vector<int64_t> degrees;
+  std::vector<std::vector<int64_t>> attribute_rows;
+
+  bool operator==(const FacadeReads&) const = default;
+};
+
+FacadeReads ReadEverything(const KnowledgeGraph& g) {
+  FacadeReads r;
+  for (EntityId e = 0; e < g.num_entities(); ++e) {
+    const Result<EntityId> found = g.FindEntity("e" + std::to_string(e));
+    r.found.push_back(found.ok() ? *found : kInvalidEntity);
+    r.names.push_back(g.entity_name(e));
+  }
+  const KgStatistics s = g.ComputeStatistics();
+  r.stats = {s.num_entities,          s.num_relations,
+             s.num_attributes,        s.num_relational_triples,
+             s.num_attribute_triples, s.degree_le3,
+             s.degree_le5,            s.degree_le10};
+  r.encoded = EncodeBinary(g);
+  r.clone_encoded = EncodeBinary(g.Clone());
+  const KgSnapshot snap = g.Snapshot();
+  for (EntityId e = 0; e < snap.num_entities(); ++e) {
+    r.neighbors.push_back(snap.NeighborsOf(e));
+    r.degrees.push_back(snap.DegreeOf(e));
+    r.attribute_rows.push_back(snap.AttributeRowsOf(e));
+  }
+  return r;
+}
+
+TEST(KgMvccTest, ConcurrentConstFacadeReadsAgree) {
+  // Tiny chunks and row counts that are not multiples of them: the
+  // committed graph has sealed chunks and a partly filled open chunk of
+  // each kind, so the index and the linear-scan read paths both run.
+  ColumnarOptions opts;
+  opts.rel_chunk_rows = 7;
+  opts.attr_chunk_rows = 5;
+  opts.name_chunk_rows = 4;
+  KnowledgeGraph g(opts);
+  g.BeginBulkLoad();
+  for (int64_t i = 0; i < kEntities; ++i) g.AddEntity("e" + std::to_string(i));
+  for (int64_t i = 0; i < kRelations; ++i) {
+    g.AddRelation("r" + std::to_string(i));
+  }
+  g.AddAttribute("a");
+  constexpr int64_t kRows = 300;
+  for (int64_t row = 0; row < kRows; ++row) {
+    g.AddRelationalTriple(HeadAt(row), RelAt(row), TailAt(row));
+  }
+  for (int64_t row = 0; row < kRows - 2; ++row) {
+    g.AddAttributeTriple(HeadAt(row), 0, ValueAt(row));
+  }
+  g.EndBulkLoad();
+  ASSERT_NE(kRows % opts.rel_chunk_rows, 0);
+  ASSERT_NE((kRows - 2) % opts.attr_chunk_rows, 0);
+
+  const FacadeReads expected = ReadEverything(g);
+  ASSERT_EQ(expected.found.size(), static_cast<size_t>(kEntities));
+
+  constexpr int kReaders = 4;
+  std::vector<FacadeReads> got(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  const KnowledgeGraph& shared = g;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&shared, &got, t] {
+      got[static_cast<size_t>(t)] = ReadEverything(shared);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_TRUE(got[static_cast<size_t>(t)] == expected) << "reader " << t;
   }
 }
 

@@ -48,9 +48,10 @@ TEST(CondenseTest, AttributesFollowSurvivingEntities) {
   opt.popularity_fraction = 0.75;
   const KnowledgeGraph condensed = CondenseByPopularity(g, opt);
   const EntityId hub = *condensed.FindEntity("hub");
-  ASSERT_EQ(condensed.attribute_triples_of(hub).size(), 1u);
+  const KgSnapshot snap = condensed.Snapshot();
+  ASSERT_EQ(snap.AttributeRowsOf(hub).size(), 1u);
   // Chain1's attribute dropped with its entity.
-  EXPECT_EQ(condensed.attribute_triples().size(), 1u);
+  EXPECT_EQ(snap.num_attribute_triples(), 1);
 }
 
 TEST(CondenseTest, MinTriplesBackfills) {
@@ -59,7 +60,7 @@ TEST(CondenseTest, MinTriplesBackfills) {
   opt.popularity_fraction = 0.01;  // Almost nothing is "popular"...
   opt.min_triples = 3;             // ...but we demand 3 triples.
   const KnowledgeGraph condensed = CondenseByPopularity(g, opt);
-  EXPECT_GE(condensed.relational_triples().size(), 3u);
+  EXPECT_GE(condensed.Snapshot().num_relational_triples(), 3);
 }
 
 TEST(CondenseTest, FullFractionKeepsEverything) {
@@ -67,8 +68,8 @@ TEST(CondenseTest, FullFractionKeepsEverything) {
   CondenseOptions opt;
   opt.popularity_fraction = 1.0;
   const KnowledgeGraph condensed = CondenseByPopularity(g, opt);
-  EXPECT_EQ(condensed.relational_triples().size(),
-            g.relational_triples().size());
+  EXPECT_EQ(condensed.Snapshot().num_relational_triples(),
+            g.Snapshot().num_relational_triples());
   EXPECT_EQ(condensed.num_entities(), g.num_entities());
 }
 
@@ -83,7 +84,7 @@ TEST(CondenseTest, RaisesDensityOnGeneratedData) {
   const KnowledgeGraph condensed =
       CondenseByPopularity(bench.kg1, opt);
   auto mean_degree = [](const KnowledgeGraph& g) {
-    return 2.0 * static_cast<double>(g.relational_triples().size()) /
+    return 2.0 * static_cast<double>(g.Snapshot().num_relational_triples()) /
            static_cast<double>(g.num_entities());
   };
   EXPECT_GT(mean_degree(condensed), mean_degree(bench.kg1));

@@ -111,9 +111,10 @@ TEST_P(TokenizerPropertyTest, TrainedCorpusEncodesWithoutUnk) {
   cfg.num_matched = 150;
   const auto bench = datagen::BenchmarkGenerator().Generate(cfg);
   std::vector<std::string> corpus;
-  for (const auto& t : bench.kg1.attribute_triples()) {
-    corpus.push_back(t.value);
-  }
+  bench.kg1.Snapshot().ForEachAttribute(
+      [&](int64_t, kg::EntityId, kg::AttributeId, const std::string& value) {
+        corpus.push_back(value);
+      });
   text::SubwordTokenizer tok;
   ASSERT_TRUE(tok.Train(corpus, text::TokenizerConfig{}).ok());
   Rng rng(GetParam());
@@ -145,28 +146,31 @@ TEST_P(GeneratorInvariantTest, StructuralInvariants) {
   const auto b = datagen::BenchmarkGenerator().Generate(cfg);
   // Every relational triple references valid entities.
   for (const auto* g : {&b.kg1, &b.kg2}) {
-    for (const auto& t : g->relational_triples()) {
-      ASSERT_GE(t.head, 0);
-      ASSERT_LT(t.head, g->num_entities());
-      ASSERT_GE(t.tail, 0);
-      ASSERT_LT(t.tail, g->num_entities());
-      ASSERT_NE(t.head, t.tail);  // Generator never emits self-loops.
-    }
-    for (const auto& t : g->attribute_triples()) {
-      ASSERT_GE(t.entity, 0);
-      ASSERT_LT(t.entity, g->num_entities());
-      EXPECT_FALSE(t.value.empty());
-    }
+    const kg::KgSnapshot snap = g->Snapshot();
+    snap.ForEachRelational(
+        [&](int64_t, kg::EntityId head, kg::RelationId, kg::EntityId tail) {
+          ASSERT_GE(head, 0);
+          ASSERT_LT(head, g->num_entities());
+          ASSERT_GE(tail, 0);
+          ASSERT_LT(tail, g->num_entities());
+          ASSERT_NE(head, tail);  // Generator never emits self-loops.
+        });
+    snap.ForEachAttribute([&](int64_t, kg::EntityId entity, kg::AttributeId,
+                              const std::string& value) {
+      ASSERT_GE(entity, 0);
+      ASSERT_LT(entity, g->num_entities());
+      EXPECT_FALSE(value.empty());
+    });
     // Entity names are unique (AddEntity would otherwise have merged).
     EXPECT_EQ(g->num_entities(), g->ComputeStatistics().num_entities);
   }
   // Degree bookkeeping: sum of degrees == 2 * |triples|.
+  const kg::KgSnapshot snap1 = b.kg1.Snapshot();
   int64_t degree_sum = 0;
   for (kg::EntityId e = 0; e < b.kg1.num_entities(); ++e) {
-    degree_sum += b.kg1.degree(e);
+    degree_sum += snap1.DegreeOf(e);
   }
-  EXPECT_EQ(degree_sum,
-            2 * static_cast<int64_t>(b.kg1.relational_triples().size()));
+  EXPECT_EQ(degree_sum, 2 * snap1.num_relational_triples());
 }
 
 INSTANTIATE_TEST_SUITE_P(

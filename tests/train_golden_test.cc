@@ -5,29 +5,52 @@
 // last commit before the migration) with tests/golden_capture.cc — the
 // exact fixtures and configs of this file. If a Trainer change breaks one
 // of these, it changed the RNG stream or the update order somewhere.
+//
+// The later cases (BootEA through the streaming preset) were captured at
+// commit d6c8282, before the baselines and datagen/streaming moved from
+// KnowledgeGraph's row mirrors onto KgSnapshot scans, by running this
+// file against that tree. They pin the triple order each KG read feeds
+// into training and into the generated stream.
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include "baselines/gcn_align.h"
+#include "baselines/hman.h"
 #include "baselines/iptranse.h"
+#include "baselines/jape.h"
+#include "baselines/kecg.h"
 #include "baselines/mtranse.h"
+#include "baselines/rsn4ea.h"
 #include "baselines/transe.h"
 #include "baselines/transe_align.h"
 #include "baselines/transedge.h"
+#include "baselines/union_graph.h"
 #include "core/sdea.h"
 #include "datagen/generator.h"
+#include "datagen/streaming.h"
+#include "incr/update_log.h"
+#include "kg/binary_io.h"
 
 namespace sdea {
 namespace {
 
-uint64_t HashTensor(const Tensor& t) {
+/// FNV-1a over raw bytes.
+uint64_t HashBytes(const void* data, size_t bytes) {
   uint64_t h = 1469598103934665603ULL;
-  const auto* b = reinterpret_cast<const unsigned char*>(t.data());
-  const int64_t n = t.size() * static_cast<int64_t>(sizeof(float));
-  for (int64_t i = 0; i < n; ++i) {
+  const auto* b = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
     h ^= b[i];
     h *= 1099511628211ULL;
   }
   return h;
+}
+
+uint64_t HashTensor(const Tensor& t) {
+  return HashBytes(t.data(), static_cast<size_t>(t.size()) * sizeof(float));
+}
+
+uint64_t HashString(const std::string& s) {
+  return HashBytes(s.data(), s.size());
 }
 
 struct Fixture {
@@ -61,7 +84,7 @@ TEST(TrainGoldenTest, TransEMatchesLegacyLoop) {
   baselines::TransE model(f.bench.kg1.num_entities(),
                           f.bench.kg1.num_relations(), c);
   const std::vector<int32_t> identity;
-  model.Train(f.bench.kg1.relational_triples(), identity);
+  model.Train(baselines::RelationalRows(f.bench.kg1), identity);
   EXPECT_EQ(HashTensor(model.EntityEmbeddings(identity)),
             0x455b7a550e696ef8ULL);
 }
@@ -147,6 +170,125 @@ TEST(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
   EXPECT_EQ(HashTensor(model.attribute_embeddings1()), 0x1ab9106927da0f1fULL);
   EXPECT_EQ(HashTensor(model.embeddings1()), 0x4d106aae1ae04bf5ULL);
   EXPECT_EQ(HashTensor(model.embeddings2()), 0xbb5e7549daebfda1ULL);
+}
+
+// The remaining baselines pin the KG read each one performs: the
+// offset triple union (BootEA, JAPE, KECG), the self-looped union edges
+// and their normalization (GCN-Align, KECG), the hashed attribute-name
+// count features (GCN-Align, HMAN), per-entity attribute sentences
+// (JAPE) and the seed-merged walk graph (RSN4EA).
+
+TEST(TrainGoldenTest, BootEaMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::TransEConfig t;
+  t.dim = 16;
+  t.epochs = 8;
+  baselines::TransEAlign::Config c = baselines::BootEaConfig(t);
+  c.bootstrap_rounds = 2;
+  c.epochs_per_round = 3;
+  c.bootstrap_threshold = 0.3f;
+  baselines::TransEAlign m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0x0fdd08e901c11c07ULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0x8e5553dc21bd39c1ULL);
+}
+
+TEST(TrainGoldenTest, JapeMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::Jape::Config c;
+  c.transe.dim = 16;
+  c.transe.epochs = 8;
+  c.attr_dim = 16;
+  c.attr_pretrain_epochs = 3;
+  baselines::Jape m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0x08998ef9a96b58c5ULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0xeaeb71c5215ce753ULL);
+}
+
+TEST(TrainGoldenTest, KecgMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::Kecg::Config c;
+  c.dim = 16;
+  c.transe.epochs = 3;
+  c.rounds = 2;
+  c.gnn_steps_per_round = 4;
+  baselines::Kecg m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0x9986977ecf884087ULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0xd05048cbc4404637ULL);
+}
+
+TEST(TrainGoldenTest, GcnAlignMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::GcnAlign::Config c = baselines::GcnAlignConfig();
+  c.feature_dim = 16;
+  c.hidden_dim = 16;
+  c.out_dim = 16;
+  c.attr_feature_dim = 8;
+  c.epochs = 10;
+  c.eval_every = 5;
+  baselines::GcnAlign m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0xaac31084d78c7172ULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0xe2188f9836198207ULL);
+}
+
+TEST(TrainGoldenTest, HmanMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::Hman::Config c;
+  c.gcn.feature_dim = 16;
+  c.gcn.hidden_dim = 16;
+  c.gcn.out_dim = 16;
+  c.gcn.epochs = 5;
+  c.gcn.eval_every = 5;
+  c.feature_dim = 16;
+  c.channel_dim = 8;
+  c.epochs = 10;
+  baselines::Hman m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0xc6f54c916c854866ULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0x77d48e86edefcbf8ULL);
+}
+
+TEST(TrainGoldenTest, Rsn4EaMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::Rsn4Ea::Config c;
+  c.dim = 16;
+  c.walks_per_entity = 1;
+  c.epochs = 2;
+  baselines::Rsn4Ea m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0xf4f7cfdcb766bd3bULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0x92ba33570e3479f5ULL);
+}
+
+TEST(TrainGoldenTest, StreamingPresetMatchesGolden) {
+  // The d_stream preset at a reduced size: the base graphs' encoded
+  // bytes, the update log (arrivals and seeded attribute edits) and the
+  // base-state truth pin GenerateStreaming's output row for row.
+  datagen::StreamingConfig config = datagen::StreamingPreset().config;
+  config.base.num_matched = 150;
+  config.num_increments = 4;
+  const datagen::StreamingBenchmark stream =
+      datagen::GenerateStreaming(config);
+  size_t edits = 0;
+  for (const incr::UpdateBatch& b : stream.increments) {
+    for (const auto* side : {&b.kg1, &b.kg2}) {
+      for (const auto& a : side->attributes) {
+        if (a.value.find(" (rev ") != std::string::npos) ++edits;
+      }
+    }
+  }
+  ASSERT_GT(edits, 0u);
+  EXPECT_EQ(HashString(kg::EncodeBinary(stream.kg1)), 0x7085f4550b7da0a1ULL);
+  EXPECT_EQ(HashString(kg::EncodeBinary(stream.kg2)), 0xcc307f38cf6c2486ULL);
+  EXPECT_EQ(HashString(incr::EncodeUpdateLog(stream.increments)),
+            0x0ea19bfb75bd0680ULL);
+  EXPECT_EQ(HashBytes(stream.base_truth.data(),
+                      stream.base_truth.size() *
+                          sizeof(stream.base_truth[0])),
+            0x2e78b10c5656a843ULL);
 }
 
 }  // namespace
