@@ -2,28 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <unordered_set>
 
 #include "base/fileio.h"
+#include "base/wire.h"
 
 namespace sdea::core {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'D', 'E', 'A', 'E', 'M', 'B', '1'};
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  std::memcpy(v, in.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
+constexpr std::string_view kMagic = "SDEAEMB1";
 
 }  // namespace
 
@@ -49,15 +36,13 @@ Result<EmbeddingStore> EmbeddingStore::Create(std::vector<std::string> names,
 
 std::string EmbeddingStore::Encode() const {
   std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendU64(&out, names_.size());
-  AppendU64(&out, static_cast<uint64_t>(dim()));
-  for (const std::string& name : names_) {
-    AppendU64(&out, name.size());
-    out.append(name);
-  }
-  out.append(reinterpret_cast<const char*>(embeddings_.data()),
-             static_cast<size_t>(embeddings_.size()) * sizeof(float));
+  wire::Writer w(&out);
+  w.Bytes(kMagic);
+  w.U64(names_.size());
+  w.U64(static_cast<uint64_t>(dim()));
+  for (const std::string& name : names_) w.Str64(name);
+  w.Bytes(embeddings_.data(),
+          static_cast<size_t>(embeddings_.size()) * sizeof(float));
   return out;
 }
 
@@ -67,53 +52,33 @@ Status EmbeddingStore::Save(const std::string& path) const {
   return WriteStringToFileAtomic(path, Encode());
 }
 
-Result<EmbeddingStore> EmbeddingStore::Decode(const std::string& in) {
-  if (in.size() < sizeof(kMagic) ||
-      std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an SDEA embedding store");
-  }
-  size_t pos = sizeof(kMagic);
-  uint64_t count = 0, dim = 0;
-  if (!ReadU64(in, &pos, &count) || !ReadU64(in, &pos, &dim)) {
-    return Status::InvalidArgument("truncated embedding store header");
-  }
-  // Bound both header fields against what the blob could possibly hold
-  // before allocating anything: each name costs >= 8 bytes, each row
-  // count*dim floats. Without these a corrupt all-ones count either spins
-  // billions of failed reads or throws length_error out of reserve().
-  const uint64_t budget = in.size() - pos;
-  if (count > budget / 8) {
-    return Status::InvalidArgument("embedding store count exceeds blob size");
-  }
-  const uint64_t max_floats = in.size() / sizeof(float);
-  if (count == 0) {
-    // An empty store encodes its real dim with no float payload, so the
-    // payload bound doesn't apply — but the dim must still fit a tensor
-    // shape (a corrupt all-ones dim would wrap negative and abort).
-    if (dim > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-      return Status::InvalidArgument("embedding store dim overflows");
-    }
-  } else if (dim > max_floats || dim > max_floats / count) {
+Result<EmbeddingStore> EmbeddingStore::Decode(std::string_view in) {
+  wire::Reader r(in, "embedding store");
+  SDEA_RETURN_IF_ERROR(r.Magic(kMagic));
+  // Both header fields are bounded against what the blob could possibly
+  // hold before anything is allocated: each name costs >= 8 bytes, the
+  // payload count*dim floats, and dim must fit a tensor shape even when
+  // count is 0 (an empty store still encodes its real dim).
+  uint64_t count = 0;
+  int64_t dim = 0;
+  SDEA_RETURN_IF_ERROR(r.Count(8, &count));
+  SDEA_RETURN_IF_ERROR(r.NonNegI64(&dim));
+  if (count > 0 &&
+      static_cast<uint64_t>(dim) > r.remaining() / sizeof(float) / count) {
     return Status::InvalidArgument("embedding store dim exceeds blob size");
   }
-  std::vector<std::string> names;
-  names.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    if (!ReadU64(in, &pos, &len) || len > in.size() - pos) {
-      return Status::InvalidArgument("truncated embedding store names");
-    }
-    names.push_back(in.substr(pos, len));
-    pos += len;
-  }
-  const size_t bytes = static_cast<size_t>(count * dim) * sizeof(float);
-  if (bytes > in.size() - pos) {
-    return Status::InvalidArgument("truncated embedding store data");
-  }
-  Tensor embeddings({static_cast<int64_t>(count), static_cast<int64_t>(dim)});
+  std::vector<std::string> names(count);
+  for (std::string& name : names) SDEA_RETURN_IF_ERROR(r.Str64(&name));
+  std::string_view payload;
+  SDEA_RETURN_IF_ERROR(
+      r.Bytes(count * static_cast<uint64_t>(dim) * sizeof(float), &payload));
+  SDEA_RETURN_IF_ERROR(r.Finish());
+  Tensor embeddings({static_cast<int64_t>(count), dim});
   // An empty store (count or dim 0) has a null data(); memcpy forbids
   // null arguments even for 0 bytes.
-  if (bytes > 0) std::memcpy(embeddings.data(), in.data() + pos, bytes);
+  if (!payload.empty()) {
+    std::memcpy(embeddings.data(), payload.data(), payload.size());
+  }
   return Create(std::move(names), std::move(embeddings));
 }
 

@@ -2,6 +2,7 @@
 #define SDEA_CORE_EMBEDDING_STORE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -37,10 +38,11 @@ class EmbeddingStore {
   /// The wire format behind Save/Load, exposed blob-level so tests can
   /// corrupt bytes without touching the filesystem. Decode is robust
   /// against arbitrary bytes: any malformed input (bad magic, truncation,
-  /// counts or dims that exceed what the blob could hold, duplicate names)
-  /// returns InvalidArgument — never a crash or an unbounded allocation.
+  /// counts or dims that exceed what the blob could hold, duplicate names,
+  /// trailing bytes) returns InvalidArgument — never a crash or an
+  /// unbounded allocation.
   std::string Encode() const;
-  static Result<EmbeddingStore> Decode(const std::string& blob);
+  static Result<EmbeddingStore> Decode(std::string_view blob);
 
   int64_t size() const { return embeddings_.dim(0); }
   /// Embedding dimensionality. Known (and enforced on queries) as soon as

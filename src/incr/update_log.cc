@@ -3,90 +3,52 @@
 #include <utility>
 
 #include "base/fileio.h"
-#include "store/wire.h"
+#include "base/wire.h"
 
 namespace sdea::incr {
 namespace {
 
-using store::wire::AppendU64;
-using store::wire::ReadU64;
+constexpr std::string_view kMagic = "SDEAINC1";
 
-constexpr char kMagic[] = "SDEAINC1";
-constexpr size_t kMagicLen = 8;
-
-void AppendStr(std::string* out, const std::string& s) {
-  AppendU64(out, s.size());
-  out->append(s);
-}
-
-/// Reads a length-prefixed string, bounds-checking the length against the
-/// remaining suffix before touching it.
-Status ReadStr(const std::string& in, size_t* pos, std::string* out) {
-  uint64_t len = 0;
-  if (!ReadU64(in, pos, &len)) {
-    return Status::InvalidArgument("update log truncated in string length");
-  }
-  if (len > in.size() - *pos) {
-    return Status::InvalidArgument("update log string length exceeds data");
-  }
-  out->assign(in, *pos, static_cast<size_t>(len));
-  *pos += static_cast<size_t>(len);
-  return Status::Ok();
-}
-
-/// Reads a count whose entries each need at least `min_entry_bytes`, so a
-/// hostile count cannot drive an allocation larger than the input itself.
-Status ReadCount(const std::string& in, size_t* pos, size_t min_entry_bytes,
-                 uint64_t* count) {
-  if (!ReadU64(in, pos, count)) {
-    return Status::InvalidArgument("update log truncated in count");
-  }
-  const uint64_t remaining = in.size() - *pos;
-  if (*count > remaining / min_entry_bytes) {
-    return Status::InvalidArgument("update log count exceeds byte budget");
-  }
-  return Status::Ok();
-}
-
-void EncodeUpdate(std::string* out, const KgUpdate& u) {
-  AppendU64(out, u.new_entities.size());
-  for (const std::string& e : u.new_entities) AppendStr(out, e);
-  AppendU64(out, u.relational.size());
+void EncodeUpdate(wire::Writer* w, const KgUpdate& u) {
+  w->U64(u.new_entities.size());
+  for (const std::string& e : u.new_entities) w->Str64(e);
+  w->U64(u.relational.size());
   for (const NamedRelationalTriple& t : u.relational) {
-    AppendStr(out, t.head);
-    AppendStr(out, t.relation);
-    AppendStr(out, t.tail);
+    w->Str64(t.head);
+    w->Str64(t.relation);
+    w->Str64(t.tail);
   }
-  AppendU64(out, u.attributes.size());
+  w->U64(u.attributes.size());
   for (const NamedAttributeTriple& t : u.attributes) {
-    AppendStr(out, t.entity);
-    AppendStr(out, t.attribute);
-    AppendStr(out, t.value);
+    w->Str64(t.entity);
+    w->Str64(t.attribute);
+    w->Str64(t.value);
   }
 }
 
-Status DecodeUpdate(const std::string& in, size_t* pos, KgUpdate* u) {
+Status DecodeUpdate(wire::Reader* r, KgUpdate* u) {
   uint64_t n = 0;
   // Every entry contains at least one length-prefixed string per field, so
   // the minimum entry size is 8 bytes (entities) or 24 bytes (triples).
-  SDEA_RETURN_IF_ERROR(ReadCount(in, pos, 8, &n));
+  SDEA_RETURN_IF_ERROR(r->Count(8, &n));
   u->new_entities.resize(static_cast<size_t>(n));
   for (std::string& e : u->new_entities) {
-    SDEA_RETURN_IF_ERROR(ReadStr(in, pos, &e));
+    SDEA_RETURN_IF_ERROR(r->Str64(&e));
   }
-  SDEA_RETURN_IF_ERROR(ReadCount(in, pos, 24, &n));
+  SDEA_RETURN_IF_ERROR(r->Count(24, &n));
   u->relational.resize(static_cast<size_t>(n));
   for (NamedRelationalTriple& t : u->relational) {
-    SDEA_RETURN_IF_ERROR(ReadStr(in, pos, &t.head));
-    SDEA_RETURN_IF_ERROR(ReadStr(in, pos, &t.relation));
-    SDEA_RETURN_IF_ERROR(ReadStr(in, pos, &t.tail));
+    SDEA_RETURN_IF_ERROR(r->Str64(&t.head));
+    SDEA_RETURN_IF_ERROR(r->Str64(&t.relation));
+    SDEA_RETURN_IF_ERROR(r->Str64(&t.tail));
   }
-  SDEA_RETURN_IF_ERROR(ReadCount(in, pos, 24, &n));
+  SDEA_RETURN_IF_ERROR(r->Count(24, &n));
   u->attributes.resize(static_cast<size_t>(n));
   for (NamedAttributeTriple& t : u->attributes) {
-    SDEA_RETURN_IF_ERROR(ReadStr(in, pos, &t.entity));
-    SDEA_RETURN_IF_ERROR(ReadStr(in, pos, &t.attribute));
-    SDEA_RETURN_IF_ERROR(ReadStr(in, pos, &t.value));
+    SDEA_RETURN_IF_ERROR(r->Str64(&t.entity));
+    SDEA_RETURN_IF_ERROR(r->Str64(&t.attribute));
+    SDEA_RETURN_IF_ERROR(r->Str64(&t.value));
   }
   return Status::Ok();
 }
@@ -94,33 +56,30 @@ Status DecodeUpdate(const std::string& in, size_t* pos, KgUpdate* u) {
 }  // namespace
 
 std::string EncodeUpdateLog(const std::vector<UpdateBatch>& batches) {
-  std::string out(kMagic, kMagicLen);
-  AppendU64(&out, batches.size());
+  std::string out;
+  wire::Writer w(&out);
+  w.Bytes(kMagic);
+  w.U64(batches.size());
   for (const UpdateBatch& b : batches) {
-    EncodeUpdate(&out, b.kg1);
-    EncodeUpdate(&out, b.kg2);
+    EncodeUpdate(&w, b.kg1);
+    EncodeUpdate(&w, b.kg2);
   }
   return out;
 }
 
-Result<std::vector<UpdateBatch>> DecodeUpdateLog(const std::string& data) {
-  if (data.size() < kMagicLen ||
-      data.compare(0, kMagicLen, kMagic, kMagicLen) != 0) {
-    return Status::InvalidArgument("not an SDEAINC1 update log");
-  }
-  size_t pos = kMagicLen;
+Result<std::vector<UpdateBatch>> DecodeUpdateLog(std::string_view data) {
+  wire::Reader r(data, "update log");
+  SDEA_RETURN_IF_ERROR(r.Magic(kMagic));
   uint64_t count = 0;
   // A batch is two updates; an empty update is three zero counts (24
   // bytes), so the smallest batch is 48 bytes.
-  SDEA_RETURN_IF_ERROR(ReadCount(data, &pos, 48, &count));
+  SDEA_RETURN_IF_ERROR(r.Count(48, &count));
   std::vector<UpdateBatch> batches(static_cast<size_t>(count));
   for (UpdateBatch& b : batches) {
-    SDEA_RETURN_IF_ERROR(DecodeUpdate(data, &pos, &b.kg1));
-    SDEA_RETURN_IF_ERROR(DecodeUpdate(data, &pos, &b.kg2));
+    SDEA_RETURN_IF_ERROR(DecodeUpdate(&r, &b.kg1));
+    SDEA_RETURN_IF_ERROR(DecodeUpdate(&r, &b.kg2));
   }
-  if (pos != data.size()) {
-    return Status::InvalidArgument("update log has trailing bytes");
-  }
+  SDEA_RETURN_IF_ERROR(r.Finish());
   return batches;
 }
 

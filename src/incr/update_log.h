@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -65,18 +66,19 @@ struct UpdateBatch {
 //     u64 attr_count,     attr_count     x (str entity, str attribute, str value)
 //   str = u64 byte_length + raw bytes
 //
-// All integers little-endian. The decoder is budget-form: every count is
-// checked against the bytes actually remaining (count * min_entry_bytes <=
-// remaining) before any allocation, and every string length against the
-// remaining suffix, so truncated or hostile inputs fail with
-// InvalidArgument instead of over-allocating or reading past the end.
+// All integers little-endian, written and read through base/wire. The
+// decoder is budget-form: every count is checked against the bytes
+// actually remaining (count * min_entry_bytes <= remaining) before any
+// allocation, and every string length against the remaining suffix, so
+// truncated or hostile inputs fail with InvalidArgument instead of
+// over-allocating or reading past the end.
 
 /// Serializes `batches` in SDEAINC1 format.
 std::string EncodeUpdateLog(const std::vector<UpdateBatch>& batches);
 
 /// Parses an SDEAINC1 blob. Errors with InvalidArgument on bad magic,
 /// truncation, oversized counts/lengths, or trailing bytes.
-Result<std::vector<UpdateBatch>> DecodeUpdateLog(const std::string& data);
+Result<std::vector<UpdateBatch>> DecodeUpdateLog(std::string_view data);
 
 /// Applies one update to a graph through the facade's interning API, inside
 /// a BeginBulkLoad/EndBulkLoad bracket so the whole update publishes as one

@@ -8,31 +8,27 @@ namespace sdea::nn {
 namespace {
 
 // Shared (de)serialization of one slot-tensor list (velocity, m, v): a
-// count followed by the tensors. Shapes must match the parameter list.
-void AppendSlots(std::string* out, const std::vector<Tensor>& slots) {
-  AppendU64(out, slots.size());
-  for (const Tensor& t : slots) AppendTensor(out, t);
+// count followed by the tensors. Count and shapes must match `current`;
+// the result lands in `loaded`, so a bad blob leaves `current` untouched.
+void AppendSlots(wire::Writer* w, const std::vector<Tensor>& slots) {
+  w->U64(slots.size());
+  for (const Tensor& t : slots) AppendTensor(w, t);
 }
 
-Status ReadSlots(const std::string& in, size_t* pos, size_t expected,
-                 std::vector<Tensor>* slots) {
+Status ReadSlots(wire::Reader* r, const std::vector<Tensor>& current,
+                 std::vector<Tensor>* loaded) {
   uint64_t count = 0;
-  if (!ReadU64(in, pos, &count) || count != expected) {
+  SDEA_RETURN_IF_ERROR(r->U64(&count));
+  if (count != current.size()) {
     return Status::InvalidArgument("optimizer state: slot count mismatch");
   }
-  std::vector<Tensor> loaded;
-  loaded.reserve(expected);
-  for (size_t k = 0; k < expected; ++k) {
-    Tensor t;
-    if (!ReadTensor(in, pos, &t)) {
-      return Status::InvalidArgument("optimizer state: truncated slot");
-    }
-    if (t.shape() != (*slots)[k].shape()) {
+  loaded->resize(current.size());
+  for (size_t k = 0; k < current.size(); ++k) {
+    SDEA_RETURN_IF_ERROR(ReadTensor(r, &(*loaded)[k]));
+    if ((*loaded)[k].shape() != current[k].shape()) {
       return Status::InvalidArgument("optimizer state: slot shape mismatch");
     }
-    loaded.push_back(std::move(t));
   }
-  *slots = std::move(loaded);
   return Status::Ok();
 }
 
@@ -85,11 +81,17 @@ void Sgd::Step() {
 }
 
 void Sgd::SerializeState(std::string* out) const {
-  AppendSlots(out, velocity_);
+  wire::Writer w(out);
+  AppendSlots(&w, velocity_);
 }
 
-Status Sgd::DeserializeState(const std::string& in, size_t* pos) {
-  return ReadSlots(in, pos, velocity_.size(), &velocity_);
+Status Sgd::DeserializeState(std::string_view blob) {
+  wire::Reader r(blob, "optimizer state");
+  std::vector<Tensor> velocity;
+  SDEA_RETURN_IF_ERROR(ReadSlots(&r, velocity_, &velocity));
+  SDEA_RETURN_IF_ERROR(r.Finish());
+  velocity_ = std::move(velocity);
+  return Status::Ok();
 }
 
 Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2,
@@ -130,24 +132,23 @@ void Adam::Step() {
 }
 
 void Adam::SerializeState(std::string* out) const {
-  AppendU64(out, static_cast<uint64_t>(t_));
-  AppendSlots(out, m_);
-  AppendSlots(out, v_);
+  wire::Writer w(out);
+  w.U64(static_cast<uint64_t>(t_));
+  AppendSlots(&w, m_);
+  AppendSlots(&w, v_);
 }
 
-Status Adam::DeserializeState(const std::string& in, size_t* pos) {
-  uint64_t t = 0;
-  if (!ReadU64(in, pos, &t)) {
-    return Status::InvalidArgument("optimizer state: truncated step counter");
-  }
-  // Stage into copies so a truncated blob leaves this optimizer untouched.
-  std::vector<Tensor> m = m_;
-  std::vector<Tensor> v = v_;
-  SDEA_RETURN_IF_ERROR(ReadSlots(in, pos, m.size(), &m));
-  SDEA_RETURN_IF_ERROR(ReadSlots(in, pos, v.size(), &v));
+Status Adam::DeserializeState(std::string_view blob) {
+  wire::Reader r(blob, "optimizer state");
+  int64_t t = 0;
+  std::vector<Tensor> m, v;
+  SDEA_RETURN_IF_ERROR(r.NonNegI64(&t));
+  SDEA_RETURN_IF_ERROR(ReadSlots(&r, m_, &m));
+  SDEA_RETURN_IF_ERROR(ReadSlots(&r, v_, &v));
+  SDEA_RETURN_IF_ERROR(r.Finish());
   m_ = std::move(m);
   v_ = std::move(v);
-  t_ = static_cast<int64_t>(t);
+  t_ = t;
   return Status::Ok();
 }
 

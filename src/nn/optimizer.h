@@ -2,6 +2,7 @@
 #define SDEA_NN_OPTIMIZER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -39,10 +40,11 @@ class Optimizer {
   /// checkpointed run resumes with bitwise-identical updates.
   virtual void SerializeState(std::string* out) const = 0;
 
-  /// Restores state written by SerializeState, advancing `*pos`. Returns
-  /// InvalidArgument when the blob does not match this optimizer's
-  /// parameter count/shapes.
-  virtual Status DeserializeState(const std::string& in, size_t* pos) = 0;
+  /// Restores state from `blob`, which must be exactly one SerializeState
+  /// output. All-or-nothing: InvalidArgument, with this optimizer
+  /// untouched, when the blob is truncated, has trailing bytes, or does
+  /// not match this optimizer's parameter count/shapes.
+  virtual Status DeserializeState(std::string_view blob) = 0;
 
   const std::vector<Parameter*>& params() const { return params_; }
 
@@ -60,7 +62,7 @@ class Sgd : public Optimizer {
   void set_lr(float lr) override { lr_ = lr; }
   float lr() const override { return lr_; }
   void SerializeState(std::string* out) const override;
-  Status DeserializeState(const std::string& in, size_t* pos) override;
+  Status DeserializeState(std::string_view blob) override;
 
  private:
   float lr_;
@@ -79,7 +81,7 @@ class Adam : public Optimizer {
   void set_lr(float lr) override { lr_ = lr; }
   float lr() const override { return lr_; }
   void SerializeState(std::string* out) const override;
-  Status DeserializeState(const std::string& in, size_t* pos) override;
+  Status DeserializeState(std::string_view blob) override;
 
  private:
   float lr_;

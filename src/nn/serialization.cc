@@ -1,7 +1,6 @@
 #include "nn/serialization.h"
 
 #include <cstring>
-#include <limits>
 #include <map>
 
 #include "base/fileio.h"
@@ -9,169 +8,35 @@
 namespace sdea::nn {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'D', 'E', 'A', 'C', 'K', 'P', '1'};
+constexpr std::string_view kMagic = "SDEACKP1";
 
-/// Validates one shape dimension and folds it into the running element
-/// count, rejecting anything that could not fit in `max_elements` (derived
-/// from the bytes actually left in the blob). Written so neither the
-/// product nor the later int64 cast can overflow: a corrupt dim can be
-/// all-ones or sign-boundary and still fail cleanly.
-bool AccumulateDim(uint64_t dim, uint64_t max_elements, uint64_t* elements) {
-  if (dim > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-    return false;  // Would become a negative tensor dimension.
-  }
-  if (dim != 0 && *elements > max_elements / dim) {
-    return false;  // Product exceeds what the blob could possibly hold.
-  }
-  *elements *= dim;
-  return true;
-}
-
-}  // namespace
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos > in.size() || in.size() - *pos < 8) return false;
-  std::memcpy(v, in.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
-void AppendF64(std::string* out, double v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadF64(const std::string& in, size_t* pos, double* v) {
-  if (*pos > in.size() || in.size() - *pos < 8) return false;
-  std::memcpy(v, in.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
-void AppendBytes(std::string* out, const std::string& bytes) {
-  AppendU64(out, bytes.size());
-  out->append(bytes);
-}
-
-bool ReadBytes(const std::string& in, size_t* pos, std::string* bytes) {
-  uint64_t len = 0;
-  // Budget comparison, not `*pos + len`: an all-ones len would wrap the
-  // sum, pass the old check, and throw length_error out of assign().
-  if (!ReadU64(in, pos, &len) || len > in.size() - *pos) return false;
-  bytes->assign(in.data() + *pos, len);
-  *pos += len;
-  return true;
-}
-
-void AppendTensor(std::string* out, const Tensor& t) {
-  AppendU64(out, t.shape().size());
-  for (int64_t d : t.shape()) AppendU64(out, static_cast<uint64_t>(d));
-  out->append(reinterpret_cast<const char*>(t.data()),
-              static_cast<size_t>(t.size()) * sizeof(float));
-}
-
-bool ReadTensor(const std::string& in, size_t* pos, Tensor* t) {
-  uint64_t rank = 0;
-  if (!ReadU64(in, pos, &rank) || rank > 8) return false;
-  const uint64_t max_elements = (in.size() - *pos) / sizeof(float);
-  std::vector<int64_t> shape;
-  uint64_t elements = 1;
-  for (uint64_t d = 0; d < rank; ++d) {
-    uint64_t dim = 0;
-    if (!ReadU64(in, pos, &dim)) return false;
-    if (!AccumulateDim(dim, max_elements, &elements)) return false;
-    shape.push_back(static_cast<int64_t>(dim));
-  }
-  const size_t bytes = static_cast<size_t>(elements) * sizeof(float);
-  if (bytes > in.size() - *pos) return false;
-  Tensor out(std::move(shape));
-  // A zero-element tensor (any dim 0) has a null data(); memcpy forbids
-  // null arguments even for 0 bytes.
-  if (bytes > 0) std::memcpy(out.data(), in.data() + *pos, bytes);
-  *pos += bytes;
-  *t = std::move(out);
-  return true;
-}
-
-std::string SerializeParameters(Module* module) {
-  std::vector<Parameter*> params = module->Parameters();
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendU64(&out, params.size());
-  for (Parameter* p : params) {
-    AppendU64(&out, p->name.size());
-    out.append(p->name);
-    AppendTensor(&out, p->value);
-  }
-  return out;
-}
-
-Status DeserializeParameters(Module* module, const std::string& in) {
-  if (in.size() < sizeof(kMagic) ||
-      std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an SDEA parameter checkpoint");
-  }
-  size_t pos = sizeof(kMagic);
+/// Parses `blob` and checks it against `params` without touching them:
+/// every parameter must have an entry with its exact shape. On success
+/// `payloads[k]` views the float32 data for params[k].
+Status ParseParameters(const std::vector<Parameter*>& params,
+                       std::string_view blob,
+                       std::vector<std::string_view>* payloads) {
+  wire::Reader r(blob, "parameter checkpoint");
+  SDEA_RETURN_IF_ERROR(r.Magic(kMagic));
+  // Each entry costs at least 16 bytes (name length + rank).
   uint64_t count = 0;
-  if (!ReadU64(in, &pos, &count)) {
-    return Status::InvalidArgument("truncated checkpoint header");
-  }
-  // Each entry costs at least 16 bytes (name length + rank), so a count
-  // beyond this bound is corrupt; reject it before looping rather than
-  // grinding through billions of failed parses.
-  if (count > (in.size() - pos) / 16) {
-    return Status::InvalidArgument("checkpoint entry count exceeds blob size");
-  }
-  // Pass 1: parse every entry into (shape, data-offset) keyed by name.
+  SDEA_RETURN_IF_ERROR(r.Count(16, &count));
   struct Entry {
     std::vector<int64_t> shape;
-    size_t data_offset;
-    int64_t num_elements;
+    std::string_view data;
   };
-  std::map<std::string, Entry> entries;
+  std::map<std::string_view, Entry> entries;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t name_len = 0;
-    if (!ReadU64(in, &pos, &name_len) || name_len > in.size() - pos) {
-      return Status::InvalidArgument("truncated checkpoint entry name");
-    }
-    std::string name = in.substr(pos, name_len);
-    pos += name_len;
-    uint64_t rank = 0;
-    if (!ReadU64(in, &pos, &rank) || rank > 8) {
-      return Status::InvalidArgument("bad checkpoint entry rank");
-    }
-    const uint64_t max_elements = (in.size() - pos) / sizeof(float);
+    std::string_view name;
     Entry e;
-    uint64_t elements = 1;
-    for (uint64_t d = 0; d < rank; ++d) {
-      uint64_t dim = 0;
-      if (!ReadU64(in, &pos, &dim)) {
-        return Status::InvalidArgument("truncated checkpoint shape");
-      }
-      if (!AccumulateDim(dim, max_elements, &elements)) {
-        return Status::InvalidArgument("bad checkpoint entry shape");
-      }
-      e.shape.push_back(static_cast<int64_t>(dim));
-    }
-    e.num_elements = static_cast<int64_t>(elements);
-    e.data_offset = pos;
-    const size_t bytes = static_cast<size_t>(elements) * sizeof(float);
-    if (bytes > in.size() - pos) {
-      return Status::InvalidArgument("truncated checkpoint data");
-    }
-    pos += bytes;
-    entries[std::move(name)] = std::move(e);
+    uint64_t elements = 0;
+    SDEA_RETURN_IF_ERROR(r.Str64(&name));
+    SDEA_RETURN_IF_ERROR(r.Shape(sizeof(float), &e.shape, &elements));
+    SDEA_RETURN_IF_ERROR(r.Bytes(elements * sizeof(float), &e.data));
+    entries[name] = std::move(e);
   }
-  // Pass 2: validate every module parameter against the blob before any
-  // copy, so a bad checkpoint cannot leave the module half-loaded.
-  std::vector<Parameter*> params = module->Parameters();
+  SDEA_RETURN_IF_ERROR(r.Finish());
+  payloads->clear();
   for (Parameter* p : params) {
     auto it = entries.find(p->name);
     if (it == entries.end()) {
@@ -184,12 +49,62 @@ Status DeserializeParameters(Module* module, const std::string& in) {
           "checkpoint shape mismatch for parameter '" + p->name +
           "'; no parameters were modified");
     }
+    payloads->push_back(it->second.data);
   }
-  // Pass 3: all-or-nothing copy.
+  return Status::Ok();
+}
+
+}  // namespace
+
+void AppendTensor(wire::Writer* w, const Tensor& t) {
+  w->U64(t.shape().size());
+  for (int64_t d : t.shape()) w->U64(static_cast<uint64_t>(d));
+  w->Bytes(t.data(), static_cast<size_t>(t.size()) * sizeof(float));
+}
+
+Status ReadTensor(wire::Reader* r, Tensor* t) {
+  std::vector<int64_t> shape;
+  uint64_t elements = 0;
+  std::string_view data;
+  SDEA_RETURN_IF_ERROR(r->Shape(sizeof(float), &shape, &elements));
+  SDEA_RETURN_IF_ERROR(r->Bytes(elements * sizeof(float), &data));
+  Tensor out(std::move(shape));
+  // A zero-element tensor (any dim 0) has a null data(); memcpy forbids
+  // null arguments even for 0 bytes.
+  if (!data.empty()) std::memcpy(out.data(), data.data(), data.size());
+  *t = std::move(out);
+  return Status::Ok();
+}
+
+std::string SerializeParameters(Module* module) {
+  std::vector<Parameter*> params = module->Parameters();
+  std::string out;
+  wire::Writer w(&out);
+  w.Bytes(kMagic);
+  w.U64(params.size());
   for (Parameter* p : params) {
-    const Entry& e = entries.find(p->name)->second;
-    std::memcpy(p->value.data(), in.data() + e.data_offset,
-                static_cast<size_t>(e.num_elements) * sizeof(float));
+    w.Str64(p->name);
+    AppendTensor(&w, p->value);
+  }
+  return out;
+}
+
+Status CheckParameters(Module* module, std::string_view blob) {
+  std::vector<std::string_view> payloads;
+  return ParseParameters(module->Parameters(), blob, &payloads);
+}
+
+Status DeserializeParameters(Module* module, std::string_view blob) {
+  // Parse and validate everything first, then copy: a bad checkpoint
+  // cannot leave the module half-loaded.
+  const std::vector<Parameter*> params = module->Parameters();
+  std::vector<std::string_view> payloads;
+  SDEA_RETURN_IF_ERROR(ParseParameters(params, blob, &payloads));
+  for (size_t k = 0; k < params.size(); ++k) {
+    if (!payloads[k].empty()) {
+      std::memcpy(params[k]->value.data(), payloads[k].data(),
+                  payloads[k].size());
+    }
   }
   return Status::Ok();
 }

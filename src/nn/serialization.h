@@ -2,39 +2,24 @@
 #define SDEA_NN_SERIALIZATION_H_
 
 #include <string>
+#include <string_view>
 
 #include "base/status.h"
+#include "base/wire.h"
 #include "nn/module.h"
 
 namespace sdea::nn {
 
-// ---- Wire helpers ---------------------------------------------------------
-// Little building blocks of the checkpoint format, shared by parameter
-// blobs, optimizer state, and the train::CheckpointManager envelope.
-
-/// Appends a little-endian u64.
-void AppendU64(std::string* out, uint64_t v);
-
-/// Reads a u64 written by AppendU64; false on truncation.
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v);
-
-/// Appends an IEEE-754 double, byte-identical round trip.
-void AppendF64(std::string* out, double v);
-
-/// Reads a double written by AppendF64; false on truncation.
-bool ReadF64(const std::string& in, size_t* pos, double* v);
-
-/// Appends a length-prefixed byte string.
-void AppendBytes(std::string* out, const std::string& bytes);
-
-/// Reads a byte string written by AppendBytes; false on truncation.
-bool ReadBytes(const std::string& in, size_t* pos, std::string* bytes);
+// ---- Tensor records -------------------------------------------------------
+// A shape (base/wire Reader::Shape) followed by float32 data; shared by
+// parameter blobs and optimizer state.
 
 /// Appends shape + float32 data; round-trips tensors bitwise.
-void AppendTensor(std::string* out, const Tensor& t);
+void AppendTensor(wire::Writer* w, const Tensor& t);
 
-/// Reads a tensor written by AppendTensor; false on truncation/bad rank.
-bool ReadTensor(const std::string& in, size_t* pos, Tensor* t);
+/// Reads a tensor written by AppendTensor; InvalidArgument on truncation,
+/// a rank above 8, or a shape the remaining bytes cannot hold.
+Status ReadTensor(wire::Reader* r, Tensor* t);
 
 // ---- Parameter blobs ------------------------------------------------------
 
@@ -47,8 +32,14 @@ std::string SerializeParameters(Module* module);
 /// touched, so a failed load never leaves the module partially overwritten:
 /// a parameter name absent from the blob or present with a mismatched shape
 /// yields InvalidArgument and the module keeps its previous values. Extra
-/// entries in the blob are ignored (forward compatibility).
-Status DeserializeParameters(Module* module, const std::string& blob);
+/// entries in the blob are ignored (forward compatibility); bytes after
+/// the last entry are not.
+Status DeserializeParameters(Module* module, std::string_view blob);
+
+/// The checks DeserializeParameters makes before it copies anything: Ok
+/// exactly when DeserializeParameters(module, blob) would succeed. Leaves
+/// the module untouched.
+Status CheckParameters(Module* module, std::string_view blob);
 
 /// Writes SerializeParameters(module) to a file at `path` atomically
 /// (temp file + rename): a crash mid-save leaves any previous checkpoint

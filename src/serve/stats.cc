@@ -159,9 +159,12 @@ void ServeStats::RecordLatency(Stage stage, int64_t micros) {
 
 StatsSnapshot ServeStats::Snapshot() const {
   StatsSnapshot snap;
-  snap.queries = queries_->Value();
+  // The per-kind counts before the total: RecordQuery bumps the total
+  // first, so every query counted by kind is already in the total and
+  // queries >= text_queries holds under concurrent writers.
   snap.text_queries = text_queries_->Value();
   snap.embedding_queries = embedding_queries_->Value();
+  snap.queries = queries_->Value();
   snap.failed_queries = failed_queries_->Value();
   snap.no_match_answers = no_match_answers_->Value();
   // The histogram before batched_queries: RecordBatch adds a batch's size

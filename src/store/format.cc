@@ -1,20 +1,18 @@
 #include "store/format.h"
 
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "base/check.h"
-#include "store/wire.h"
+#include "base/wire.h"
 
 namespace sdea::store {
 namespace {
 
 // 9 bytes on purpose (the format name, verbatim); the shard magic keeps
 // the house 8-byte width.
-constexpr char kManifestMagic[] = "SDEASTOR1";
-constexpr size_t kManifestMagicBytes = sizeof(kManifestMagic) - 1;
-constexpr char kShardMagic[8] = {'S', 'D', 'E', 'A', 'S', 'H', 'D', '1'};
+constexpr std::string_view kManifestMagic = "SDEASTOR1";
+constexpr std::string_view kShardMagic = "SDEASHD1";
 
 constexpr uint64_t kInt64Max =
     static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
@@ -41,35 +39,32 @@ std::string ShardPath(const std::string& dir, int64_t index) {
 
 std::string EncodeManifest(const Manifest& manifest) {
   std::string out;
-  out.append(kManifestMagic, kManifestMagicBytes);
-  wire::AppendU64(&out, 1);  // Format version.
-  wire::AppendU64(&out, static_cast<uint64_t>(manifest.dim));
-  wire::AppendU64(&out, static_cast<uint64_t>(manifest.total_rows));
-  wire::AppendU64(&out, static_cast<uint64_t>(manifest.quantization));
-  wire::AppendU64(&out, manifest.store_full_precision ? 1 : 0);
-  const std::string codebook = manifest.codebook.Encode();
-  wire::AppendU64(&out, codebook.size());
-  out.append(codebook);
-  wire::AppendU64(&out, manifest.shards.size());
+  wire::Writer w(&out);
+  w.Bytes(kManifestMagic);
+  w.U64(1);  // Format version.
+  w.U64(static_cast<uint64_t>(manifest.dim));
+  w.U64(static_cast<uint64_t>(manifest.total_rows));
+  w.U64(static_cast<uint64_t>(manifest.quantization));
+  w.U64(manifest.store_full_precision ? 1 : 0);
+  w.Str64(manifest.codebook.Encode());
+  w.U64(manifest.shards.size());
   for (const ShardInfo& shard : manifest.shards) {
-    wire::AppendU64(&out, static_cast<uint64_t>(shard.rows));
-    wire::AppendU64(&out, static_cast<uint64_t>(shard.file_bytes));
+    w.U64(static_cast<uint64_t>(shard.rows));
+    w.U64(static_cast<uint64_t>(shard.file_bytes));
   }
   return out;
 }
 
-Result<Manifest> DecodeManifest(const std::string& in) {
-  if (in.size() < kManifestMagicBytes ||
-      std::memcmp(in.data(), kManifestMagic, kManifestMagicBytes) != 0) {
-    return Status::InvalidArgument("not an SDEA store manifest");
-  }
-  size_t pos = kManifestMagicBytes;
-  uint64_t version = 0, dim = 0, total_rows = 0, kind = 0, sfp = 0;
-  if (!wire::ReadU64(in, &pos, &version) || !wire::ReadU64(in, &pos, &dim) ||
-      !wire::ReadU64(in, &pos, &total_rows) ||
-      !wire::ReadU64(in, &pos, &kind) || !wire::ReadU64(in, &pos, &sfp)) {
-    return Status::InvalidArgument("truncated store manifest header");
-  }
+Result<Manifest> DecodeManifest(std::string_view in) {
+  wire::Reader r(in, "store manifest");
+  SDEA_RETURN_IF_ERROR(r.Magic(kManifestMagic));
+  uint64_t version = 0, kind = 0, sfp = 0;
+  Manifest manifest;
+  SDEA_RETURN_IF_ERROR(r.U64(&version));
+  SDEA_RETURN_IF_ERROR(r.NonNegI64(&manifest.dim));
+  SDEA_RETURN_IF_ERROR(r.NonNegI64(&manifest.total_rows));
+  SDEA_RETURN_IF_ERROR(r.U64(&kind));
+  SDEA_RETURN_IF_ERROR(r.U64(&sfp));
   if (version != 1) {
     return Status::InvalidArgument("unsupported store manifest version");
   }
@@ -80,21 +75,9 @@ Result<Manifest> DecodeManifest(const std::string& in) {
   if (sfp > 1) {
     return Status::InvalidArgument("store manifest boolean out of range");
   }
-  if (total_rows > kInt64Max || dim > kInt64Max) {
-    return Status::InvalidArgument("store manifest counts overflow");
-  }
-  uint64_t codebook_len = 0;
-  if (!wire::ReadU64(in, &pos, &codebook_len) ||
-      codebook_len > in.size() - pos) {
-    return Status::InvalidArgument("truncated store manifest codebook");
-  }
-  Manifest manifest;
-  SDEA_ASSIGN_OR_RETURN(
-      manifest.codebook,
-      Codebook::Decode(in.substr(pos, codebook_len)));
-  pos += codebook_len;
-  manifest.dim = static_cast<int64_t>(dim);
-  manifest.total_rows = static_cast<int64_t>(total_rows);
+  std::string_view codebook;
+  SDEA_RETURN_IF_ERROR(r.Str64(&codebook));
+  SDEA_ASSIGN_OR_RETURN(manifest.codebook, Codebook::Decode(codebook));
   manifest.quantization = static_cast<Quantization>(kind);
   manifest.store_full_precision = sfp == 1;
   if (manifest.codebook.kind() != manifest.quantization ||
@@ -103,18 +86,13 @@ Result<Manifest> DecodeManifest(const std::string& in) {
         "store manifest codebook disagrees with manifest header");
   }
   uint64_t shard_count = 0;
-  if (!wire::ReadU64(in, &pos, &shard_count) ||
-      shard_count > (in.size() - pos) / 16) {
-    return Status::InvalidArgument("store manifest shard count exceeds blob");
-  }
+  SDEA_RETURN_IF_ERROR(r.Count(16, &shard_count));
   manifest.shards.reserve(shard_count);
   uint64_t rows_sum = 0;
   for (uint64_t i = 0; i < shard_count; ++i) {
     uint64_t rows = 0, file_bytes = 0;
-    if (!wire::ReadU64(in, &pos, &rows) ||
-        !wire::ReadU64(in, &pos, &file_bytes)) {
-      return Status::InvalidArgument("truncated store manifest shard table");
-    }
+    SDEA_RETURN_IF_ERROR(r.U64(&rows));
+    SDEA_RETURN_IF_ERROR(r.U64(&file_bytes));
     if (rows > kInt64Max - rows_sum ||
         file_bytes < static_cast<uint64_t>(kShardHeaderBytes) ||
         file_bytes > kInt64Max) {
@@ -124,7 +102,8 @@ Result<Manifest> DecodeManifest(const std::string& in) {
     manifest.shards.push_back(ShardInfo{static_cast<int64_t>(rows),
                                         static_cast<int64_t>(file_bytes)});
   }
-  if (rows_sum != total_rows) {
+  SDEA_RETURN_IF_ERROR(r.Finish());
+  if (rows_sum != static_cast<uint64_t>(manifest.total_rows)) {
     return Status::InvalidArgument(
         "store manifest shard rows do not sum to total_rows");
   }
@@ -164,51 +143,50 @@ std::string EncodeShard(const Codebook& codebook, const uint8_t* codes,
 
   std::string out;
   out.reserve(static_cast<size_t>(h.file_bytes));
-  out.append(kShardMagic, sizeof(kShardMagic));
-  wire::AppendU64(&out, static_cast<uint64_t>(h.rows));
-  wire::AppendU64(&out, static_cast<uint64_t>(h.dim));
-  wire::AppendU64(&out, h.quantization);
-  wire::AppendU64(&out, static_cast<uint64_t>(h.code_bytes_per_row));
-  wire::AppendU64(&out, h.codes_offset);
-  wire::AppendU64(&out, h.fp32_offset);
-  wire::AppendU64(&out, h.names_index_offset);
-  wire::AppendU64(&out, h.names_blob_offset);
-  wire::AppendU64(&out, h.names_blob_bytes);
-  wire::AppendU64(&out, h.file_bytes);
+  wire::Writer w(&out);
+  w.Bytes(kShardMagic);
+  w.U64(static_cast<uint64_t>(h.rows));
+  w.U64(static_cast<uint64_t>(h.dim));
+  w.U64(h.quantization);
+  w.U64(static_cast<uint64_t>(h.code_bytes_per_row));
+  w.U64(h.codes_offset);
+  w.U64(h.fp32_offset);
+  w.U64(h.names_index_offset);
+  w.U64(h.names_blob_offset);
+  w.U64(h.names_blob_bytes);
+  w.U64(h.file_bytes);
   PadTo(&out, static_cast<size_t>(h.codes_offset));
-  out.append(reinterpret_cast<const char*>(codes),
-             static_cast<size_t>(urows * cbpr));
+  w.Bytes(codes, static_cast<size_t>(urows * cbpr));
   if (fp32 != nullptr) {
     PadTo(&out, static_cast<size_t>(h.fp32_offset));
-    out.append(reinterpret_cast<const char*>(fp32),
-               static_cast<size_t>(urows * dim * sizeof(float)));
+    w.Bytes(fp32, static_cast<size_t>(urows * dim * sizeof(float)));
   }
   PadTo(&out, static_cast<size_t>(h.names_index_offset));
   uint64_t offset = 0;
-  wire::AppendU64(&out, offset);
+  w.U64(offset);
   for (int64_t i = 0; i < rows; ++i) {
     offset += names[static_cast<size_t>(names_begin + i)].size();
-    wire::AppendU64(&out, offset);
+    w.U64(offset);
   }
   for (int64_t i = 0; i < rows; ++i) {
-    out.append(names[static_cast<size_t>(names_begin + i)]);
+    w.Bytes(names[static_cast<size_t>(names_begin + i)]);
   }
   SDEA_CHECK_EQ(static_cast<uint64_t>(out.size()), h.file_bytes);
   return out;
 }
 
-Result<ShardHeader> DecodeShardHeader(const uint8_t* data, size_t size) {
-  if (size < static_cast<size_t>(kShardHeaderBytes) ||
-      std::memcmp(data, kShardMagic, sizeof(kShardMagic)) != 0) {
+Result<ShardHeader> DecodeShardHeader(std::string_view image) {
+  if (image.size() < static_cast<size_t>(kShardHeaderBytes)) {
     return Status::InvalidArgument("not an SDEA store shard");
   }
-  const uint8_t* p = data + sizeof(kShardMagic);
+  wire::Reader r(image, "store shard");
+  SDEA_RETURN_IF_ERROR(r.Magic(kShardMagic));
   uint64_t f[10];
-  for (int i = 0; i < 10; ++i) f[i] = wire::LoadU64(p + 8 * i);
+  for (uint64_t& field : f) SDEA_RETURN_IF_ERROR(r.U64(&field));
   const uint64_t rows = f[0], dim = f[1], kind = f[2], cbpr = f[3];
   const uint64_t codes_off = f[4], fp32_off = f[5], index_off = f[6];
   const uint64_t blob_off = f[7], blob_bytes = f[8], file_bytes = f[9];
-  const uint64_t usize = static_cast<uint64_t>(size);
+  const uint64_t usize = static_cast<uint64_t>(image.size());
 
   // The image must be exactly the advertised length: an mmap'd shard that
   // was truncated (or grew) after the manifest was written is corrupt,
@@ -244,12 +222,16 @@ Result<ShardHeader> DecodeShardHeader(const uint8_t* data, size_t size) {
       rows + 1 > (usize - index_off) / 8) {
     return Status::InvalidArgument("store shard name index out of bounds");
   }
-  if (blob_off > usize || blob_bytes > usize - blob_off) {
-    return Status::InvalidArgument("store shard name blob out of bounds");
+  // The name blob is the last region: it ends exactly at the image's end,
+  // so no byte of the shard goes unaccounted for.
+  if (blob_off > usize || blob_bytes != usize - blob_off) {
+    return Status::InvalidArgument(
+        "store shard name blob does not end the image");
   }
   // The name index must start at 0, be monotone, and end exactly at the
   // blob size — after this, name lookups are branch-free substrings.
-  const uint8_t* index = data + index_off;
+  const uint8_t* index =
+      reinterpret_cast<const uint8_t*>(image.data()) + index_off;
   uint64_t prev = wire::LoadU64(index);
   if (prev != 0) {
     return Status::InvalidArgument("store shard name index must start at 0");

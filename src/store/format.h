@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -17,9 +18,10 @@ namespace sdea::store {
 ///
 /// Shard files are built for mmap: a fixed 4096-byte header page, then
 /// page-aligned code and fp32 regions so a query touches only the pages
-/// it scans. All integers are little-endian u64 (store/wire.h); every
-/// decoder honours the DESIGN.md §8 contract — arbitrary bytes produce
-/// ok() or InvalidArgument, never a crash, hang, or unbounded allocation.
+/// it scans. All integers are little-endian u64, written and read through
+/// base/wire; every decoder honours the DESIGN.md §8 contract — arbitrary
+/// bytes produce ok() or InvalidArgument, never a crash, hang, or
+/// unbounded allocation.
 
 constexpr int64_t kShardHeaderBytes = 4096;
 constexpr int64_t kShardPageBytes = 4096;
@@ -42,7 +44,7 @@ struct Manifest {
 };
 
 std::string EncodeManifest(const Manifest& manifest);
-Result<Manifest> DecodeManifest(const std::string& blob);
+Result<Manifest> DecodeManifest(std::string_view blob);
 
 /// The fixed-size header page at the front of every shard file. Offsets
 /// are absolute file offsets; fp32_offset == 0 means the shard carries no
@@ -71,16 +73,11 @@ std::string EncodeShard(const Codebook& codebook, const uint8_t* codes,
 
 /// Validates a shard image (mmap'd bytes or an in-memory blob): magic,
 /// header-field bounds with overflow guards, every region inside
-/// [header, size), and a monotone name index that ends exactly at the
-/// name blob's size. O(rows) for the index scan — the only region this
-/// touches — everything else is header arithmetic.
-Result<ShardHeader> DecodeShardHeader(const uint8_t* data, size_t size);
-
-/// Blob-level wrapper for the fuzz driver.
-inline Result<ShardHeader> DecodeShardBlob(const std::string& blob) {
-  return DecodeShardHeader(
-      reinterpret_cast<const uint8_t*>(blob.data()), blob.size());
-}
+/// [header, size), a monotone name index that ends exactly at the name
+/// blob's size, and a name blob that ends the image. O(rows) for the
+/// index scan — the only region this touches — everything else is header
+/// arithmetic.
+Result<ShardHeader> DecodeShardHeader(std::string_view image);
 
 /// `dir`-relative file names.
 std::string ManifestPath(const std::string& dir);

@@ -8,10 +8,10 @@
 
 #include "base/check.h"
 #include "base/fileio.h"
+#include "base/wire.h"
 #include "core/vector_index.h"
 #include "obs/registry.h"
 #include "store/adc.h"
-#include "store/wire.h"
 
 namespace sdea::store {
 namespace {
@@ -131,7 +131,8 @@ Result<QuantizedStore> QuantizedStore::Open(const std::string& dir) {
     const std::string path = ShardPath(dir, static_cast<int64_t>(s));
     Shard shard;
     SDEA_ASSIGN_OR_RETURN(shard.map, MmapFile::Open(path));
-    auto header = DecodeShardHeader(shard.map.data(), shard.map.size());
+    auto header = DecodeShardHeader(std::string_view(
+        reinterpret_cast<const char*>(shard.map.data()), shard.map.size()));
     if (!header.ok()) {
       return Status(header.status().code(),
                     header.status().message() + ": " + path);

@@ -10,14 +10,14 @@
 #include "base/check.h"
 #include "base/rng.h"
 #include "base/threadpool.h"
+#include "base/wire.h"
 #include "core/vector_index.h"
-#include "store/wire.h"
 #include "tensor/kernels.h"
 
 namespace sdea::store {
 namespace {
 
-constexpr char kMagic[8] = {'S', 'D', 'E', 'A', 'C', 'B', 'K', '1'};
+constexpr std::string_view kMagic = "SDEACBK1";
 
 }  // namespace
 
@@ -227,31 +227,27 @@ void Codebook::DecodeRow(const uint8_t* code, float* out) const {
 
 std::string Codebook::Encode() const {
   std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  wire::AppendU64(&out, static_cast<uint64_t>(kind_));
-  wire::AppendU64(&out, static_cast<uint64_t>(dim_));
+  wire::Writer w(&out);
+  w.Bytes(kMagic);
+  w.U64(static_cast<uint64_t>(kind_));
+  w.U64(static_cast<uint64_t>(dim_));
   if (kind_ == Quantization::kInt8) {
-    out.append(reinterpret_cast<const char*>(scales_.data()),
-               scales_.size() * sizeof(float));
+    w.Bytes(scales_.data(), scales_.size() * sizeof(float));
   } else {
-    wire::AppendU64(&out, static_cast<uint64_t>(pq_m_));
-    wire::AppendU64(&out, static_cast<uint64_t>(pq_k_));
-    out.append(reinterpret_cast<const char*>(centroids_.data()),
-               static_cast<size_t>(centroids_.size()) * sizeof(float));
+    w.U64(static_cast<uint64_t>(pq_m_));
+    w.U64(static_cast<uint64_t>(pq_k_));
+    w.Bytes(centroids_.data(),
+            static_cast<size_t>(centroids_.size()) * sizeof(float));
   }
   return out;
 }
 
-Result<Codebook> Codebook::Decode(const std::string& in) {
-  if (in.size() < sizeof(kMagic) ||
-      std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an SDEA codebook");
-  }
-  size_t pos = sizeof(kMagic);
+Result<Codebook> Codebook::Decode(std::string_view in) {
+  wire::Reader r(in, "codebook");
+  SDEA_RETURN_IF_ERROR(r.Magic(kMagic));
   uint64_t kind = 0, dim = 0;
-  if (!wire::ReadU64(in, &pos, &kind) || !wire::ReadU64(in, &pos, &dim)) {
-    return Status::InvalidArgument("truncated codebook header");
-  }
+  SDEA_RETURN_IF_ERROR(r.U64(&kind));
+  SDEA_RETURN_IF_ERROR(r.U64(&dim));
   if (kind != static_cast<uint64_t>(Quantization::kInt8) &&
       kind != static_cast<uint64_t>(Quantization::kPq)) {
     return Status::InvalidArgument("unknown codebook quantization kind");
@@ -262,15 +258,16 @@ Result<Codebook> Codebook::Decode(const std::string& in) {
   if (cb.kind_ == Quantization::kInt8) {
     // Payload is dim floats; bound dim against the remaining bytes before
     // allocating (a corrupt all-ones dim must not reach resize()).
-    if (dim > (in.size() - pos) / sizeof(float)) {
+    if (dim > r.remaining() / sizeof(float)) {
       return Status::InvalidArgument("codebook scales exceed blob size");
     }
+    std::string_view payload;
+    SDEA_RETURN_IF_ERROR(
+        r.Bytes(static_cast<size_t>(dim) * sizeof(float), &payload));
+    SDEA_RETURN_IF_ERROR(r.Finish());
     cb.dim_ = static_cast<int64_t>(dim);
     cb.scales_.resize(static_cast<size_t>(dim));
-    if (dim > 0) {
-      std::memcpy(cb.scales_.data(), in.data() + pos,
-                  static_cast<size_t>(dim) * sizeof(float));
-    }
+    if (dim > 0) std::memcpy(cb.scales_.data(), payload.data(), payload.size());
     for (float s : cb.scales_) {
       if (!(s > 0.0f) || !std::isfinite(s)) {
         return Status::InvalidArgument("codebook scales must be positive");
@@ -280,13 +277,12 @@ Result<Codebook> Codebook::Decode(const std::string& in) {
   }
 
   uint64_t m = 0, k = 0;
-  if (!wire::ReadU64(in, &pos, &m) || !wire::ReadU64(in, &pos, &k)) {
-    return Status::InvalidArgument("truncated PQ codebook header");
-  }
+  SDEA_RETURN_IF_ERROR(r.U64(&m));
+  SDEA_RETURN_IF_ERROR(r.U64(&k));
   // dim bounded first so every later product stays far from overflow:
   // the centroid payload is exactly k * dim floats (m * k centroids of
   // dim/m components each), k <= 256.
-  const uint64_t max_floats = (in.size() - pos) / sizeof(float);
+  const uint64_t max_floats = r.remaining() / sizeof(float);
   if (dim == 0 || dim > max_floats) {
     return Status::InvalidArgument("PQ codebook dim exceeds blob size");
   }
@@ -299,12 +295,15 @@ Result<Codebook> Codebook::Decode(const std::string& in) {
   if (k * dim > max_floats) {
     return Status::InvalidArgument("PQ centroids exceed blob size");
   }
+  std::string_view payload;
+  SDEA_RETURN_IF_ERROR(
+      r.Bytes(static_cast<size_t>(k * dim) * sizeof(float), &payload));
+  SDEA_RETURN_IF_ERROR(r.Finish());
   cb.dim_ = static_cast<int64_t>(dim);
   cb.pq_m_ = static_cast<int64_t>(m);
   cb.pq_k_ = static_cast<int64_t>(k);
   cb.centroids_ = Tensor({cb.pq_m_ * cb.pq_k_, cb.dim_ / cb.pq_m_});
-  std::memcpy(cb.centroids_.data(), in.data() + pos,
-              static_cast<size_t>(k * dim) * sizeof(float));
+  std::memcpy(cb.centroids_.data(), payload.data(), payload.size());
   for (int64_t i = 0; i < cb.centroids_.size(); ++i) {
     if (!std::isfinite(cb.centroids_.data()[i])) {
       return Status::InvalidArgument("PQ centroids must be finite");

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/status.h"
@@ -90,7 +91,7 @@ class Codebook {
   /// input returns InvalidArgument, never a crash or an unbounded
   /// allocation (fuzzed in tests/fuzz_store_test.cc).
   std::string Encode() const;
-  static Result<Codebook> Decode(const std::string& blob);
+  static Result<Codebook> Decode(std::string_view blob);
 
  private:
   Quantization kind_ = Quantization::kInt8;

@@ -1,18 +1,12 @@
 #include "train/checkpoint.h"
 
 #include "base/fileio.h"
-#include "base/strings.h"
-#include "nn/serialization.h"
+#include "base/wire.h"
 
 namespace sdea::train {
 namespace {
 
-constexpr char kMagic[] = "SDEATRN1";
-constexpr size_t kMagicLen = 8;
-
-Status Truncated() {
-  return Status::InvalidArgument("trainer checkpoint truncated");
-}
+constexpr std::string_view kMagic = "SDEATRN1";
 
 }  // namespace
 
@@ -23,72 +17,54 @@ bool CheckpointManager::Exists() const { return FileExists(path_); }
 
 std::string CheckpointManager::Encode(const TrainerCheckpoint& ckpt) {
   std::string out;
-  out.append(kMagic, kMagicLen);
-  nn::AppendU64(&out, static_cast<uint64_t>(ckpt.next_epoch));
-  nn::AppendU64(&out, static_cast<uint64_t>(ckpt.epochs_run));
-  nn::AppendF64(&out, ckpt.best_metric);
-  nn::AppendU64(&out, static_cast<uint64_t>(ckpt.since_best));
-  nn::AppendU64(&out, ckpt.metric_history.size());
-  for (double m : ckpt.metric_history) nn::AppendF64(&out, m);
-  nn::AppendU64(&out, ckpt.order.size());
-  for (uint64_t o : ckpt.order) nn::AppendU64(&out, o);
-  for (uint64_t s : ckpt.rng.s) nn::AppendU64(&out, s);
-  nn::AppendU64(&out, ckpt.rng.has_cached_normal ? 1 : 0);
-  nn::AppendF64(&out, ckpt.rng.cached_normal);
-  nn::AppendBytes(&out, ckpt.params);
-  nn::AppendBytes(&out, ckpt.best_params);
-  nn::AppendBytes(&out, ckpt.optimizer);
-  nn::AppendU64(&out, ckpt.finished ? 1 : 0);
+  wire::Writer w(&out);
+  w.Bytes(kMagic);
+  w.U64(static_cast<uint64_t>(ckpt.next_epoch));
+  w.U64(static_cast<uint64_t>(ckpt.epochs_run));
+  w.F64(ckpt.best_metric);
+  w.U64(static_cast<uint64_t>(ckpt.since_best));
+  w.U64(ckpt.metric_history.size());
+  for (double m : ckpt.metric_history) w.F64(m);
+  w.U64(ckpt.order.size());
+  for (uint64_t o : ckpt.order) w.U64(o);
+  for (uint64_t s : ckpt.rng.s) w.U64(s);
+  w.U64(ckpt.rng.has_cached_normal ? 1 : 0);
+  w.F64(ckpt.rng.cached_normal);
+  w.Str64(ckpt.params);
+  w.Str64(ckpt.best_params);
+  w.Str64(ckpt.optimizer);
+  w.U64(ckpt.finished ? 1 : 0);
   return out;
 }
 
-Result<TrainerCheckpoint> CheckpointManager::Decode(const std::string& blob) {
-  if (blob.size() < kMagicLen || blob.compare(0, kMagicLen, kMagic) != 0) {
-    return Status::InvalidArgument(
-        "not a trainer checkpoint (bad magic header)");
-  }
-  size_t pos = kMagicLen;
+Result<TrainerCheckpoint> CheckpointManager::Decode(std::string_view blob) {
+  wire::Reader r(blob, "trainer checkpoint");
+  SDEA_RETURN_IF_ERROR(r.Magic(kMagic));
   TrainerCheckpoint ckpt;
-  uint64_t u = 0;
-  if (!nn::ReadU64(blob, &pos, &u)) return Truncated();
-  ckpt.next_epoch = static_cast<int64_t>(u);
-  if (!nn::ReadU64(blob, &pos, &u)) return Truncated();
-  ckpt.epochs_run = static_cast<int64_t>(u);
-  if (!nn::ReadF64(blob, &pos, &ckpt.best_metric)) return Truncated();
-  if (!nn::ReadU64(blob, &pos, &u)) return Truncated();
-  ckpt.since_best = static_cast<int64_t>(u);
-
+  // The epoch counters drive the resume loop, so a corrupt value past
+  // INT64_MAX must fail here rather than come back negative.
+  SDEA_RETURN_IF_ERROR(r.NonNegI64(&ckpt.next_epoch));
+  SDEA_RETURN_IF_ERROR(r.NonNegI64(&ckpt.epochs_run));
+  SDEA_RETURN_IF_ERROR(r.F64(&ckpt.best_metric));
+  SDEA_RETURN_IF_ERROR(r.NonNegI64(&ckpt.since_best));
   uint64_t n = 0;
-  if (!nn::ReadU64(blob, &pos, &n)) return Truncated();
-  // Each element costs 8 bytes, so bound the counts against the bytes
-  // actually left before resizing — a corrupt all-ones count must fail in
-  // O(1), not allocate, and not spin billions of failed reads.
-  if (n > (blob.size() - pos) / 8) return Truncated();
+  SDEA_RETURN_IF_ERROR(r.Count(8, &n));
   ckpt.metric_history.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!nn::ReadF64(blob, &pos, &ckpt.metric_history[i])) return Truncated();
-  }
-  if (!nn::ReadU64(blob, &pos, &n)) return Truncated();
-  if (n > (blob.size() - pos) / 8) return Truncated();
+  for (double& m : ckpt.metric_history) SDEA_RETURN_IF_ERROR(r.F64(&m));
+  SDEA_RETURN_IF_ERROR(r.Count(8, &n));
   ckpt.order.resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!nn::ReadU64(blob, &pos, &ckpt.order[i])) return Truncated();
-  }
-  for (uint64_t& s : ckpt.rng.s) {
-    if (!nn::ReadU64(blob, &pos, &s)) return Truncated();
-  }
-  if (!nn::ReadU64(blob, &pos, &u)) return Truncated();
-  ckpt.rng.has_cached_normal = (u != 0);
-  if (!nn::ReadF64(blob, &pos, &ckpt.rng.cached_normal)) return Truncated();
-  if (!nn::ReadBytes(blob, &pos, &ckpt.params)) return Truncated();
-  if (!nn::ReadBytes(blob, &pos, &ckpt.best_params)) return Truncated();
-  if (!nn::ReadBytes(blob, &pos, &ckpt.optimizer)) return Truncated();
-  if (!nn::ReadU64(blob, &pos, &u)) return Truncated();
-  ckpt.finished = (u != 0);
-  if (pos != blob.size()) {
-    return Status::InvalidArgument(StrFormat(
-        "trainer checkpoint has %zu trailing bytes", blob.size() - pos));
-  }
+  for (uint64_t& o : ckpt.order) SDEA_RETURN_IF_ERROR(r.U64(&o));
+  for (uint64_t& s : ckpt.rng.s) SDEA_RETURN_IF_ERROR(r.U64(&s));
+  uint64_t flag = 0;
+  SDEA_RETURN_IF_ERROR(r.U64(&flag));
+  ckpt.rng.has_cached_normal = (flag != 0);
+  SDEA_RETURN_IF_ERROR(r.F64(&ckpt.rng.cached_normal));
+  SDEA_RETURN_IF_ERROR(r.Str64(&ckpt.params));
+  SDEA_RETURN_IF_ERROR(r.Str64(&ckpt.best_params));
+  SDEA_RETURN_IF_ERROR(r.Str64(&ckpt.optimizer));
+  SDEA_RETURN_IF_ERROR(r.U64(&flag));
+  ckpt.finished = (flag != 0);
+  SDEA_RETURN_IF_ERROR(r.Finish());
   return ckpt;
 }
 

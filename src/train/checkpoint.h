@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/rng.h"
@@ -49,7 +50,7 @@ class CheckpointManager {
   /// Serialize/parse without touching the filesystem (used by Save/Load and
   /// by tests that corrupt blobs deliberately).
   static std::string Encode(const TrainerCheckpoint& ckpt);
-  static Result<TrainerCheckpoint> Decode(const std::string& blob);
+  static Result<TrainerCheckpoint> Decode(std::string_view blob);
 
  private:
   std::string path_;

@@ -118,16 +118,22 @@ Status Trainer::ApplyCheckpoint(const TrainerCheckpoint& ckpt) {
     return Status::InvalidArgument(
         "checkpoint order size does not match the task's example count");
   }
-  // Validate-before-mutate: the parameter blobs are checked against the
-  // module before anything is touched, so a stale checkpoint from a
-  // different model shape leaves the task unmodified.
+  // Validate-before-mutate: both parameter blobs are checked against the
+  // module, then the optimizer state is restored (all-or-nothing), and
+  // only then are the parameters copied. A stale checkpoint from a
+  // different model shape, or a broken optimizer blob, leaves the task
+  // unmodified; a broken best-params blob fails here, not after the
+  // resumed run has trained every remaining epoch.
+  SDEA_RETURN_IF_ERROR(nn::CheckParameters(task_->module(), ckpt.params));
+  if (!ckpt.best_params.empty()) {
+    SDEA_RETURN_IF_ERROR(
+        nn::CheckParameters(task_->module(), ckpt.best_params));
+  }
+  if (task_->optimizer() != nullptr && !ckpt.optimizer.empty()) {
+    SDEA_RETURN_IF_ERROR(task_->optimizer()->DeserializeState(ckpt.optimizer));
+  }
   SDEA_RETURN_IF_ERROR(
       nn::DeserializeParameters(task_->module(), ckpt.params));
-  if (task_->optimizer() != nullptr && !ckpt.optimizer.empty()) {
-    size_t pos = 0;
-    SDEA_RETURN_IF_ERROR(
-        task_->optimizer()->DeserializeState(ckpt.optimizer, &pos));
-  }
   task_->rng()->LoadState(ckpt.rng);
   order_ = ckpt.order;
   epochs_run_ = ckpt.epochs_run;

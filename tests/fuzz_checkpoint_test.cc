@@ -82,5 +82,22 @@ TEST(CheckpointFuzzTest, HugeHistoryCountRejectsInConstantTime) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CheckpointFuzzTest, EpochCountersPastInt64Rejected) {
+  // next_epoch, epochs_run and since_best are u64 on the wire and int64 in
+  // memory. A value past INT64_MAX used to decode as a negative counter:
+  // next_epoch = 2^64 - 1000 became -1000, and a resume then ran 1000
+  // extra epochs (near 2^63, effectively forever).
+  const std::string blob = CheckpointManager::Encode(SampleCheckpoint());
+  for (const size_t offset : {8u, 16u, 32u}) {
+    for (const uint64_t evil : {~uint64_t{0} - 999, uint64_t{1} << 63}) {
+      std::string bad = blob;
+      std::memcpy(bad.data() + offset, &evil, 8);
+      EXPECT_EQ(CheckpointManager::Decode(bad).status().code(),
+                StatusCode::kInvalidArgument)
+          << "offset " << offset << " value " << evil;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sdea::train

@@ -1,7 +1,6 @@
-// Fuzz + fault-injection regression suite for the KG binary decoders
-// (SDEAKGB2 chunked columnar + legacy SDEAKGB1): truncation at every
-// offset, thousands of seeded mutations per format, the crafted corrupt
-// counts that used to spin ~4B failed-read iterations, evil v2 chunk
+// Fuzz + fault-injection regression suite for the SDEAKGB2 decoder:
+// truncation at every offset, thousands of seeded mutations, the crafted
+// corrupt counts that used to spin ~4B failed-read iterations, evil chunk
 // headers (zero chunk size, unknown encodings, lying dictionaries), the
 // duplicate-name blobs that used to abort inside AddRelationalTriple's
 // SDEA_CHECK, and the atomic-save guarantee for kg::SaveBinary.
@@ -14,6 +13,7 @@
 #include <string>
 
 #include "base/fileio.h"
+#include "base/wire.h"
 #include "datagen/generator.h"
 #include "testing/faults.h"
 #include "testing/fuzz.h"
@@ -24,17 +24,6 @@ namespace {
 std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
 }
 
 KnowledgeGraph SmallGraph() {
@@ -62,25 +51,6 @@ TEST(KgBinaryFuzzTest, ValidBlobDecodes) {
   EXPECT_EQ(EncodeBinary(*decoded), blob);
 }
 
-TEST(KgBinaryFuzzTest, LegacyV1BlobStillLoads) {
-  const KnowledgeGraph g = SmallGraph();
-  const std::string v1 = EncodeBinaryV1(g);
-  EXPECT_EQ(v1.substr(0, 8), "SDEAKGB1");
-  auto decoded = DecodeBinary(v1);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->num_entities(), g.num_entities());
-  const KgSnapshot got = decoded->Snapshot();
-  const KgSnapshot want = g.Snapshot();
-  ASSERT_EQ(got.num_relational_triples(), want.num_relational_triples());
-  ASSERT_EQ(got.num_attribute_triples(), want.num_attribute_triples());
-  for (int64_t i = 0; i < want.num_attribute_triples(); ++i) {
-    EXPECT_EQ(got.ValueAt(i), want.ValueAt(i));
-  }
-  // Loading legacy bytes and re-saving produces the current format with
-  // the same content.
-  EXPECT_EQ(EncodeBinary(*decoded), EncodeBinary(g));
-}
-
 TEST(KgBinaryFuzzTest, TruncationAtEveryOffset) {
   const std::string blob = EncodeBinary(SmallGraph());
   sdea::testing::FuzzStats stats;
@@ -89,15 +59,6 @@ TEST(KgBinaryFuzzTest, TruncationAtEveryOffset) {
   EXPECT_TRUE(verdict.ok()) << verdict.ToString();
   EXPECT_EQ(stats.cases, static_cast<int64_t>(blob.size()));
   // Every strict prefix must be rejected — none may "load as garbage".
-  EXPECT_EQ(stats.rejected, stats.cases);
-}
-
-TEST(KgBinaryFuzzTest, TruncationAtEveryOffsetV1) {
-  const std::string blob = EncodeBinaryV1(SmallGraph());
-  sdea::testing::FuzzStats stats;
-  const Status verdict =
-      sdea::testing::CheckTruncationRobustness(blob, Decoder(), &stats);
-  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
   EXPECT_EQ(stats.rejected, stats.cases);
 }
 
@@ -111,18 +72,6 @@ TEST(KgBinaryFuzzTest, SeededMutations) {
   EXPECT_TRUE(verdict.ok()) << verdict.ToString();
   EXPECT_EQ(stats.cases, options.iterations);
   // The corpus must actually exercise the reject path.
-  EXPECT_GT(stats.rejected, 0);
-}
-
-TEST(KgBinaryFuzzTest, SeededMutationsV1) {
-  const std::string blob = EncodeBinaryV1(SmallGraph());
-  sdea::testing::FuzzOptions options;
-  options.iterations = 5000;
-  options.seed = 0x5dea2;
-  sdea::testing::FuzzStats stats;
-  const Status verdict = sdea::testing::CheckMutationRobustness(
-      blob, Decoder(), options, &stats);
-  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
   EXPECT_GT(stats.rejected, 0);
 }
 
@@ -141,19 +90,23 @@ TEST(KgBinaryFuzzTest, DuplicateRelationNameRejectedNotAborted) {
   // intern to the same id, and a triple referencing relation 1 — which
   // exists per the declared count but not in the interned table. The old
   // decoder ran this straight into AddRelationalTriple's SDEA_CHECK.
-  std::string blob = "SDEAKGB1";
-  AppendU32(&blob, 2);  // entities
-  AppendString(&blob, "a");
-  AppendString(&blob, "b");
-  AppendU32(&blob, 2);  // relations (duplicates!)
-  AppendString(&blob, "r");
-  AppendString(&blob, "r");
-  AppendU32(&blob, 0);  // attributes
-  AppendU32(&blob, 1);  // relational triples
-  AppendU32(&blob, 0);  // head
-  AppendU32(&blob, 1);  // relation id 1: declared, never interned
-  AppendU32(&blob, 1);  // tail
-  AppendU32(&blob, 0);  // attribute triples
+  std::string blob;
+  wire::Writer w(&blob);
+  w.Bytes("SDEAKGB2");
+  w.U32(2);  // entities
+  w.Str32("a");
+  w.Str32("b");
+  w.U32(2);  // relations (duplicates!)
+  w.Str32("r");
+  w.Str32("r");
+  w.U32(0);     // attributes
+  w.U32(1);     // relational rows
+  w.U32(4096);  // relational chunk size
+  w.U32(0);     // head column
+  w.U32(1);     // relation column: id 1, declared, never interned
+  w.U32(1);     // tail column
+  w.U32(0);     // attribute rows
+  w.U32(2048);  // attribute chunk size
   auto decoded = DecodeBinary(blob);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -162,28 +115,32 @@ TEST(KgBinaryFuzzTest, DuplicateRelationNameRejectedNotAborted) {
 // Minimal valid v2 prologue: 1 entity "a", 0 relations, 1 attribute "p",
 // empty relational section. Callers append the attribute section.
 std::string V2Prologue() {
-  std::string blob = "SDEAKGB2";
-  AppendU32(&blob, 1);  // entities
-  AppendString(&blob, "a");
-  AppendU32(&blob, 0);  // relations
-  AppendU32(&blob, 1);  // attributes
-  AppendString(&blob, "p");
-  AppendU32(&blob, 0);     // relational rows
-  AppendU32(&blob, 4096);  // relational chunk size
+  std::string blob;
+  wire::Writer w(&blob);
+  w.Bytes("SDEAKGB2");
+  w.U32(1);  // entities
+  w.Str32("a");
+  w.U32(0);  // relations
+  w.U32(1);  // attributes
+  w.Str32("p");
+  w.U32(0);     // relational rows
+  w.U32(4096);  // relational chunk size
   return blob;
 }
 
 TEST(KgBinaryFuzzTest, V2ZeroChunkSizeRejectedNotLooped) {
   // rows > 0 with chunk size 0 would loop forever advancing base by 0.
-  std::string blob = "SDEAKGB2";
-  AppendU32(&blob, 1);
-  AppendString(&blob, "a");
-  AppendU32(&blob, 1);
-  AppendString(&blob, "r");
-  AppendU32(&blob, 0);  // attributes
-  AppendU32(&blob, 8);  // relational rows
-  AppendU32(&blob, 0);  // chunk size: evil
-  for (int i = 0; i < 24; ++i) AppendU32(&blob, 0);
+  std::string blob;
+  wire::Writer w(&blob);
+  w.Bytes("SDEAKGB2");
+  w.U32(1);
+  w.Str32("a");
+  w.U32(1);
+  w.Str32("r");
+  w.U32(0);  // attributes
+  w.U32(8);  // relational rows
+  w.U32(0);  // chunk size: evil
+  for (int i = 0; i < 24; ++i) w.U32(0);
   auto decoded = DecodeBinary(blob);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -191,12 +148,13 @@ TEST(KgBinaryFuzzTest, V2ZeroChunkSizeRejectedNotLooped) {
 
 TEST(KgBinaryFuzzTest, V2UnknownChunkEncodingRejected) {
   std::string blob = V2Prologue();
-  AppendU32(&blob, 1);     // attribute rows
-  AppendU32(&blob, 2048);  // chunk size
-  AppendU32(&blob, 0);     // entity column
-  AppendU32(&blob, 0);     // attribute column
-  blob.push_back(7);       // encoding byte: neither plain nor dict
-  AppendString(&blob, "x");
+  wire::Writer w(&blob);
+  w.U32(1);     // attribute rows
+  w.U32(2048);  // chunk size
+  w.U32(0);     // entity column
+  w.U32(0);     // attribute column
+  w.U8(7);      // encoding byte: neither plain nor dict
+  w.Str32("x");
   auto decoded = DecodeBinary(blob);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -204,15 +162,16 @@ TEST(KgBinaryFuzzTest, V2UnknownChunkEncodingRejected) {
 
 TEST(KgBinaryFuzzTest, V2DictLargerThanChunkRejected) {
   std::string blob = V2Prologue();
-  AppendU32(&blob, 1);     // attribute rows
-  AppendU32(&blob, 2048);  // chunk size
-  AppendU32(&blob, 0);     // entity column
-  AppendU32(&blob, 0);     // attribute column
-  blob.push_back(1);       // dict encoding
-  AppendU32(&blob, 2);     // dict entries: more than the chunk's 1 row
-  AppendString(&blob, "x");
-  AppendString(&blob, "y");
-  AppendU32(&blob, 0);  // code
+  wire::Writer w(&blob);
+  w.U32(1);     // attribute rows
+  w.U32(2048);  // chunk size
+  w.U32(0);     // entity column
+  w.U32(0);     // attribute column
+  w.U8(1);      // dict encoding
+  w.U32(2);     // dict entries: more than the chunk's 1 row
+  w.Str32("x");
+  w.Str32("y");
+  w.U32(0);  // code
   auto decoded = DecodeBinary(blob);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
@@ -220,17 +179,18 @@ TEST(KgBinaryFuzzTest, V2DictLargerThanChunkRejected) {
 
 TEST(KgBinaryFuzzTest, V2DictCodePastDictionaryRejected) {
   std::string blob = V2Prologue();
-  AppendU32(&blob, 2);     // attribute rows
-  AppendU32(&blob, 2048);  // chunk size
-  AppendU32(&blob, 0);     // entity column x2
-  AppendU32(&blob, 0);
-  AppendU32(&blob, 0);  // attribute column x2
-  AppendU32(&blob, 0);
-  blob.push_back(1);    // dict encoding
-  AppendU32(&blob, 1);  // one dict entry
-  AppendString(&blob, "x");
-  AppendU32(&blob, 0);  // code 0: fine
-  AppendU32(&blob, 5);  // code 5: past the dictionary
+  wire::Writer w(&blob);
+  w.U32(2);     // attribute rows
+  w.U32(2048);  // chunk size
+  w.U32(0);     // entity column x2
+  w.U32(0);
+  w.U32(0);     // attribute column x2
+  w.U32(0);
+  w.U8(1);   // dict encoding
+  w.U32(1);  // one dict entry
+  w.Str32("x");
+  w.U32(0);  // code 0: fine
+  w.U32(5);  // code 5: past the dictionary
   auto decoded = DecodeBinary(blob);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);

@@ -77,7 +77,7 @@ sdea::testing::DecodeFn ManifestDecoder() {
 
 sdea::testing::DecodeFn ShardDecoder() {
   return [](const std::string& blob) {
-    return DecodeShardBlob(blob).status();
+    return DecodeShardHeader(blob).status();
   };
 }
 
@@ -85,7 +85,7 @@ TEST(StoreFuzzTest, ValidBlobsDecode) {
   EXPECT_TRUE(Codebook::Decode(Int8CodebookBlob()).ok());
   EXPECT_TRUE(Codebook::Decode(PqCodebookBlob()).ok());
   EXPECT_TRUE(DecodeManifest(ManifestBlob()).ok());
-  EXPECT_TRUE(DecodeShardBlob(ShardBlob()).ok());
+  EXPECT_TRUE(DecodeShardHeader(ShardBlob()).ok());
 }
 
 TEST(StoreFuzzTest, CodebookTruncationAtEveryOffset) {
@@ -136,7 +136,7 @@ TEST(StoreFuzzTest, ShardTruncationSample) {
   const std::string blob = ShardBlob();
   for (size_t cut = 0; cut < blob.size();
        cut += (cut < kShardHeaderBytes ? 1 : 257)) {
-    auto decoded = DecodeShardBlob(blob.substr(0, cut));
+    auto decoded = DecodeShardHeader(blob.substr(0, cut));
     EXPECT_FALSE(decoded.ok()) << "cut " << cut;
   }
 }
@@ -178,7 +178,7 @@ TEST(StoreFuzzTest, EvilShardHeadersRejectInConstantTime) {
   for (const Evil& evil : cases) {
     std::string blob = good;
     std::memcpy(blob.data() + evil.offset, &evil.value, 8);
-    auto decoded = DecodeShardBlob(blob);
+    auto decoded = DecodeShardHeader(blob);
     ASSERT_FALSE(decoded.ok()) << "offset " << evil.offset;
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
         << "offset " << evil.offset;

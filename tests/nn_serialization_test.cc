@@ -93,36 +93,6 @@ TEST(SerializationTest, BlobRoundTripBitwise) {
   EXPECT_EQ(Flatten(&a), Flatten(&b));
 }
 
-TEST(SerializationTest, WireHelpersRoundTrip) {
-  std::string buf;
-  AppendU64(&buf, 0xdeadbeefcafef00dULL);
-  AppendF64(&buf, -0.0625);
-  AppendBytes(&buf, "payload");
-  Tensor t({2, 3});
-  for (int64_t i = 0; i < t.size(); ++i) t[i] = 0.5f * static_cast<float>(i);
-  AppendTensor(&buf, t);
-
-  size_t pos = 0;
-  uint64_t u = 0;
-  double d = 0.0;
-  std::string bytes;
-  Tensor back;
-  ASSERT_TRUE(ReadU64(buf, &pos, &u));
-  ASSERT_TRUE(ReadF64(buf, &pos, &d));
-  ASSERT_TRUE(ReadBytes(buf, &pos, &bytes));
-  ASSERT_TRUE(ReadTensor(buf, &pos, &back));
-  EXPECT_EQ(u, 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(d, -0.0625);
-  EXPECT_EQ(bytes, "payload");
-  ASSERT_EQ(back.shape(), t.shape());
-  for (int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(back[i], t[i]);
-  EXPECT_EQ(pos, buf.size());
-
-  // Truncated reads fail without advancing past the end.
-  ASSERT_FALSE(ReadU64(buf, &pos, &u));
-  ASSERT_FALSE(ReadTensor(buf, &pos, &back));
-}
-
 TEST(SerializationTest, GarbageFileRejected) {
   const std::string path = TempPath("sdea_ckpt_garbage.bin");
   ASSERT_TRUE(WriteStringToFile(path, "not a checkpoint").ok());

@@ -41,7 +41,7 @@ TEST(StoreFormatTest, ShardRoundTripsWithAlignedRegions) {
   const std::string blob =
       EncodeShard(cb, codes.data(), rows.data(), n, names, 0);
 
-  auto header = DecodeShardBlob(blob);
+  auto header = DecodeShardHeader(blob);
   ASSERT_TRUE(header.ok()) << header.status().message();
   EXPECT_EQ(header->rows, n);
   EXPECT_EQ(header->dim, d);
@@ -69,7 +69,7 @@ TEST(StoreFormatTest, ShardWithoutFullPrecisionOmitsTheRegion) {
   const std::vector<uint8_t> codes = cb.EncodeRows(rows.data(), n);
   const std::string blob =
       EncodeShard(cb, codes.data(), nullptr, n, Names(n), 0);
-  auto header = DecodeShardBlob(blob);
+  auto header = DecodeShardHeader(blob);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->fp32_offset, 0u);
 }
@@ -84,15 +84,15 @@ TEST(StoreFormatTest, ShardDecodeRejectsCorruption) {
 
   // Truncation, growth, magic damage, and a rows field pointing the name
   // index out of bounds — all InvalidArgument, never a crash.
-  EXPECT_FALSE(DecodeShardBlob(blob.substr(0, blob.size() - 1)).ok());
-  EXPECT_FALSE(DecodeShardBlob(blob + "x").ok());
+  EXPECT_FALSE(DecodeShardHeader(blob.substr(0, blob.size() - 1)).ok());
+  EXPECT_FALSE(DecodeShardHeader(blob + "x").ok());
   std::string bad_magic = blob;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(DecodeShardBlob(bad_magic).ok());
+  EXPECT_FALSE(DecodeShardHeader(bad_magic).ok());
   std::string huge_rows = blob;
   const uint64_t big = ~0ull;
   std::memcpy(huge_rows.data() + 8, &big, 8);
-  EXPECT_FALSE(DecodeShardBlob(huge_rows).ok());
+  EXPECT_FALSE(DecodeShardHeader(huge_rows).ok());
 }
 
 TEST(StoreFormatTest, ManifestRoundTrips) {

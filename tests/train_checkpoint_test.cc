@@ -245,6 +245,54 @@ TEST(CheckpointTest, ResumeValidatesBeforeMutating) {
   EXPECT_EQ(Trainer(&task, opts).Run().status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(nn::SerializeParameters(&task.net_), before);
+
+  // Checkpoints with valid, different parameters but a broken optimizer
+  // blob: cut in half, or with junk after a complete state. Neither the
+  // parameters nor the optimizer may change.
+  WalkNet donor;
+  for (int64_t i = 0; i < donor.w->value.size(); ++i) {
+    donor.w->value[i] = 0.25f * static_cast<float>(i + 1);
+    donor.w->grad[i] = 1.0f;
+  }
+  nn::Adam donor_adam(donor.Parameters(), 0.05f);
+  donor_adam.Step();
+  std::string donor_state;
+  donor_adam.SerializeState(&donor_state);
+  std::string task_state;
+  task.optimizer_->SerializeState(&task_state);
+  ckpt.params = nn::SerializeParameters(&donor);
+  ASSERT_NE(ckpt.params, before);
+  for (const std::string& broken :
+       {donor_state.substr(0, donor_state.size() / 2),
+        donor_state + "junk"}) {
+    ckpt.optimizer = broken;
+    ASSERT_TRUE(mgr.Save(ckpt).ok());
+    EXPECT_EQ(Trainer(&task, opts).Run().status().code(),
+              StatusCode::kInvalidArgument)
+        << "optimizer blob of " << broken.size() << " bytes";
+    EXPECT_EQ(nn::SerializeParameters(&task.net_), before);
+    std::string state;
+    task.optimizer_->SerializeState(&state);
+    EXPECT_EQ(state, task_state);
+  }
+
+  // A best-params blob of the wrong shape fails at resume, before any
+  // epoch runs, rather than after the run has trained to the end (no
+  // resumed epoch beats this best metric, so the blob is never replaced).
+  ckpt.optimizer.clear();
+  ckpt.epochs_run = 3;
+  ckpt.best_metric = 1e30;
+  ckpt.best_params = nn::SerializeParameters(&other);
+  ASSERT_TRUE(mgr.Save(ckpt).ok());
+  int epochs_seen = 0;
+  opts.on_epoch = [&](const EpochStats&) {
+    ++epochs_seen;
+    return true;
+  };
+  EXPECT_EQ(Trainer(&task, opts).Run().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(epochs_seen, 0);
+  EXPECT_EQ(nn::SerializeParameters(&task.net_), before);
 }
 
 }  // namespace
