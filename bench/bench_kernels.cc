@@ -19,6 +19,7 @@
 #include "nn/transformer.h"
 #include "tensor/kernels.h"
 #include "tensor/topk.h"
+#include "testing/kernel_config.h"
 #include "text/tokenizer.h"
 
 namespace {
@@ -41,31 +42,12 @@ class ScopedThreads {
 // --- Kernel-variant matrix: (exact | fast) x (scalar | avx2). ------------
 // Registered via BENCHMARK_CAPTURE so rows read e.g.
 // BM_Matmul512/fast_avx2; compare rows of the same shape to read off the
-// exact-mode cost and the AVX2-vs-scalar speedup. AVX2 rows skip with an
-// error on hosts without AVX2+FMA instead of silently running scalar.
+// exact-vs-fast cost and the AVX2-vs-scalar speedup in each mode. AVX2
+// rows skip with an error on hosts without AVX2+FMA instead of silently
+// running scalar.
 
 using tmath::KernelMode;
 using tmath::SimdLevel;
-
-// Pins (mode, level) for the duration of one benchmark run and restores
-// the ambient configuration afterwards.
-class ScopedVariant {
- public:
-  ScopedVariant(KernelMode mode, SimdLevel level)
-      : saved_mode_(tmath::ActiveKernelMode()),
-        saved_level_(tmath::ActiveSimdLevel()) {
-    tmath::SetKernelMode(mode);
-    tmath::SetSimdLevel(level);
-  }
-  ~ScopedVariant() {
-    tmath::SetKernelMode(saved_mode_);
-    tmath::SetSimdLevel(saved_level_);
-  }
-
- private:
-  KernelMode saved_mode_;
-  SimdLevel saved_level_;
-};
 
 bool SkipUnsupported(benchmark::State& state, SimdLevel level) {
   if (level == SimdLevel::kAvx2 && !tmath::Avx2Supported()) {
@@ -78,7 +60,8 @@ bool SkipUnsupported(benchmark::State& state, SimdLevel level) {
 void BM_Matmul512(benchmark::State& state, KernelMode mode,
                   SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
-  ScopedVariant variant(mode, level);
+  sdea::testing::ScopedKernelMode pin_mode(mode);
+  sdea::testing::ScopedSimdLevel pin_level(level);
   Rng rng(21);
   Tensor a = Tensor::RandomNormal({256, 512}, 1.0f, &rng);
   Tensor b = Tensor::RandomNormal({512, 256}, 1.0f, &rng);
@@ -88,8 +71,10 @@ void BM_Matmul512(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * 256 * 512 * 256);
 }
-BENCHMARK_CAPTURE(BM_Matmul512, exact, KernelMode::kExact,
+BENCHMARK_CAPTURE(BM_Matmul512, exact_scalar, KernelMode::kExact,
                   SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_Matmul512, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2);
 BENCHMARK_CAPTURE(BM_Matmul512, fast_scalar, KernelMode::kFast,
                   SimdLevel::kScalar);
 BENCHMARK_CAPTURE(BM_Matmul512, fast_avx2, KernelMode::kFast,
@@ -99,7 +84,8 @@ void BM_ScoreMatrix512(benchmark::State& state, KernelMode mode,
                        SimdLevel level) {
   // MatmulTransposeB over 512-dim rows: the alignment score matrix.
   if (SkipUnsupported(state, level)) return;
-  ScopedVariant variant(mode, level);
+  sdea::testing::ScopedKernelMode pin_mode(mode);
+  sdea::testing::ScopedSimdLevel pin_level(level);
   Rng rng(22);
   Tensor a = Tensor::RandomNormal({256, 512}, 1.0f, &rng);
   Tensor b = Tensor::RandomNormal({256, 512}, 1.0f, &rng);
@@ -109,8 +95,10 @@ void BM_ScoreMatrix512(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * 256 * 512 * 256);
 }
-BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact, KernelMode::kExact,
+BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_scalar, KernelMode::kExact,
                   SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2);
 BENCHMARK_CAPTURE(BM_ScoreMatrix512, fast_scalar, KernelMode::kFast,
                   SimdLevel::kScalar);
 BENCHMARK_CAPTURE(BM_ScoreMatrix512, fast_avx2, KernelMode::kFast,
@@ -124,7 +112,8 @@ void BM_Gemv512(benchmark::State& state, KernelMode mode, SimdLevel level) {
   // 8192 rows (16 MB) spill to L3/DRAM where every variant converges on
   // memory bandwidth and the SIMD gap narrows.
   if (SkipUnsupported(state, level)) return;
-  ScopedVariant variant(mode, level);
+  sdea::testing::ScopedKernelMode pin_mode(mode);
+  sdea::testing::ScopedSimdLevel pin_level(level);
   const int64_t rows_n = state.range(0);
   Rng rng(23);
   Tensor rows = Tensor::RandomNormal({rows_n, 512}, 1.0f, &rng);
@@ -136,7 +125,11 @@ void BM_Gemv512(benchmark::State& state, KernelMode mode, SimdLevel level) {
   }
   state.SetItemsProcessed(state.iterations() * rows_n * 512);
 }
-BENCHMARK_CAPTURE(BM_Gemv512, exact, KernelMode::kExact, SimdLevel::kScalar)
+BENCHMARK_CAPTURE(BM_Gemv512, exact_scalar, KernelMode::kExact,
+                  SimdLevel::kScalar)
+    ->Arg(512)
+    ->Arg(8192);
+BENCHMARK_CAPTURE(BM_Gemv512, exact_avx2, KernelMode::kExact, SimdLevel::kAvx2)
     ->Arg(512)
     ->Arg(8192);
 BENCHMARK_CAPTURE(BM_Gemv512, fast_scalar, KernelMode::kFast,
@@ -146,6 +139,36 @@ BENCHMARK_CAPTURE(BM_Gemv512, fast_scalar, KernelMode::kFast,
 BENCHMARK_CAPTURE(BM_Gemv512, fast_avx2, KernelMode::kFast, SimdLevel::kAvx2)
     ->Arg(512)
     ->Arg(8192);
+
+void BM_GruStep(benchmark::State& state, KernelMode mode, SimdLevel level) {
+  // The three products one BiGRU step makes per [32,32] weight matrix:
+  // forward x @ W, backward dx = dy @ W^T and dW = x^T @ dy, each on a
+  // single 32-wide row. The relation module runs about a million of these
+  // per align_batch run, so per-call overhead counts as much as MAC rate.
+  if (SkipUnsupported(state, level)) return;
+  sdea::testing::ScopedKernelMode pin_mode(mode);
+  sdea::testing::ScopedSimdLevel pin_level(level);
+  Rng rng(25);
+  Tensor x = Tensor::RandomNormal({1, 32}, 1.0f, &rng);
+  Tensor w = Tensor::RandomNormal({32, 32}, 1.0f, &rng);
+  Tensor dy = Tensor::RandomNormal({1, 32}, 1.0f, &rng);
+  for (auto _ : state) {
+    Tensor y = tmath::Matmul(x, w);
+    Tensor dx = tmath::MatmulTransposeB(dy, w);
+    Tensor dw = tmath::MatmulTransposeA(x, dy);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(dw.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * 32 * 32);
+}
+BENCHMARK_CAPTURE(BM_GruStep, exact_scalar, KernelMode::kExact,
+                  SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_GruStep, exact_avx2, KernelMode::kExact,
+                  SimdLevel::kAvx2);
+BENCHMARK_CAPTURE(BM_GruStep, fast_scalar, KernelMode::kFast,
+                  SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_GruStep, fast_avx2, KernelMode::kFast, SimdLevel::kAvx2);
 
 // --- Top-k selection: radix select vs the old partial_sort. --------------
 // Same (score desc, index asc) answer; compare BM_TopKRadix/m to

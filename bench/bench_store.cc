@@ -22,31 +22,13 @@
 #include "store/quantizer.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
+#include "testing/kernel_config.h"
 
 namespace {
 
 using namespace sdea;
 using tmath::KernelMode;
 using tmath::SimdLevel;
-
-// Pins (mode, level) for one benchmark run; same idiom as bench_kernels.
-class ScopedVariant {
- public:
-  ScopedVariant(KernelMode mode, SimdLevel level)
-      : saved_mode_(tmath::ActiveKernelMode()),
-        saved_level_(tmath::ActiveSimdLevel()) {
-    tmath::SetKernelMode(mode);
-    tmath::SetSimdLevel(level);
-  }
-  ~ScopedVariant() {
-    tmath::SetKernelMode(saved_mode_);
-    tmath::SetSimdLevel(saved_level_);
-  }
-
- private:
-  KernelMode saved_mode_;
-  SimdLevel saved_level_;
-};
 
 bool SkipUnsupported(benchmark::State& state, SimdLevel level) {
   if (level == SimdLevel::kAvx2 && !tmath::Avx2Supported()) {
@@ -108,7 +90,8 @@ BENCHMARK(BM_PqEncode)->Arg(4096);
 void BM_AdcScanInt8(benchmark::State& state, KernelMode mode,
                     SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
-  ScopedVariant variant(mode, level);
+  sdea::testing::ScopedKernelMode pin_mode(mode);
+  sdea::testing::ScopedSimdLevel pin_level(level);
   const int64_t n = state.range(0), d = 128;
   const Tensor rows = RandomRows(n, d, 3);
   const store::Codebook cb = store::Codebook::TrainInt8(rows);
@@ -136,7 +119,8 @@ BENCHMARK_CAPTURE(BM_AdcScanInt8, fast_avx2, KernelMode::kFast,
 void BM_AdcScanPq(benchmark::State& state, KernelMode mode,
                   SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
-  ScopedVariant variant(mode, level);
+  sdea::testing::ScopedKernelMode pin_mode(mode);
+  sdea::testing::ScopedSimdLevel pin_level(level);
   const int64_t n = state.range(0), d = 128;
   const Tensor rows = RandomRows(n, d, 5);
   store::PqOptions options;

@@ -17,12 +17,15 @@ namespace {
 // assignment[i] = the centroid nearest row i, ties to the lowest j.
 // Spherical mode ranks by dot product (rows and centroids unit-length, so
 // dot == cosine); Euclidean mode ranks by squared L2 distance via the
-// equivalent argmax of (x . c - 0.5*||c||^2), which shares the ScoreDot
-// inner loop. Rows are sharded across threads; each row writes only its
-// own slot, so the assignment is identical for every thread count.
+// equivalent argmax of (x . c - 0.5*||c||^2). The scores come from the
+// MatmulTransposeB row kernel, which equals ScoreDot bitwise in both
+// modes, a block of rows at a time so the score buffer stays small. Rows
+// are sharded across threads; each row writes only its own slot, so the
+// assignment is identical for every thread count.
 void AssignToNearestCentroid(const float* rows, int64_t m, int64_t d,
                              const Tensor& centroids, bool spherical,
                              std::vector<int64_t>* assignment) {
+  constexpr int64_t kBlockRows = 64;
   const int64_t c = centroids.dim(0);
   std::vector<float> half_norms;
   if (!spherical) {
@@ -33,24 +36,35 @@ void AssignToNearestCentroid(const float* rows, int64_t m, int64_t d,
           0.5f * tmath::kernels::ScoreDot(crow, crow, d);
     }
   }
+  // A shard packs the centroids once per block (see MatmulTransposeB), so
+  // shards are at least one block long.
+  const int64_t grain =
+      std::max(base::GrainForWork(m, c * d), std::min(m, kBlockRows));
   base::ParallelFor(
-      m, base::GrainForWork(m, c * d), [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const float* row = rows + i * d;
-          int64_t best = 0;
-          float best_score = spherical
-                                 ? -2.0f
-                                 : -std::numeric_limits<float>::infinity();
-          for (int64_t j = 0; j < c; ++j) {
-            float s = tmath::kernels::ScoreDot(row, centroids.data() + j * d,
-                                               d);
-            if (!spherical) s -= half_norms[static_cast<size_t>(j)];
-            if (s > best_score) {
-              best_score = s;
-              best = j;
+      m, grain, [&](int64_t begin, int64_t end) {
+        std::vector<float> scores(
+            static_cast<size_t>(std::min(kBlockRows, end - begin) * c));
+        for (int64_t first = begin; first < end; first += kBlockRows) {
+          const int64_t count = std::min(kBlockRows, end - first);
+          tmath::kernels::MatmulTransposeBRows(rows + first * d,
+                                               centroids.data(), scores.data(),
+                                               d, c, 0, count);
+          for (int64_t r = 0; r < count; ++r) {
+            const float* row_scores = scores.data() + r * c;
+            int64_t best = 0;
+            float best_score = spherical
+                                   ? -2.0f
+                                   : -std::numeric_limits<float>::infinity();
+            for (int64_t j = 0; j < c; ++j) {
+              float s = row_scores[j];
+              if (!spherical) s -= half_norms[static_cast<size_t>(j)];
+              if (s > best_score) {
+                best_score = s;
+                best = j;
+              }
             }
+            (*assignment)[static_cast<size_t>(first + r)] = best;
           }
-          (*assignment)[static_cast<size_t>(i)] = best;
         }
       });
 }
@@ -202,16 +216,21 @@ std::vector<VectorIndex::Hit> VectorIndex::Search(const float* query,
     return every_row ? pos : ids[static_cast<size_t>(pos)];
   };
 
-  // Exact rescoring on the fp32 rows (a scan without them keeps its own
-  // scores), then the final order. The score array follows `ids`, so ties
-  // break by ascending row id through the tie-id overload.
+  // Exact rescoring on the fp32 rows (one Gemv when every row is scored
+  // and they are contiguous; a scan without them keeps its own scores),
+  // then the final order. The score array follows `ids`, so ties break by
+  // ascending row id through the tie-id overload.
   const bool rescore = rows_ != nullptr || row_ != nullptr;
   const int64_t n = every_row ? size_ : static_cast<int64_t>(ids.size());
   std::vector<float> scores(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    scores[static_cast<size_t>(i)] =
-        rescore ? tmath::kernels::ScoreDot(q.data(), Row(id_at(i)), dim_)
-                : approx[static_cast<size_t>(id_at(i))];
+  if (every_row && rows_ != nullptr) {
+    tmath::kernels::Gemv(rows_, size_, dim_, q.data(), scores.data());
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      scores[static_cast<size_t>(i)] =
+          rescore ? tmath::kernels::ScoreDot(q.data(), Row(id_at(i)), dim_)
+                  : approx[static_cast<size_t>(id_at(i))];
+    }
   }
   const std::vector<int64_t> top =
       every_row ? tmath::TopK(scores.data(), n, k)

@@ -1,13 +1,75 @@
 #include "tensor/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "base/check.h"
 
 namespace sdea::tmath {
 namespace {
+
+// Portable exact-contract row kernels (tensor.h): every output element
+// accumulates its k products in double, in ascending-k order, with no term
+// skipped, and rounds to float once. The AVX2 kernels reproduce these bits
+// for every non-NaN output.
+
+// c[i,:] = a[i,:] @ b for a [m,k], b [k,n]; k-j inner order streams b rows.
+void MatmulRowsExactScalar(const float* a, const float* b, float* c,
+                           int64_t k, int64_t n, int64_t i_begin,
+                           int64_t i_end) {
+  std::vector<double> acc(static_cast<size_t>(n));
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    std::fill(acc.begin(), acc.end(), 0.0);
+    const float* arow = a + i * k;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const double aik = arow[kk];
+      const float* brow = b + kk * n;
+      for (int64_t j = 0; j < n; ++j) {
+        acc[static_cast<size_t>(j)] += aik * brow[j];
+      }
+    }
+    float* crow = c + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      crow[j] = static_cast<float>(acc[static_cast<size_t>(j)]);
+    }
+  }
+}
+
+// c[i,j] = a[i,:] . b[j,:] for a [m,k], b [n,k].
+void MatmulTransposeBRowsExactScalar(const float* a, const float* b, float* c,
+                                     int64_t k, int64_t n, int64_t i_begin,
+                                     int64_t i_end) {
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      c[i * n + j] =
+          static_cast<float>(kernels::DotExact(a + i * k, b + j * k, k));
+    }
+  }
+}
+
+// c[i,:] = a[:,i]^T @ b for a [k,m], b [k,n]; a is read column-wise.
+void MatmulTransposeARowsExactScalar(const float* a, const float* b, float* c,
+                                     int64_t k, int64_t m, int64_t n,
+                                     int64_t i_begin, int64_t i_end) {
+  std::vector<double> acc(static_cast<size_t>(n));
+  for (int64_t i = i_begin; i < i_end; ++i) {
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const double aik = a[kk * m + i];
+      const float* brow = b + kk * n;
+      for (int64_t j = 0; j < n; ++j) {
+        acc[static_cast<size_t>(j)] += aik * brow[j];
+      }
+    }
+    float* crow = c + i * n;
+    for (int64_t j = 0; j < n; ++j) {
+      crow[j] = static_cast<float>(acc[static_cast<size_t>(j)]);
+    }
+  }
+}
 
 // Scalar fast-mode dot: four independent float accumulators (ILP without
 // changing the tree per element count), combined low-to-high at the end.
@@ -134,6 +196,14 @@ std::atomic<KernelMode>& KernelModeFlag() {
 // Implemented in kernels_avx2.cc, the only TU compiled with -mavx2 -mfma.
 // Never called unless CPUID reported AVX2+FMA (see dispatch below).
 namespace kernels {
+void MatmulRowsExactAvx2(const float* a, const float* b, float* c, int64_t k,
+                         int64_t n, int64_t i_begin, int64_t i_end);
+void MatmulTransposeBRowsExactAvx2(const float* a, const float* b, float* c,
+                                   int64_t k, int64_t n, int64_t i_begin,
+                                   int64_t i_end);
+void MatmulTransposeARowsExactAvx2(const float* a, const float* b, float* c,
+                                   int64_t k, int64_t m, int64_t n,
+                                   int64_t i_begin, int64_t i_end);
 float DotFastAvx2(const float* a, const float* b, int64_t d);
 void MatmulRowsFastAvx2(const float* a, const float* b, float* c, int64_t k,
                         int64_t n, int64_t i_begin, int64_t i_end);
@@ -217,61 +287,51 @@ float ScoreDot(const float* a, const float* b, int64_t d) {
   return static_cast<float>(DotExact(a, b, d));
 }
 
-void MatmulRowsFast(const float* a, const float* b, float* c, int64_t k,
-                    int64_t n, int64_t i_begin, int64_t i_end) {
+void MatmulRows(const float* a, const float* b, float* c, int64_t k,
+                int64_t n, int64_t i_begin, int64_t i_end) {
+  const bool fast = ActiveKernelMode() == KernelMode::kFast;
 #ifdef SDEA_HAVE_AVX2_TU
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    MatmulRowsFastAvx2(a, b, c, k, n, i_begin, i_end);
+    (fast ? MatmulRowsFastAvx2 : MatmulRowsExactAvx2)(a, b, c, k, n, i_begin,
+                                                      i_end);
     return;
   }
 #endif
-  MatmulRowsFastScalar(a, b, c, k, n, i_begin, i_end);
+  (fast ? MatmulRowsFastScalar : MatmulRowsExactScalar)(a, b, c, k, n,
+                                                        i_begin, i_end);
 }
 
-void MatmulTransposeBRowsFast(const float* a, const float* b, float* c,
-                              int64_t k, int64_t n, int64_t i_begin,
-                              int64_t i_end) {
+void MatmulTransposeBRows(const float* a, const float* b, float* c, int64_t k,
+                          int64_t n, int64_t i_begin, int64_t i_end) {
+  const bool fast = ActiveKernelMode() == KernelMode::kFast;
 #ifdef SDEA_HAVE_AVX2_TU
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    MatmulTransposeBRowsFastAvx2(a, b, c, k, n, i_begin, i_end);
+    (fast ? MatmulTransposeBRowsFastAvx2 : MatmulTransposeBRowsExactAvx2)(
+        a, b, c, k, n, i_begin, i_end);
     return;
   }
 #endif
-  MatmulTransposeBRowsFastScalar(a, b, c, k, n, i_begin, i_end);
+  (fast ? MatmulTransposeBRowsFastScalar : MatmulTransposeBRowsExactScalar)(
+      a, b, c, k, n, i_begin, i_end);
 }
 
-void MatmulTransposeARowsFast(const float* a, const float* b, float* c,
-                              int64_t k, int64_t m, int64_t n, int64_t i_begin,
-                              int64_t i_end) {
+void MatmulTransposeARows(const float* a, const float* b, float* c, int64_t k,
+                          int64_t m, int64_t n, int64_t i_begin,
+                          int64_t i_end) {
+  const bool fast = ActiveKernelMode() == KernelMode::kFast;
 #ifdef SDEA_HAVE_AVX2_TU
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    MatmulTransposeARowsFastAvx2(a, b, c, k, m, n, i_begin, i_end);
+    (fast ? MatmulTransposeARowsFastAvx2 : MatmulTransposeARowsExactAvx2)(
+        a, b, c, k, m, n, i_begin, i_end);
     return;
   }
 #endif
-  MatmulTransposeARowsFastScalar(a, b, c, k, m, n, i_begin, i_end);
-}
-
-void GemvExact(const float* rows, int64_t m, int64_t d, const float* x,
-               float* y) {
-  for (int64_t i = 0; i < m; ++i) {
-    y[i] = static_cast<float>(DotExact(rows + i * d, x, d));
-  }
-}
-
-void GemvFast(const float* rows, int64_t m, int64_t d, const float* x,
-              float* y) {
-  for (int64_t i = 0; i < m; ++i) {
-    y[i] = DotFast(rows + i * d, x, d);
-  }
+  (fast ? MatmulTransposeARowsFastScalar : MatmulTransposeARowsExactScalar)(
+      a, b, c, k, m, n, i_begin, i_end);
 }
 
 void Gemv(const float* rows, int64_t m, int64_t d, const float* x, float* y) {
-  if (ActiveKernelMode() == KernelMode::kFast) {
-    GemvFast(rows, m, d, x, y);
-  } else {
-    GemvExact(rows, m, d, x, y);
-  }
+  MatmulTransposeBRows(x, rows, y, d, m, 0, 1);
 }
 
 int64_t FilterGe(const float* scores, int64_t m, float threshold, int64_t cap,

@@ -5,12 +5,13 @@
 
 namespace sdea::tmath {
 
-/// Instruction set the fast-mode kernels run with. Resolved once at startup
-/// from the SDEA_SIMD environment variable ("off"/"scalar" force the
-/// portable path, "avx2" forces AVX2, anything else / unset auto-detects
-/// via CPUID) and overridable per-process with SetSimdLevel (tests,
-/// benches). Exact-mode kernels are scalar by construction, so the level
-/// only affects fast mode.
+/// Instruction set the kernels run with. Resolved once at startup from the
+/// SDEA_SIMD environment variable ("off"/"scalar" force the portable path,
+/// "avx2" forces AVX2, anything else / unset auto-detects via CPUID) and
+/// overridable per-process with SetSimdLevel (tests, benches). In exact
+/// mode the level changes only the speed: the AVX2 row kernels give the
+/// scalar kernels' bits for every non-NaN output and NaN in the same
+/// positions. In fast mode it changes the reduction tree (see KernelMode).
 enum class SimdLevel {
   kScalar = 0,  ///< Portable C++; compiled into every build.
   kAvx2 = 1,    ///< AVX2+FMA intrinsics; used only when CPUID reports both.
@@ -18,9 +19,11 @@ enum class SimdLevel {
 
 /// Accumulation contract the matmul family runs under.
 ///
-/// kExact (default) is the PR-1 contract: every output element accumulates
-/// its k partial products in double precision, ascending-k, rounded to
-/// float once — bitwise identical for every thread count AND every machine.
+/// kExact (default): every output element accumulates its k partial
+/// products in double precision, ascending-k, rounded to float once —
+/// bitwise identical for every thread count, SIMD level and machine. NaN
+/// payloads are the one exception: which of two NaN operands propagates
+/// follows instruction operand order, so only NaN positions are pinned.
 ///
 /// kFast accumulates in float32 with cache-blocked, SIMD-vectorized inner
 /// loops. Results are still deterministic for a fixed SimdLevel (the
@@ -42,7 +45,7 @@ bool Avx2CompiledIn();
 /// reports AVX2+FMA.
 bool Avx2Supported();
 
-/// The SIMD level fast-mode kernels dispatch to right now.
+/// The SIMD level the kernels dispatch to right now.
 SimdLevel ActiveSimdLevel();
 
 /// Overrides the active level. Asking for kAvx2 when !Avx2Supported() is a
@@ -72,8 +75,8 @@ namespace kernels {
 double DotExact(const float* a, const float* b, int64_t d);
 
 /// One dot product under the fast contract, dispatched on
-/// ActiveSimdLevel(). The reduction tree is identical to the one
-/// MatmulTransposeBRowsFast uses per output element, so ranking paths that
+/// ActiveSimdLevel(). The reduction tree is identical to the one fast-mode
+/// MatmulTransposeBRows uses per output element, so ranking paths that
 /// score through DotFast agree bitwise with the score-matrix path at the
 /// same level.
 float DotFast(const float* a, const float* b, int64_t d);
@@ -84,31 +87,28 @@ float DotFast(const float* a, const float* b, int64_t d);
 /// path in BOTH modes. Exact mode rounds DotExact to float once.
 float ScoreDot(const float* a, const float* b, int64_t d);
 
-/// Fast-mode row-range matmuls, mirroring the exact kernels in tensor.cc.
-/// Each writes output rows [i_begin, i_end) only, so callers shard rows
-/// across threads with bitwise-stable results for a fixed SimdLevel.
+/// Row-range matmuls underneath tmath::Matmul*, dispatched on
+/// ActiveKernelMode() and then ActiveSimdLevel(). Each writes output rows
+/// [i_begin, i_end) only, so callers shard rows across threads with
+/// bitwise-stable results.
 
-/// c[i,:] = a[i,:] @ b for a [m,k], b [k,n]; i-k-j order, j vectorized.
-void MatmulRowsFast(const float* a, const float* b, float* c, int64_t k,
-                    int64_t n, int64_t i_begin, int64_t i_end);
+/// c[i,:] = a[i,:] @ b for a [m,k], b [k,n].
+void MatmulRows(const float* a, const float* b, float* c, int64_t k,
+                int64_t n, int64_t i_begin, int64_t i_end);
 
-/// c[i,j] = a[i,:] . b[j,:] for a [m,k], b [n,k]; per-pair DotFast.
-void MatmulTransposeBRowsFast(const float* a, const float* b, float* c,
-                              int64_t k, int64_t n, int64_t i_begin,
-                              int64_t i_end);
+/// c[i,j] = ScoreDot(a[i,:], b[j,:]) for a [m,k], b [n,k], bitwise, in both
+/// modes.
+void MatmulTransposeBRows(const float* a, const float* b, float* c, int64_t k,
+                          int64_t n, int64_t i_begin, int64_t i_end);
 
-/// c[i,:] = a[:,i]^T @ b for a [k,m], b [k,n]; i-k-j order, j vectorized.
-void MatmulTransposeARowsFast(const float* a, const float* b, float* c,
-                              int64_t k, int64_t m, int64_t n,
-                              int64_t i_begin, int64_t i_end);
+/// c[i,:] = a[:,i]^T @ b for a [k,m], b [k,n].
+void MatmulTransposeARows(const float* a, const float* b, float* c, int64_t k,
+                          int64_t m, int64_t n, int64_t i_begin,
+                          int64_t i_end);
 
-/// y[i] = rows[i,:] . x for a row-major rows [m, d] against one query x
-/// (the scan shape behind NearestNeighbors / IVF probing). Gemv dispatches
-/// on ActiveKernelMode(); the Exact/Fast variants pin one mode.
-void GemvExact(const float* rows, int64_t m, int64_t d, const float* x,
-               float* y);
-void GemvFast(const float* rows, int64_t m, int64_t d, const float* x,
-              float* y);
+/// y[i] = ScoreDot(x, rows[i,:]) for a row-major rows [m, d] against one
+/// query x (the scan shape behind NearestNeighbors, IVF probing and the PQ
+/// lookup tables): the one-row case of MatmulTransposeBRows.
 void Gemv(const float* rows, int64_t m, int64_t d, const float* x, float* y);
 
 /// Writes the positions i in [0, m) with scores[i] >= threshold into

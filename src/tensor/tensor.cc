@@ -139,71 +139,10 @@ std::string Tensor::DebugString() const {
 }
 
 namespace tmath {
-namespace {
 
-// Row-range kernels behind the three matmul variants. Each computes output
-// rows [i_begin, i_end) under the shared accumulation policy (tensor.h):
-// every output element accumulates its k products in double, in ascending-k
-// order, with no term skipped, and rounds to float once. The parallel path
-// shards rows across threads and the serial path is the single shard
-// [0, m), so both execute this exact code and agree bitwise.
-
-// c[i,:] = a[i,:] @ b for a [m,k], b [k,n]; k-j inner order streams b rows.
-void MatmulRowRange(const float* pa, const float* pb, float* pc, int64_t k,
-                    int64_t n, int64_t i_begin, int64_t i_end) {
-  std::vector<double> acc(static_cast<size_t>(n));
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    const float* arow = pa + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const double aik = arow[kk];
-      const float* brow = pb + kk * n;
-      for (int64_t j = 0; j < n; ++j) acc[static_cast<size_t>(j)] += aik * brow[j];
-    }
-    float* crow = pc + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<size_t>(j)]);
-    }
-  }
-}
-
-// c[i,j] = a[i,:] . b[j,:] for a [m,k], b [n,k].
-void MatmulTransposeBRowRange(const float* pa, const float* pb, float* pc,
-                              int64_t k, int64_t n, int64_t i_begin,
-                              int64_t i_end) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* arow = pa + i * k;
-    for (int64_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      double s = 0.0;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        s += static_cast<double>(arow[kk]) * brow[kk];
-      }
-      pc[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-// c[i,:] = a[:,i]^T @ b for a [k,m], b [k,n]; a is read column-wise.
-void MatmulTransposeARowRange(const float* pa, const float* pb, float* pc,
-                              int64_t k, int64_t m, int64_t n, int64_t i_begin,
-                              int64_t i_end) {
-  std::vector<double> acc(static_cast<size_t>(n));
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const double aik = pa[kk * m + i];
-      const float* brow = pb + kk * n;
-      for (int64_t j = 0; j < n; ++j) acc[static_cast<size_t>(j)] += aik * brow[j];
-    }
-    float* crow = pc + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<size_t>(j)]);
-    }
-  }
-}
-
-}  // namespace
+// The matmul variants shard output rows across the pool; each shard runs
+// the row kernel the active (mode, level) selects, and the serial path is
+// the single shard [0, m), so every thread count gives the same bits.
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
   SDEA_CHECK_EQ(a.rank(), 2);
@@ -214,14 +153,9 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  const bool fast = ActiveKernelMode() == KernelMode::kFast;
   base::ParallelFor(m, base::GrainForWork(m, k * n),
                     [&](int64_t begin, int64_t end) {
-                      if (fast) {
-                        kernels::MatmulRowsFast(pa, pb, pc, k, n, begin, end);
-                      } else {
-                        MatmulRowRange(pa, pb, pc, k, n, begin, end);
-                      }
+                      kernels::MatmulRows(pa, pb, pc, k, n, begin, end);
                     });
   return c;
 }
@@ -235,16 +169,13 @@ Tensor MatmulTransposeB(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  const bool fast = ActiveKernelMode() == KernelMode::kFast;
-  base::ParallelFor(m, base::GrainForWork(m, k * n),
-                    [&](int64_t begin, int64_t end) {
-                      if (fast) {
-                        kernels::MatmulTransposeBRowsFast(pa, pb, pc, k, n,
-                                                          begin, end);
-                      } else {
-                        MatmulTransposeBRowRange(pa, pb, pc, k, n, begin, end);
-                      }
-                    });
+  // Each shard packs all of b into k-major panels once (the AVX2 exact
+  // kernel), so a shard gets at least 16 rows to amortize the packing.
+  const int64_t grain =
+      std::max(base::GrainForWork(m, k * n), std::min<int64_t>(m, 16));
+  base::ParallelFor(m, grain, [&](int64_t begin, int64_t end) {
+    kernels::MatmulTransposeBRows(pa, pb, pc, k, n, begin, end);
+  });
   return c;
 }
 
@@ -257,50 +188,56 @@ Tensor MatmulTransposeA(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  const bool fast = ActiveKernelMode() == KernelMode::kFast;
   base::ParallelFor(m, base::GrainForWork(m, k * n),
                     [&](int64_t begin, int64_t end) {
-                      if (fast) {
-                        kernels::MatmulTransposeARowsFast(pa, pb, pc, k, m, n,
-                                                          begin, end);
-                      } else {
-                        MatmulTransposeARowRange(pa, pb, pc, k, m, n, begin,
-                                                 end);
-                      }
+                      kernels::MatmulTransposeARows(pa, pb, pc, k, m, n, begin,
+                                                    end);
                     });
   return c;
 }
 
+// The element-wise ops check shapes once and then index raw pointers:
+// Tensor::operator[] bounds-checks every access.
+
 Tensor Add(const Tensor& a, const Tensor& b) {
   SDEA_CHECK(a.SameShape(b));
   Tensor c = a;
-  for (int64_t i = 0; i < c.size(); ++i) c[i] += b[i];
+  float* pc = c.data();
+  const float* pb = b.data();
+  for (int64_t i = 0; i < c.size(); ++i) pc[i] += pb[i];
   return c;
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   SDEA_CHECK(a.SameShape(b));
   Tensor c = a;
-  for (int64_t i = 0; i < c.size(); ++i) c[i] -= b[i];
+  float* pc = c.data();
+  const float* pb = b.data();
+  for (int64_t i = 0; i < c.size(); ++i) pc[i] -= pb[i];
   return c;
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   SDEA_CHECK(a.SameShape(b));
   Tensor c = a;
-  for (int64_t i = 0; i < c.size(); ++i) c[i] *= b[i];
+  float* pc = c.data();
+  const float* pb = b.data();
+  for (int64_t i = 0; i < c.size(); ++i) pc[i] *= pb[i];
   return c;
 }
 
 Tensor Scale(const Tensor& a, float s) {
   Tensor c = a;
-  for (int64_t i = 0; i < c.size(); ++i) c[i] *= s;
+  float* pc = c.data();
+  for (int64_t i = 0; i < c.size(); ++i) pc[i] *= s;
   return c;
 }
 
 void AxpyInto(const Tensor& a, float s, Tensor* out) {
   SDEA_CHECK(a.SameShape(*out));
-  for (int64_t i = 0; i < a.size(); ++i) (*out)[i] += s * a[i];
+  const float* pa = a.data();
+  float* po = out->data();
+  for (int64_t i = 0; i < a.size(); ++i) po[i] += s * pa[i];
 }
 
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
@@ -309,8 +246,10 @@ Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
   SDEA_CHECK_EQ(a.dim(1), bias.dim(0));
   Tensor c = a;
   const int64_t rows = a.dim(0), cols = a.dim(1);
+  const float* pb = bias.data();
   for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) c[i * cols + j] += bias[j];
+    float* row = c.data() + i * cols;
+    for (int64_t j = 0; j < cols; ++j) row[j] += pb[j];
   }
   return c;
 }

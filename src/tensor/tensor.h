@@ -125,7 +125,11 @@ class Tensor {
 /// either operand propagates per IEEE semantics), and is rounded to float
 /// exactly once at the end. The variants therefore agree bitwise on
 /// transposed views of the same operands, e.g. Matmul(a, b) ==
-/// MatmulTransposeB(a, Transpose(b)).
+/// MatmulTransposeB(a, Transpose(b)). The portable and AVX2 kernels both
+/// keep this contract: every non-NaN output has the same bits at every
+/// SimdLevel, and NaN outputs sit in the same positions. A NaN's payload is
+/// not part of the contract, since which of two NaN operands propagates
+/// depends on instruction operand order.
 ///
 /// FAST mode (opt-in via tmath::SetKernelMode or SDEA_KERNEL_MODE=fast)
 /// dispatches to the cache-blocked, SIMD-vectorized float32 kernels in

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "base/rng.h"
 
@@ -45,10 +46,14 @@ Result<Tensor> CooccurrencePretrainer::Train(
     return Status::InvalidArgument("corpus produced no co-occurrences");
   }
 
-  std::vector<uint64_t> keys;
-  keys.reserve(cooc.size());
-  for (const auto& [k, _] : cooc) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());  // Deterministic base order.
+  // (key, x) pairs in key order, the deterministic base order. x never
+  // changes during training, so the epochs shuffle the pairs instead of
+  // looking every key up again; Shuffle's draws depend only on the size.
+  // The map is released before training.
+  std::vector<std::pair<uint64_t, float>> pairs(cooc.begin(), cooc.end());
+  std::unordered_map<uint64_t, float>().swap(cooc);
+  std::sort(pairs.begin(), pairs.end(),
+            [](const auto& l, const auto& r) { return l.first < r.first; });
 
   Rng rng(config.seed);
   const float init = 0.5f / static_cast<float>(d);
@@ -63,11 +68,10 @@ Result<Tensor> CooccurrencePretrainer::Train(
   std::vector<float> gbc(static_cast<size_t>(v), 1.0f);
 
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(&keys);
-    for (uint64_t key : keys) {
+    rng.Shuffle(&pairs);
+    for (const auto& [key, x] : pairs) {
       const int64_t i = static_cast<int64_t>(key >> 32);
       const int64_t j = static_cast<int64_t>(key & 0xffffffffULL);
-      const float x = cooc[key];
       const float weight =
           x >= config.x_max
               ? 1.0f

@@ -1,19 +1,25 @@
 // Contract tests for the kernel dispatch layer: exact mode must reproduce
-// the PR-1 double-accumulation semantics bitwise, fast mode must stay
-// within tolerance of exact mode (scalar and AVX2) while remaining
-// deterministic across thread counts, and every ranking site's ScoreDot
-// must agree bitwise with the MatmulTransposeB score matrix in BOTH modes.
+// the double-accumulation semantics bitwise at every SIMD level (NaN
+// payloads aside), fast mode must stay within tolerance of exact mode
+// (scalar and AVX2) while remaining deterministic across thread counts,
+// and every ranking site's ScoreDot must agree bitwise with the
+// MatmulTransposeB score matrix in BOTH modes.
 #include "tensor/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "base/threadpool.h"
+#include "core/vector_index.h"
 #include "tensor/tensor.h"
+#include "testing/kernel_config.h"
 
 namespace sdea {
 namespace {
@@ -21,31 +27,8 @@ namespace {
 using tmath::KernelMode;
 using tmath::SimdLevel;
 
-// RAII mode/level pinning so a failing test can't leak configuration into
-// the rest of the binary.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(KernelMode mode)
-      : saved_(tmath::ActiveKernelMode()) {
-    tmath::SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { tmath::SetKernelMode(saved_); }
-
- private:
-  KernelMode saved_;
-};
-
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level)
-      : saved_(tmath::ActiveSimdLevel()) {
-    tmath::SetSimdLevel(level);
-  }
-  ~ScopedSimdLevel() { tmath::SetSimdLevel(saved_); }
-
- private:
-  SimdLevel saved_;
-};
+using sdea::testing::ScopedKernelMode;
+using sdea::testing::ScopedSimdLevel;
 
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
@@ -175,7 +158,10 @@ TEST(KernelsTest, GemvMatchesPerRowDots) {
   const Tensor rows = Tensor::RandomNormal({m, d}, 1.0f, &rng);
   const Tensor x = Tensor::RandomNormal({d}, 1.0f, &rng);
   std::vector<float> y(static_cast<size_t>(m));
-  tmath::kernels::GemvExact(rows.data(), m, d, x.data(), y.data());
+  {
+    ScopedKernelMode mode(KernelMode::kExact);
+    tmath::kernels::Gemv(rows.data(), m, d, x.data(), y.data());
+  }
   for (int64_t i = 0; i < m; ++i) {
     EXPECT_EQ(y[static_cast<size_t>(i)],
               static_cast<float>(
@@ -183,9 +169,10 @@ TEST(KernelsTest, GemvMatchesPerRowDots) {
   }
   for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (level == SimdLevel::kAvx2 && !tmath::Avx2Supported()) continue;
+    ScopedKernelMode mode(KernelMode::kFast);
     ScopedSimdLevel simd(level);
     std::vector<float> yf(static_cast<size_t>(m));
-    tmath::kernels::GemvFast(rows.data(), m, d, x.data(), yf.data());
+    tmath::kernels::Gemv(rows.data(), m, d, x.data(), yf.data());
     for (int64_t i = 0; i < m; ++i) {
       EXPECT_NEAR(yf[static_cast<size_t>(i)], y[static_cast<size_t>(i)],
                   1e-3)
@@ -230,6 +217,148 @@ TEST(KernelsTest, NanAndInfPropagateInBothModes) {
     EXPECT_TRUE(std::isnan(c[0 * 3 + 0])) << tmath::KernelModeName(mode);
     EXPECT_TRUE(std::isnan(c[0 * 3 + 1])) << tmath::KernelModeName(mode);
     EXPECT_TRUE(std::isinf(c[1 * 3 + 1])) << tmath::KernelModeName(mode);
+  }
+}
+
+// --- Exact contract across SIMD levels -------------------------------------
+// kScalar and kAvx2 must give the same bits for every non-NaN output of
+// the exact kernels, and NaN in the same positions. NaN payloads are not
+// compared: which of two NaN operands propagates depends on instruction
+// operand order, at either level.
+
+// Counts the elements that break the contract; reports the first one.
+int64_t ContractBreaks(const float* scalar, const float* avx2, int64_t size,
+                       const std::string& what) {
+  int64_t breaks = 0;
+  for (int64_t i = 0; i < size; ++i) {
+    const bool nan_s = std::isnan(scalar[i]);
+    const bool nan_v = std::isnan(avx2[i]);
+    bool same = nan_s == nan_v;
+    if (same && !nan_s) {
+      same = std::memcmp(scalar + i, avx2 + i, sizeof(float)) == 0;
+    }
+    if (!same && breaks++ == 0) {
+      ADD_FAILURE() << what << ": element " << i << " scalar=" << scalar[i]
+                    << " avx2=" << avx2[i];
+    }
+  }
+  return breaks;
+}
+
+enum class Fill {
+  kNormal,    // N(0, 1).
+  kFinite,    // N(0, 1) with +-1e30, FLT_MAX, subnormals and +-0 mixed in.
+  kNonFinite  // kFinite plus sparse +-Inf and NaNs of two payloads.
+};
+
+Tensor FillTensor(std::vector<int64_t> shape, Fill fill, Rng* rng) {
+  Tensor t = Tensor::RandomNormal(std::move(shape), 1.0f, rng);
+  if (fill == Fill::kNormal) return t;
+  const float finite[] = {1e30f,        -1e30f,  FLT_MAX, -FLT_MAX,
+                          FLT_TRUE_MIN, -3e-42f, 1e-40f,  FLT_MIN,
+                          0.0f,         -0.0f,   -0.0f,   0.0f};
+  float other_nan = 0.0f;
+  const uint32_t other_nan_bits = 0xffc12345u;  // Negative, other payload.
+  std::memcpy(&other_nan, &other_nan_bits, sizeof(other_nan));
+  const float non_finite[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN(),
+                              other_nan};
+  for (int64_t i = 0; i < t.size(); ++i) {
+    const uint64_t draw = rng->UniformInt(1000);
+    if (draw < 150) {
+      t[i] = finite[rng->UniformInt(std::size(finite))];
+    } else if (fill == Fill::kNonFinite && draw < 158) {
+      t[i] = non_finite[rng->UniformInt(std::size(non_finite))];
+    }
+  }
+  return t;
+}
+
+TEST(KernelsTest, ExactAvx2MatchesScalarOnRandomShapesAndSpecialValues) {
+  if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA not supported";
+  ScopedKernelMode mode(KernelMode::kExact);
+  Rng rng(20261018);
+  int64_t one_row = 0, narrow = 0, ragged = 0, empty_k = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int64_t m =
+        trial % 5 == 0 ? 1 : 1 + static_cast<int64_t>(rng.UniformInt(70));
+    const int64_t n =
+        trial % 7 == 0 ? 1 + static_cast<int64_t>(rng.UniformInt(3))
+                       : 1 + static_cast<int64_t>(rng.UniformInt(70));
+    const int64_t k =
+        trial % 11 == 0 ? 0 : 1 + static_cast<int64_t>(rng.UniformInt(70));
+    one_row += m == 1;
+    narrow += n < 4;
+    ragged += n % 8 != 0;
+    empty_k += k == 0;
+    const Fill fill = static_cast<Fill>(trial % 3);
+    const Tensor a = FillTensor({m, k}, fill, &rng);
+    const Tensor b = FillTensor({k, n}, fill, &rng);
+    const Tensor at = tmath::Transpose(a);
+    const Tensor bt = tmath::Transpose(b);
+
+    Tensor out[2][3];
+    std::vector<float> gemv[2];
+    for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+      ScopedSimdLevel simd(level);
+      const int l = static_cast<int>(level);
+      out[l][0] = tmath::Matmul(a, b);
+      out[l][1] = tmath::MatmulTransposeA(at, b);
+      out[l][2] = tmath::MatmulTransposeB(a, bt);
+      // One query (a's first row) against the n rows of bt.
+      gemv[l].resize(static_cast<size_t>(n));
+      tmath::kernels::Gemv(bt.data(), n, k, a.data(), gemv[l].data());
+    }
+    const std::string shape = "m=" + std::to_string(m) +
+                              " k=" + std::to_string(k) +
+                              " n=" + std::to_string(n) +
+                              " fill=" + std::to_string(trial % 3);
+    const char* names[3] = {"Matmul", "MatmulTransposeA", "MatmulTransposeB"};
+    for (int op = 0; op < 3; ++op) {
+      EXPECT_EQ(ContractBreaks(out[0][op].data(), out[1][op].data(), m * n,
+                               std::string(names[op]) + " " + shape),
+                0);
+    }
+    EXPECT_EQ(ContractBreaks(gemv[0].data(), gemv[1].data(), n,
+                             "Gemv " + shape),
+              0);
+    if (::testing::Test::HasFailure()) break;
+  }
+  // The draws must have reached every tail of the row-block kernels.
+  EXPECT_GT(one_row, 0);
+  EXPECT_GT(narrow, 0);
+  EXPECT_GT(ragged, 0);
+  EXPECT_GT(empty_k, 0);
+}
+
+TEST(KernelsTest, KMeansAssignmentIdenticalAcrossSimdLevels) {
+  // k-means scores rows against centroids through the MatmulTransposeB row
+  // kernel, so both assignment passes (spherical and Euclidean) must pick
+  // the same centroids at every level.
+  if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA not supported";
+  ScopedKernelMode mode(KernelMode::kExact);
+  Rng rng(29);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int64_t m = 1 + static_cast<int64_t>(rng.UniformInt(300));
+    const int64_t d = 1 + static_cast<int64_t>(rng.UniformInt(40));
+    const int64_t k = 1 + static_cast<int64_t>(rng.UniformInt(40));
+    const Tensor rows = Tensor::RandomNormal({m, d}, 1.0f, &rng);
+    for (const bool spherical : {true, false}) {
+      core::KMeansOptions options;
+      options.spherical = spherical;
+      options.seed = static_cast<uint64_t>(trial);
+      core::KMeansResult result[2];
+      for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+        ScopedSimdLevel simd(level);
+        result[static_cast<int>(level)] =
+            core::KMeansRows(rows.data(), m, d, k, options);
+      }
+      EXPECT_EQ(result[0].assignment, result[1].assignment)
+          << "m=" << m << " d=" << d << " k=" << k
+          << " spherical=" << spherical;
+      ExpectBitwiseEqual(result[0].centroids, result[1].centroids);
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "base/rng.h"
 #include "tensor/kernels.h"
+#include "testing/kernel_config.h"
 
 namespace sdea {
 namespace {
@@ -179,17 +180,7 @@ TEST(TopKTest, PropertyMatchesPartialSortAtScale) {
 // exactly the reference answer, at every available SIMD level (the
 // candidate scan dispatches through kernels::FilterGe).
 
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(tmath::SimdLevel level)
-      : saved_(tmath::ActiveSimdLevel()) {
-    tmath::SetSimdLevel(level);
-  }
-  ~ScopedSimdLevel() { tmath::SetSimdLevel(saved_); }
-
- private:
-  tmath::SimdLevel saved_;
-};
+using sdea::testing::ScopedSimdLevel;
 
 void ExpectMatchesReferenceAtAllSimdLevels(
     const std::vector<float>& scores, int64_t k,

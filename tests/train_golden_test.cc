@@ -11,6 +11,7 @@
 // KnowledgeGraph's row mirrors onto KgSnapshot scans, by running this
 // file against that tree. They pin the triple order each KG read feeds
 // into training and into the generated stream.
+#include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
 
@@ -30,6 +31,7 @@
 #include "datagen/streaming.h"
 #include "incr/update_log.h"
 #include "kg/binary_io.h"
+#include "testing/kernel_config.h"
 
 namespace sdea {
 namespace {
@@ -46,12 +48,23 @@ uint64_t HashBytes(const void* data, size_t bytes) {
 }
 
 uint64_t HashTensor(const Tensor& t) {
+  // NaN payloads are outside the exact contract, so no golden may hash one.
+  int64_t nans = 0;
+  for (int64_t i = 0; i < t.size(); ++i) nans += std::isnan(t[i]) ? 1 : 0;
+  EXPECT_EQ(nans, 0);
   return HashBytes(t.data(), static_cast<size_t>(t.size()) * sizeof(float));
 }
 
 uint64_t HashString(const std::string& s) {
   return HashBytes(s.data(), s.size());
 }
+
+// The hashes are exact-mode numerics, so every case pins exact mode
+// whatever SDEA_KERNEL_MODE says.
+class TrainGoldenTest : public ::testing::Test {
+ private:
+  sdea::testing::ScopedKernelMode mode_{tmath::KernelMode::kExact};
+};
 
 struct Fixture {
   datagen::GeneratedBenchmark bench;
@@ -76,7 +89,7 @@ Fixture MakeBaselineFixture() {
   return f;
 }
 
-TEST(TrainGoldenTest, TransEMatchesLegacyLoop) {
+TEST_F(TrainGoldenTest, TransEMatchesLegacyLoop) {
   Fixture f = MakeBaselineFixture();
   baselines::TransEConfig c;
   c.dim = 16;
@@ -89,7 +102,7 @@ TEST(TrainGoldenTest, TransEMatchesLegacyLoop) {
             0x455b7a550e696ef8ULL);
 }
 
-TEST(TrainGoldenTest, MTransEMatchesLegacyLoop) {
+TEST_F(TrainGoldenTest, MTransEMatchesLegacyLoop) {
   // Covers the no-negative-sampling TransE stream (two independent models)
   // plus the hand-rolled linear-mapping task.
   Fixture f = MakeBaselineFixture();
@@ -103,7 +116,7 @@ TEST(TrainGoldenTest, MTransEMatchesLegacyLoop) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x4590160074647dadULL);
 }
 
-TEST(TrainGoldenTest, TransEdgeMatchesLegacyLoop) {
+TEST_F(TrainGoldenTest, TransEdgeMatchesLegacyLoop) {
   // Covers the cumulative-shuffle autograd minibatch path (Adam + the
   // extracted MarginHingeLoss) in the seed-sharing joint space.
   Fixture f = MakeBaselineFixture();
@@ -117,7 +130,7 @@ TEST(TrainGoldenTest, TransEdgeMatchesLegacyLoop) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x082b268fdc8482e6ULL);
 }
 
-TEST(TrainGoldenTest, IpTransEMatchesLegacyLoop) {
+TEST_F(TrainGoldenTest, IpTransEMatchesLegacyLoop) {
   // Covers the two interleaved RNG streams of IPTransE: the TransE epoch
   // (OnEpochBegin hook, model RNG) and the 2-hop path sampling (TrainBatch,
   // dedicated path RNG), plus the soft-alignment rounds between Trainer
@@ -134,11 +147,13 @@ TEST(TrainGoldenTest, IpTransEMatchesLegacyLoop) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x91c757fc374cea97ULL);
 }
 
-TEST(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
+TEST_F(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
   // Covers both SDEA fine-tuning phases end to end: the text-encoder
   // pre-training (fresh-per-epoch shuffle over the replicated seed list,
   // candidate negatives, early stop + restore-best) and the relation
   // module's joint training (cumulative shuffle, eval on valid Hits@1).
+  // Exact mode gives the same bits at every SIMD level, so both levels
+  // must reproduce the same hashes.
   datagen::GeneratorConfig g;
   g.seed = 77;
   g.num_matched = 100;
@@ -163,13 +178,20 @@ TEST(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
   c.relation.joint_dim = 16;
   c.relation.max_epochs = 4;
   c.relation.patience = 2;
-  core::SdeaModel model;
-  auto report =
-      model.Fit(bench.kg1, bench.kg2, seeds, c, bench.pretrain_corpus);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(HashTensor(model.attribute_embeddings1()), 0x1ab9106927da0f1fULL);
-  EXPECT_EQ(HashTensor(model.embeddings1()), 0x4d106aae1ae04bf5ULL);
-  EXPECT_EQ(HashTensor(model.embeddings2()), 0xbb5e7549daebfda1ULL);
+  for (const tmath::SimdLevel level :
+       {tmath::SimdLevel::kScalar, tmath::SimdLevel::kAvx2}) {
+    if (level == tmath::SimdLevel::kAvx2 && !tmath::Avx2Supported()) continue;
+    SCOPED_TRACE(tmath::SimdLevelName(level));
+    sdea::testing::ScopedSimdLevel simd(level);
+    core::SdeaModel model;
+    auto report =
+        model.Fit(bench.kg1, bench.kg2, seeds, c, bench.pretrain_corpus);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(HashTensor(model.attribute_embeddings1()),
+              0x1ab9106927da0f1fULL);
+    EXPECT_EQ(HashTensor(model.embeddings1()), 0x4d106aae1ae04bf5ULL);
+    EXPECT_EQ(HashTensor(model.embeddings2()), 0xbb5e7549daebfda1ULL);
+  }
 }
 
 // The remaining baselines pin the KG read each one performs: the
@@ -178,7 +200,7 @@ TEST(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
 // count features (GCN-Align, HMAN), per-entity attribute sentences
 // (JAPE) and the seed-merged walk graph (RSN4EA).
 
-TEST(TrainGoldenTest, BootEaMatchesGolden) {
+TEST_F(TrainGoldenTest, BootEaMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::TransEConfig t;
   t.dim = 16;
@@ -193,7 +215,7 @@ TEST(TrainGoldenTest, BootEaMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x8e5553dc21bd39c1ULL);
 }
 
-TEST(TrainGoldenTest, JapeMatchesGolden) {
+TEST_F(TrainGoldenTest, JapeMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Jape::Config c;
   c.transe.dim = 16;
@@ -206,7 +228,7 @@ TEST(TrainGoldenTest, JapeMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0xeaeb71c5215ce753ULL);
 }
 
-TEST(TrainGoldenTest, KecgMatchesGolden) {
+TEST_F(TrainGoldenTest, KecgMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Kecg::Config c;
   c.dim = 16;
@@ -219,7 +241,7 @@ TEST(TrainGoldenTest, KecgMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0xd05048cbc4404637ULL);
 }
 
-TEST(TrainGoldenTest, GcnAlignMatchesGolden) {
+TEST_F(TrainGoldenTest, GcnAlignMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::GcnAlign::Config c = baselines::GcnAlignConfig();
   c.feature_dim = 16;
@@ -234,7 +256,7 @@ TEST(TrainGoldenTest, GcnAlignMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0xe2188f9836198207ULL);
 }
 
-TEST(TrainGoldenTest, HmanMatchesGolden) {
+TEST_F(TrainGoldenTest, HmanMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Hman::Config c;
   c.gcn.feature_dim = 16;
@@ -251,7 +273,7 @@ TEST(TrainGoldenTest, HmanMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x77d48e86edefcbf8ULL);
 }
 
-TEST(TrainGoldenTest, Rsn4EaMatchesGolden) {
+TEST_F(TrainGoldenTest, Rsn4EaMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Rsn4Ea::Config c;
   c.dim = 16;
@@ -263,7 +285,7 @@ TEST(TrainGoldenTest, Rsn4EaMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x92ba33570e3479f5ULL);
 }
 
-TEST(TrainGoldenTest, StreamingPresetMatchesGolden) {
+TEST_F(TrainGoldenTest, StreamingPresetMatchesGolden) {
   // The d_stream preset at a reduced size: the base graphs' encoded
   // bytes, the update log (arrivals and seeded attribute edits) and the
   // base-state truth pin GenerateStreaming's output row for row.
