@@ -39,14 +39,13 @@ class ScopedThreads {
   }
 };
 
-// --- Kernel-variant matrix: (exact | fast) x (scalar | avx2). ------------
+// --- Kernel variants: scalar | avx2. --------------------------------------
 // Registered via BENCHMARK_CAPTURE so rows read e.g.
-// BM_Matmul512/fast_avx2; compare rows of the same shape to read off the
-// exact-vs-fast cost and the AVX2-vs-scalar speedup in each mode. AVX2
-// rows skip with an error on hosts without AVX2+FMA instead of silently
-// running scalar.
+// BM_Matmul512/exact_avx2; compare rows of the same shape to read off the
+// AVX2-vs-scalar speedup. Both levels keep the one exact contract, so the
+// rows differ only in speed. AVX2 rows skip with an error on hosts without
+// AVX2+FMA instead of silently running scalar.
 
-using tmath::KernelMode;
 using tmath::SimdLevel;
 
 bool SkipUnsupported(benchmark::State& state, SimdLevel level) {
@@ -57,10 +56,8 @@ bool SkipUnsupported(benchmark::State& state, SimdLevel level) {
   return false;
 }
 
-void BM_Matmul512(benchmark::State& state, KernelMode mode,
-                  SimdLevel level) {
+void BM_Matmul512(benchmark::State& state, SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
-  sdea::testing::ScopedKernelMode pin_mode(mode);
   sdea::testing::ScopedSimdLevel pin_level(level);
   Rng rng(21);
   Tensor a = Tensor::RandomNormal({256, 512}, 1.0f, &rng);
@@ -71,20 +68,12 @@ void BM_Matmul512(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * 256 * 512 * 256);
 }
-BENCHMARK_CAPTURE(BM_Matmul512, exact_scalar, KernelMode::kExact,
-                  SimdLevel::kScalar);
-BENCHMARK_CAPTURE(BM_Matmul512, exact_avx2, KernelMode::kExact,
-                  SimdLevel::kAvx2);
-BENCHMARK_CAPTURE(BM_Matmul512, fast_scalar, KernelMode::kFast,
-                  SimdLevel::kScalar);
-BENCHMARK_CAPTURE(BM_Matmul512, fast_avx2, KernelMode::kFast,
-                  SimdLevel::kAvx2);
+BENCHMARK_CAPTURE(BM_Matmul512, exact_scalar, SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_Matmul512, exact_avx2, SimdLevel::kAvx2);
 
-void BM_ScoreMatrix512(benchmark::State& state, KernelMode mode,
-                       SimdLevel level) {
+void BM_ScoreMatrix512(benchmark::State& state, SimdLevel level) {
   // MatmulTransposeB over 512-dim rows: the alignment score matrix.
   if (SkipUnsupported(state, level)) return;
-  sdea::testing::ScopedKernelMode pin_mode(mode);
   sdea::testing::ScopedSimdLevel pin_level(level);
   Rng rng(22);
   Tensor a = Tensor::RandomNormal({256, 512}, 1.0f, &rng);
@@ -95,16 +84,10 @@ void BM_ScoreMatrix512(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * 256 * 512 * 256);
 }
-BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_scalar, KernelMode::kExact,
-                  SimdLevel::kScalar);
-BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_avx2, KernelMode::kExact,
-                  SimdLevel::kAvx2);
-BENCHMARK_CAPTURE(BM_ScoreMatrix512, fast_scalar, KernelMode::kFast,
-                  SimdLevel::kScalar);
-BENCHMARK_CAPTURE(BM_ScoreMatrix512, fast_avx2, KernelMode::kFast,
-                  SimdLevel::kAvx2);
+BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_scalar, SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_ScoreMatrix512, exact_avx2, SimdLevel::kAvx2);
 
-void BM_Gemv512(benchmark::State& state, KernelMode mode, SimdLevel level) {
+void BM_Gemv512(benchmark::State& state, SimdLevel level) {
   // One query against `rows` stored 512-dim rows — the per-request shape
   // of candidate generation and EmbeddingStore::NearestNeighbors. Each
   // row is streamed exactly once, so the store size picks the regime:
@@ -112,7 +95,6 @@ void BM_Gemv512(benchmark::State& state, KernelMode mode, SimdLevel level) {
   // 8192 rows (16 MB) spill to L3/DRAM where every variant converges on
   // memory bandwidth and the SIMD gap narrows.
   if (SkipUnsupported(state, level)) return;
-  sdea::testing::ScopedKernelMode pin_mode(mode);
   sdea::testing::ScopedSimdLevel pin_level(level);
   const int64_t rows_n = state.range(0);
   Rng rng(23);
@@ -125,28 +107,19 @@ void BM_Gemv512(benchmark::State& state, KernelMode mode, SimdLevel level) {
   }
   state.SetItemsProcessed(state.iterations() * rows_n * 512);
 }
-BENCHMARK_CAPTURE(BM_Gemv512, exact_scalar, KernelMode::kExact,
-                  SimdLevel::kScalar)
+BENCHMARK_CAPTURE(BM_Gemv512, exact_scalar, SimdLevel::kScalar)
     ->Arg(512)
     ->Arg(8192);
-BENCHMARK_CAPTURE(BM_Gemv512, exact_avx2, KernelMode::kExact, SimdLevel::kAvx2)
-    ->Arg(512)
-    ->Arg(8192);
-BENCHMARK_CAPTURE(BM_Gemv512, fast_scalar, KernelMode::kFast,
-                  SimdLevel::kScalar)
-    ->Arg(512)
-    ->Arg(8192);
-BENCHMARK_CAPTURE(BM_Gemv512, fast_avx2, KernelMode::kFast, SimdLevel::kAvx2)
+BENCHMARK_CAPTURE(BM_Gemv512, exact_avx2, SimdLevel::kAvx2)
     ->Arg(512)
     ->Arg(8192);
 
-void BM_GruStep(benchmark::State& state, KernelMode mode, SimdLevel level) {
+void BM_GruStep(benchmark::State& state, SimdLevel level) {
   // The three products one BiGRU step makes per [32,32] weight matrix:
   // forward x @ W, backward dx = dy @ W^T and dW = x^T @ dy, each on a
   // single 32-wide row. The relation module runs about a million of these
   // per align_batch run, so per-call overhead counts as much as MAC rate.
   if (SkipUnsupported(state, level)) return;
-  sdea::testing::ScopedKernelMode pin_mode(mode);
   sdea::testing::ScopedSimdLevel pin_level(level);
   Rng rng(25);
   Tensor x = Tensor::RandomNormal({1, 32}, 1.0f, &rng);
@@ -162,13 +135,8 @@ void BM_GruStep(benchmark::State& state, KernelMode mode, SimdLevel level) {
   }
   state.SetItemsProcessed(state.iterations() * 3 * 32 * 32);
 }
-BENCHMARK_CAPTURE(BM_GruStep, exact_scalar, KernelMode::kExact,
-                  SimdLevel::kScalar);
-BENCHMARK_CAPTURE(BM_GruStep, exact_avx2, KernelMode::kExact,
-                  SimdLevel::kAvx2);
-BENCHMARK_CAPTURE(BM_GruStep, fast_scalar, KernelMode::kFast,
-                  SimdLevel::kScalar);
-BENCHMARK_CAPTURE(BM_GruStep, fast_avx2, KernelMode::kFast, SimdLevel::kAvx2);
+BENCHMARK_CAPTURE(BM_GruStep, exact_scalar, SimdLevel::kScalar);
+BENCHMARK_CAPTURE(BM_GruStep, exact_avx2, SimdLevel::kAvx2);
 
 // --- Top-k selection: radix select vs the old partial_sort. --------------
 // Same (score desc, index asc) answer; compare BM_TopKRadix/m to

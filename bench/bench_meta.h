@@ -15,9 +15,6 @@ namespace sdea::bench {
 /// self-describing: two files are only comparable when these keys agree.
 inline void AddKernelContext() {
   benchmark::AddCustomContext(
-      "sdea_kernel_mode",
-      tmath::KernelModeName(tmath::ActiveKernelMode()));
-  benchmark::AddCustomContext(
       "sdea_simd_level", tmath::SimdLevelName(tmath::ActiveSimdLevel()));
   benchmark::AddCustomContext("sdea_avx2_supported",
                               tmath::Avx2Supported() ? "true" : "false");

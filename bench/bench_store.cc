@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the sdea::store quantized snapshot
-// layer: codebook encoding, the ADC scan kernels in every (mode, simd)
-// variant, snapshot open latency (the O(ms) mmap claim), the end-to-end
+// layer: codebook encoding, the ADC scan kernels (the int8 scan at both
+// SIMD levels), snapshot open latency (the O(ms) mmap claim), the end-to-end
 // compressed-candidates query against the full-precision baseline, and a
 // recall@10-vs-latency row per retrieval configuration. Memory footprints
 // are emitted as counters so the JSON records the compression ratios next
@@ -27,7 +27,6 @@
 namespace {
 
 using namespace sdea;
-using tmath::KernelMode;
 using tmath::SimdLevel;
 
 bool SkipUnsupported(benchmark::State& state, SimdLevel level) {
@@ -87,10 +86,8 @@ void BM_PqEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_PqEncode)->Arg(4096);
 
-void BM_AdcScanInt8(benchmark::State& state, KernelMode mode,
-                    SimdLevel level) {
+void BM_AdcScanInt8(benchmark::State& state, SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
-  sdea::testing::ScopedKernelMode pin_mode(mode);
   sdea::testing::ScopedSimdLevel pin_level(level);
   const int64_t n = state.range(0), d = 128;
   const Tensor rows = RandomRows(n, d, 3);
@@ -106,21 +103,12 @@ void BM_AdcScanInt8(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * n * d);
 }
-BENCHMARK_CAPTURE(BM_AdcScanInt8, exact, KernelMode::kExact,
-                  SimdLevel::kScalar)
+BENCHMARK_CAPTURE(BM_AdcScanInt8, exact_scalar, SimdLevel::kScalar)
     ->Arg(65536);
-BENCHMARK_CAPTURE(BM_AdcScanInt8, fast_scalar, KernelMode::kFast,
-                  SimdLevel::kScalar)
-    ->Arg(65536);
-BENCHMARK_CAPTURE(BM_AdcScanInt8, fast_avx2, KernelMode::kFast,
-                  SimdLevel::kAvx2)
+BENCHMARK_CAPTURE(BM_AdcScanInt8, exact_avx2, SimdLevel::kAvx2)
     ->Arg(65536);
 
-void BM_AdcScanPq(benchmark::State& state, KernelMode mode,
-                  SimdLevel level) {
-  if (SkipUnsupported(state, level)) return;
-  sdea::testing::ScopedKernelMode pin_mode(mode);
-  sdea::testing::ScopedSimdLevel pin_level(level);
+void BM_AdcScanPq(benchmark::State& state) {
   const int64_t n = state.range(0), d = 128;
   const Tensor rows = RandomRows(n, d, 5);
   store::PqOptions options;
@@ -140,15 +128,7 @@ void BM_AdcScanPq(benchmark::State& state, KernelMode mode,
   }
   state.SetItemsProcessed(state.iterations() * n * cb->pq_subspaces());
 }
-BENCHMARK_CAPTURE(BM_AdcScanPq, exact, KernelMode::kExact,
-                  SimdLevel::kScalar)
-    ->Arg(65536);
-BENCHMARK_CAPTURE(BM_AdcScanPq, fast_scalar, KernelMode::kFast,
-                  SimdLevel::kScalar)
-    ->Arg(65536);
-BENCHMARK_CAPTURE(BM_AdcScanPq, fast_avx2, KernelMode::kFast,
-                  SimdLevel::kAvx2)
-    ->Arg(65536);
+BENCHMARK(BM_AdcScanPq)->Arg(65536);
 
 void BM_StoreOpen(benchmark::State& state) {
   // The open-latency claim: only the manifest and the shard header pages

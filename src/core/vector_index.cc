@@ -18,8 +18,8 @@ namespace {
 // Spherical mode ranks by dot product (rows and centroids unit-length, so
 // dot == cosine); Euclidean mode ranks by squared L2 distance via the
 // equivalent argmax of (x . c - 0.5*||c||^2). The scores come from the
-// MatmulTransposeB row kernel, which equals ScoreDot bitwise in both
-// modes, a block of rows at a time so the score buffer stays small. Rows
+// MatmulTransposeB row kernel, which equals ScoreDot bitwise, a block of
+// rows at a time so the score buffer stays small. Rows
 // are sharded across threads; each row writes only its own slot, so the
 // assignment is identical for every thread count.
 void AssignToNearestCentroid(const float* rows, int64_t m, int64_t d,

@@ -103,7 +103,6 @@ ServeStats::ServeStats(obs::MetricsRegistry* registry) {
     registry = owned_registry_.get();
   }
   registry_ = registry;
-  queries_ = registry_->GetCounter("serve.queries");
   text_queries_ = registry_->GetCounter("serve.text_queries");
   embedding_queries_ = registry_->GetCounter("serve.embedding_queries");
   failed_queries_ = registry_->GetCounter("serve.failed_queries");
@@ -125,7 +124,6 @@ ServeStats::ServeStats(obs::MetricsRegistry* registry) {
 }
 
 void ServeStats::RecordQuery(bool is_text) {
-  queries_->Increment();
   if (is_text) {
     text_queries_->Increment();
   } else {
@@ -159,12 +157,9 @@ void ServeStats::RecordLatency(Stage stage, int64_t micros) {
 
 StatsSnapshot ServeStats::Snapshot() const {
   StatsSnapshot snap;
-  // The per-kind counts before the total: RecordQuery bumps the total
-  // first, so every query counted by kind is already in the total and
-  // queries >= text_queries holds under concurrent writers.
   snap.text_queries = text_queries_->Value();
   snap.embedding_queries = embedding_queries_->Value();
-  snap.queries = queries_->Value();
+  snap.queries = snap.text_queries + snap.embedding_queries;
   snap.failed_queries = failed_queries_->Value();
   snap.no_match_answers = no_match_answers_->Value();
   // The histogram before batched_queries: RecordBatch adds a batch's size
@@ -185,7 +180,6 @@ StatsSnapshot ServeStats::Snapshot() const {
 }
 
 void ServeStats::Reset() {
-  queries_->Reset();
   text_queries_->Reset();
   embedding_queries_->Reset();
   failed_queries_->Reset();

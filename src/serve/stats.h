@@ -21,7 +21,8 @@ struct StatsSnapshot {
   /// Instrumented pipeline stages (indices into latency_hist).
   static constexpr int kNumStages = 3;
 
-  uint64_t queries = 0;            ///< Successfully answered requests.
+  /// Successfully answered requests: text_queries + embedding_queries.
+  uint64_t queries = 0;
   uint64_t text_queries = 0;       ///< Of `queries`, text-keyed ones.
   uint64_t embedding_queries = 0;  ///< Of `queries`, embedding-keyed ones.
   uint64_t failed_queries = 0;     ///< Requests answered with an error.
@@ -96,7 +97,6 @@ class ServeStats {
  private:
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;
   obs::MetricsRegistry* registry_;
-  obs::Counter* queries_;
   obs::Counter* text_queries_;
   obs::Counter* embedding_queries_;
   obs::Counter* failed_queries_;

@@ -14,19 +14,6 @@ void Int8PrepareQuery(const float* q, const float* scales, int64_t d,
 
 void AdcScanInt8(const uint8_t* codes, int64_t n, int64_t d,
                  const float* q_scaled, float* out) {
-  if (tmath::ActiveKernelMode() == tmath::KernelMode::kExact) {
-    // Exact contract: double accumulator, ascending-j, rounded once.
-    for (int64_t i = 0; i < n; ++i) {
-      const uint8_t* code = codes + i * d;
-      double acc = 0.0;
-      for (int64_t j = 0; j < d; ++j) {
-        acc += static_cast<double>(q_scaled[j]) *
-               static_cast<double>(static_cast<int8_t>(code[j]));
-      }
-      out[i] = static_cast<float>(acc);
-    }
-    return;
-  }
 #ifdef SDEA_HAVE_AVX2_TU
   if (tmath::ActiveSimdLevel() == tmath::SimdLevel::kAvx2) {
     internal::AdcScanInt8Avx2(codes, n, d, q_scaled, out);
@@ -35,11 +22,12 @@ void AdcScanInt8(const uint8_t* codes, int64_t n, int64_t d,
 #endif
   for (int64_t i = 0; i < n; ++i) {
     const uint8_t* code = codes + i * d;
-    float acc = 0.0f;
+    double acc = 0.0;
     for (int64_t j = 0; j < d; ++j) {
-      acc += q_scaled[j] * static_cast<float>(static_cast<int8_t>(code[j]));
+      acc += static_cast<double>(q_scaled[j]) *
+             static_cast<double>(static_cast<int8_t>(code[j]));
     }
-    out[i] = acc;
+    out[i] = static_cast<float>(acc);
   }
 }
 
@@ -49,9 +37,9 @@ void PqBuildLut(const float* q, const Codebook& codebook, float* lut) {
   const int64_t k = codebook.pq_centroids();
   const int64_t sub = codebook.pq_subdim();
   // One Gemv per subspace: centroid block s is a [k, sub] row-major
-  // matrix, scored against the query's s-th subvector. Gemv dispatches on
-  // the active kernel mode, so the LUT (and with it every ADC score) is
-  // exact-mode reproducible.
+  // matrix, scored against the query's s-th subvector. Gemv keeps the
+  // exact contract, so the LUT (and with it every ADC score) is bitwise
+  // reproducible.
   for (int64_t s = 0; s < m; ++s) {
     tmath::kernels::Gemv(codebook.centroids().data() + s * k * sub, k, sub,
                          q + s * sub, lut + s * k);
@@ -60,31 +48,13 @@ void PqBuildLut(const float* q, const Codebook& codebook, float* lut) {
 
 void AdcScanPq(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
                const float* lut, float* out) {
-  if (tmath::ActiveKernelMode() == tmath::KernelMode::kExact) {
-    for (int64_t i = 0; i < n; ++i) {
-      const uint8_t* code = codes + i * m;
-      double acc = 0.0;
-      for (int64_t s = 0; s < m; ++s) {
-        acc += static_cast<double>(
-            lut[s * k + static_cast<int64_t>(code[s])]);
-      }
-      out[i] = static_cast<float>(acc);
-    }
-    return;
-  }
-#ifdef SDEA_HAVE_AVX2_TU
-  if (tmath::ActiveSimdLevel() == tmath::SimdLevel::kAvx2) {
-    internal::AdcScanPqAvx2(codes, n, m, k, lut, out);
-    return;
-  }
-#endif
   for (int64_t i = 0; i < n; ++i) {
     const uint8_t* code = codes + i * m;
-    float acc = 0.0f;
+    double acc = 0.0;
     for (int64_t s = 0; s < m; ++s) {
-      acc += lut[s * k + static_cast<int64_t>(code[s])];
+      acc += static_cast<double>(lut[s * k + static_cast<int64_t>(code[s])]);
     }
-    out[i] = acc;
+    out[i] = static_cast<float>(acc);
   }
 }
 

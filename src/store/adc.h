@@ -9,18 +9,13 @@ namespace sdea::store {
 
 /// Asymmetric distance computation: the query stays full-precision, the
 /// database rows stay compressed, and the scan scores codes directly —
-/// no row is ever decompressed. Both scans dispatch like the tensor
-/// kernels do:
-///
-///   - kExact mode accumulates in double, ascending, rounded to float
-///     once per row — bitwise identical on every machine and SIMD level
-///     (matching kernels::DotExact's contract).
-///   - kFast mode accumulates in float; the int8 scan additionally
-///     dispatches on tmath::ActiveSimdLevel() to an AVX2 TU whose fixed
-///     reduction tree differs from scalar by O(d*eps), same as DotFast.
-///     The PQ scan's AVX2 path vectorizes ACROSS rows (one lane per row,
-///     subspaces ascending per lane), so it is bitwise identical to the
-///     scalar fast path.
+/// no row is ever decompressed. Both scans keep the exact contract of
+/// kernels::DotExact: per row, a double accumulator, terms added in
+/// ascending order, rounded to float once. So every non-NaN score has the
+/// same bits on every machine, SIMD level and thread count, and NaN
+/// scores sit in the same positions. The int8 scan dispatches on
+/// tmath::ActiveSimdLevel() to an AVX2 kernel that gives each row its own
+/// double lane; the PQ scan is scalar only.
 ///
 /// Like the kernels, the scans are serial over their row range; callers
 /// shard rows across threads for batch workloads.
@@ -38,10 +33,8 @@ void AdcScanInt8(const uint8_t* codes, int64_t n, int64_t d,
                  const float* q_scaled, float* out);
 
 /// Per-query PQ lookup table: lut[s*k + c] = ScoreDot of the query's
-/// s-th subvector with centroid c of subspace s. Goes through
-/// kernels::ScoreDot, so the table inherits the active kernel mode.
-/// `lut` must hold pq_subspaces * pq_centroids floats; `codebook` must be
-/// a PQ codebook.
+/// s-th subvector with centroid c of subspace s. `lut` must hold
+/// pq_subspaces * pq_centroids floats; `codebook` must be a PQ codebook.
 void PqBuildLut(const float* q, const Codebook& codebook, float* lut);
 
 /// out[i] = sum_s lut[s*k + codes[i*m + s]] for i in [0, n): m table
@@ -57,12 +50,10 @@ void AdcScan(const Codebook& codebook, const float* q, const uint8_t* codes,
 
 namespace internal {
 
-/// AVX2 TU entry points (store/adc_avx2.cc); only called when runtime
-/// dispatch confirmed AVX2+FMA support. Fast-mode contracts above.
+/// AVX2 TU entry point (store/adc_avx2.cc); only called when runtime
+/// dispatch confirmed AVX2+FMA support. Same contract as AdcScanInt8.
 void AdcScanInt8Avx2(const uint8_t* codes, int64_t n, int64_t d,
                      const float* q_scaled, float* out);
-void AdcScanPqAvx2(const uint8_t* codes, int64_t n, int64_t m, int64_t k,
-                   const float* lut, float* out);
 
 }  // namespace internal
 

@@ -71,67 +71,6 @@ void MatmulTransposeARowsExactScalar(const float* a, const float* b, float* c,
   }
 }
 
-// Scalar fast-mode dot: four independent float accumulators (ILP without
-// changing the tree per element count), combined low-to-high at the end.
-// This is the honest portable baseline the AVX2 path is benchmarked
-// against, not a deliberately slow strawman.
-float DotFastScalar(const float* a, const float* b, int64_t d) {
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  int64_t i = 0;
-  for (; i + 4 <= d; i += 4) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-    acc2 += a[i + 2] * b[i + 2];
-    acc3 += a[i + 3] * b[i + 3];
-  }
-  float total = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < d; ++i) total += a[i] * b[i];
-  return total;
-}
-
-// Scalar fast-mode i-k-j matmul: float row accumulator, k ascending. The
-// compiler is free to vectorize the j loop; the per-element tree stays
-// "one add per k" either way.
-void MatmulRowsFastScalar(const float* a, const float* b, float* c, int64_t k,
-                          int64_t n, int64_t i_begin, int64_t i_end) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) crow[j] = 0.0f;
-    const float* arow = a + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      const float* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
-void MatmulTransposeBRowsFastScalar(const float* a, const float* b, float* c,
-                                    int64_t k, int64_t n, int64_t i_begin,
-                                    int64_t i_end) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = DotFastScalar(arow, b + j * k, k);
-    }
-  }
-}
-
-void MatmulTransposeARowsFastScalar(const float* a, const float* b, float* c,
-                                    int64_t k, int64_t m, int64_t n,
-                                    int64_t i_begin, int64_t i_end) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) crow[j] = 0.0f;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik = a[kk * m + i];
-      const float* brow = b + kk * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
-
 int64_t FilterGeScalar(const float* scores, int64_t m, float threshold,
                        int64_t cap, int64_t* out) {
   int64_t w = 0;
@@ -172,22 +111,9 @@ SimdLevel ResolveInitialSimdLevel() {
   return Avx2Supported() ? SimdLevel::kAvx2 : SimdLevel::kScalar;
 }
 
-KernelMode ResolveInitialKernelMode() {
-  const char* env = std::getenv("SDEA_KERNEL_MODE");
-  if (env != nullptr && std::strcmp(env, "fast") == 0) {
-    return KernelMode::kFast;
-  }
-  return KernelMode::kExact;
-}
-
 std::atomic<SimdLevel>& SimdLevelFlag() {
   static std::atomic<SimdLevel> level{ResolveInitialSimdLevel()};
   return level;
-}
-
-std::atomic<KernelMode>& KernelModeFlag() {
-  static std::atomic<KernelMode> mode{ResolveInitialKernelMode()};
-  return mode;
 }
 
 }  // namespace
@@ -204,15 +130,6 @@ void MatmulTransposeBRowsExactAvx2(const float* a, const float* b, float* c,
 void MatmulTransposeARowsExactAvx2(const float* a, const float* b, float* c,
                                    int64_t k, int64_t m, int64_t n,
                                    int64_t i_begin, int64_t i_end);
-float DotFastAvx2(const float* a, const float* b, int64_t d);
-void MatmulRowsFastAvx2(const float* a, const float* b, float* c, int64_t k,
-                        int64_t n, int64_t i_begin, int64_t i_end);
-void MatmulTransposeBRowsFastAvx2(const float* a, const float* b, float* c,
-                                  int64_t k, int64_t n, int64_t i_begin,
-                                  int64_t i_end);
-void MatmulTransposeARowsFastAvx2(const float* a, const float* b, float* c,
-                                  int64_t k, int64_t m, int64_t n,
-                                  int64_t i_begin, int64_t i_end);
 int64_t FilterGeAvx2(const float* scores, int64_t m, float threshold,
                      int64_t cap, int64_t* out);
 }  // namespace kernels
@@ -237,13 +154,7 @@ void SetSimdLevel(SimdLevel level) {
   SimdLevelFlag().store(level, std::memory_order_relaxed);
 }
 
-KernelMode ActiveKernelMode() {
-  return KernelModeFlag().load(std::memory_order_relaxed);
-}
-
-void SetKernelMode(KernelMode mode) {
-  KernelModeFlag().store(mode, std::memory_order_relaxed);
-}
+KernelMode ActiveKernelMode() { return KernelMode::kExact; }
 
 const char* SimdLevelName(SimdLevel level) {
   switch (level) {
@@ -259,8 +170,6 @@ const char* KernelModeName(KernelMode mode) {
   switch (mode) {
     case KernelMode::kExact:
       return "exact";
-    case KernelMode::kFast:
-      return "fast";
   }
   return "unknown";
 }
@@ -275,59 +184,42 @@ double DotExact(const float* a, const float* b, int64_t d) {
   return s;
 }
 
-float DotFast(const float* a, const float* b, int64_t d) {
-#ifdef SDEA_HAVE_AVX2_TU
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) return DotFastAvx2(a, b, d);
-#endif
-  return DotFastScalar(a, b, d);
-}
-
 float ScoreDot(const float* a, const float* b, int64_t d) {
-  if (ActiveKernelMode() == KernelMode::kFast) return DotFast(a, b, d);
   return static_cast<float>(DotExact(a, b, d));
 }
 
 void MatmulRows(const float* a, const float* b, float* c, int64_t k,
                 int64_t n, int64_t i_begin, int64_t i_end) {
-  const bool fast = ActiveKernelMode() == KernelMode::kFast;
 #ifdef SDEA_HAVE_AVX2_TU
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    (fast ? MatmulRowsFastAvx2 : MatmulRowsExactAvx2)(a, b, c, k, n, i_begin,
-                                                      i_end);
+    MatmulRowsExactAvx2(a, b, c, k, n, i_begin, i_end);
     return;
   }
 #endif
-  (fast ? MatmulRowsFastScalar : MatmulRowsExactScalar)(a, b, c, k, n,
-                                                        i_begin, i_end);
+  MatmulRowsExactScalar(a, b, c, k, n, i_begin, i_end);
 }
 
 void MatmulTransposeBRows(const float* a, const float* b, float* c, int64_t k,
                           int64_t n, int64_t i_begin, int64_t i_end) {
-  const bool fast = ActiveKernelMode() == KernelMode::kFast;
 #ifdef SDEA_HAVE_AVX2_TU
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    (fast ? MatmulTransposeBRowsFastAvx2 : MatmulTransposeBRowsExactAvx2)(
-        a, b, c, k, n, i_begin, i_end);
+    MatmulTransposeBRowsExactAvx2(a, b, c, k, n, i_begin, i_end);
     return;
   }
 #endif
-  (fast ? MatmulTransposeBRowsFastScalar : MatmulTransposeBRowsExactScalar)(
-      a, b, c, k, n, i_begin, i_end);
+  MatmulTransposeBRowsExactScalar(a, b, c, k, n, i_begin, i_end);
 }
 
 void MatmulTransposeARows(const float* a, const float* b, float* c, int64_t k,
                           int64_t m, int64_t n, int64_t i_begin,
                           int64_t i_end) {
-  const bool fast = ActiveKernelMode() == KernelMode::kFast;
 #ifdef SDEA_HAVE_AVX2_TU
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    (fast ? MatmulTransposeARowsFastAvx2 : MatmulTransposeARowsExactAvx2)(
-        a, b, c, k, m, n, i_begin, i_end);
+    MatmulTransposeARowsExactAvx2(a, b, c, k, m, n, i_begin, i_end);
     return;
   }
 #endif
-  (fast ? MatmulTransposeARowsFastScalar : MatmulTransposeARowsExactScalar)(
-      a, b, c, k, m, n, i_begin, i_end);
+  MatmulTransposeARowsExactScalar(a, b, c, k, m, n, i_begin, i_end);
 }
 
 void Gemv(const float* rows, int64_t m, int64_t d, const float* x, float* y) {

@@ -3,7 +3,7 @@
 // kernels.cc confirmed CPUID reports AVX2+FMA, so these functions may use
 // the intrinsics unconditionally.
 //
-// Exact-mode kernels keep the exact contract of tensor.h: one double
+// The kernels keep the exact contract of tensor.h: one double
 // accumulator per output element, ascending k, rounded to float once.
 // A float x float product is exact in double (two 24-bit significands
 // need 48 of 53 bits, and no product of finite floats leaves double's
@@ -13,14 +13,6 @@
 // have the same bits as the scalar kernels except for NaN payloads: which
 // of two NaN operands propagates depends on instruction operand order,
 // so only NaN *positions* are part of the contract.
-//
-// Fast-mode determinism note: every kernel's reduction tree is a pure
-// function of the operand shapes — fixed unroll widths, fixed combine
-// order — so for a given SimdLevel the fast mode stays
-// bitwise-reproducible across runs and thread counts (callers shard
-// disjoint output rows). FMA keeps the full product precision before
-// adding, which is why fast-AVX2 and fast-scalar differ in the last ulps;
-// the tolerance tests bound that gap against exact mode.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -30,18 +22,6 @@
 namespace sdea::tmath::kernels {
 namespace {
 
-// Sums the 8 lanes: (lo+hi) pairwise, matching _mm_hadd order. The combine
-// order is fixed, part of the fast-AVX2 reduction tree.
-inline float HorizontalSum(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  __m128 hi = _mm256_extractf128_ps(v, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_hadd_ps(s, s);
-  s = _mm_hadd_ps(s, s);
-  return _mm_cvtss_f32(s);
-}
-
-// --- Exact contract ---------------------------------------------------------
 // The left operand is read through strides: element (i, kk) is
 // a[i * si + kk * sk]. Matmul passes a row-major [m, k] a (si = k,
 // sk = 1), MatmulTransposeA a row-major [k, m] one (si = 1, sk = m).
@@ -211,101 +191,6 @@ void MatmulTransposeBRowsExactAvx2(const float* a, const float* b, float* c,
       for (int64_t i = i_begin; i < i_end; ++i) {
         c[i * n + j] = ExactDot(a + i * k, 1, b + j * k, 1, k);
       }
-    }
-  }
-}
-
-float DotFastAvx2(const float* a, const float* b, int64_t d) {
-  // Four 8-lane FMA accumulators (32 floats per step) hide FMA latency;
-  // the tail first drains 8-wide into acc0, then scalar into the total.
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  __m256 acc2 = _mm256_setzero_ps();
-  __m256 acc3 = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 32 <= d; i += 32) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 16),
-                           _mm256_loadu_ps(b + i + 16), acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 24),
-                           _mm256_loadu_ps(b + i + 24), acc3);
-  }
-  for (; i + 8 <= d; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-  }
-  float total =
-      HorizontalSum(_mm256_add_ps(_mm256_add_ps(acc0, acc1),
-                                  _mm256_add_ps(acc2, acc3)));
-  for (; i < d; ++i) total += a[i] * b[i];
-  return total;
-}
-
-void MatmulRowsFastAvx2(const float* a, const float* b, float* c, int64_t k,
-                        int64_t n, int64_t i_begin, int64_t i_end) {
-  // i-k-j with the j loop 8-wide: per output element the accumulation is
-  // still one FMA per k, ascending, into a float row accumulator. B rows
-  // are streamed once per output row; for the [m<=1k, k<=1k] shapes here
-  // the B panel lives in L2, so the k-ascending order doubles as the
-  // cache-blocked order.
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) _mm256_storeu_ps(crow + j, _mm256_setzero_ps());
-    for (; j < n; ++j) crow[j] = 0.0f;
-    const float* arow = a + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const __m256 aik = _mm256_set1_ps(arow[kk]);
-      const float* brow = b + kk * n;
-      j = 0;
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(
-            crow + j, _mm256_fmadd_ps(aik, _mm256_loadu_ps(brow + j),
-                                      _mm256_loadu_ps(crow + j)));
-      }
-      const float aik_s = arow[kk];
-      for (; j < n; ++j) crow[j] += aik_s * brow[j];
-    }
-  }
-}
-
-void MatmulTransposeBRowsFastAvx2(const float* a, const float* b, float* c,
-                                  int64_t k, int64_t n, int64_t i_begin,
-                                  int64_t i_end) {
-  // Per-pair DotFastAvx2 keeps the reduction tree identical to the
-  // ScoreDot fast path, so ranking sites agree bitwise with this score
-  // matrix (the cross-site contract tensor_kernels_test pins).
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      crow[j] = DotFastAvx2(arow, b + j * k, k);
-    }
-  }
-}
-
-void MatmulTransposeARowsFastAvx2(const float* a, const float* b, float* c,
-                                  int64_t k, int64_t m, int64_t n,
-                                  int64_t i_begin, int64_t i_end) {
-  for (int64_t i = i_begin; i < i_end; ++i) {
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) _mm256_storeu_ps(crow + j, _mm256_setzero_ps());
-    for (; j < n; ++j) crow[j] = 0.0f;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float aik_s = a[kk * m + i];
-      const __m256 aik = _mm256_set1_ps(aik_s);
-      const float* brow = b + kk * n;
-      j = 0;
-      for (; j + 8 <= n; j += 8) {
-        _mm256_storeu_ps(
-            crow + j, _mm256_fmadd_ps(aik, _mm256_loadu_ps(brow + j),
-                                      _mm256_loadu_ps(crow + j)));
-      }
-      for (; j < n; ++j) crow[j] += aik_s * brow[j];
     }
   }
 }

@@ -119,11 +119,11 @@ class Tensor {
 /// Free-function math on plain tensors (no autograd). These back both the
 /// autograd ops and inference-only fast paths.
 ///
-/// Accumulation policy (all three matmul variants) in the default EXACT
-/// mode: every output element accumulates its k partial products in double
-/// precision, in ascending-k order, with no term skipped (so NaN/Inf in
-/// either operand propagates per IEEE semantics), and is rounded to float
-/// exactly once at the end. The variants therefore agree bitwise on
+/// Accumulation policy (all three matmul variants; the one kernel
+/// contract): every output element accumulates its k partial products in
+/// double precision, in ascending-k order, with no term skipped (so
+/// NaN/Inf in either operand propagates per IEEE semantics), and is
+/// rounded to float exactly once at the end. The variants therefore agree bitwise on
 /// transposed views of the same operands, e.g. Matmul(a, b) ==
 /// MatmulTransposeB(a, Transpose(b)). The portable and AVX2 kernels both
 /// keep this contract: every non-NaN output has the same bits at every
@@ -131,17 +131,11 @@ class Tensor {
 /// not part of the contract, since which of two NaN operands propagates
 /// depends on instruction operand order.
 ///
-/// FAST mode (opt-in via tmath::SetKernelMode or SDEA_KERNEL_MODE=fast)
-/// dispatches to the cache-blocked, SIMD-vectorized float32 kernels in
-/// tensor/kernels.h instead: still deterministic per (shape, SimdLevel) and
-/// across thread counts, but within tolerance of — not bitwise equal to —
-/// exact mode. See kernels.h for the mode/level contracts.
-///
 /// Threading: Matmul / MatmulTransposeB / MatmulTransposeA / SoftmaxRows
 /// shard output rows across base::ThreadPool::Global(). Each shard owns a
 /// disjoint row range and runs the identical per-row kernel as the serial
 /// path, so results are bitwise-identical for every thread count (see the
-/// determinism contract in base/threadpool.h). This holds in both modes.
+/// determinism contract in base/threadpool.h).
 namespace tmath {
 
 /// c = a @ b for rank-2 a [m,k], b [k,n].

@@ -5,27 +5,11 @@
 
 namespace sdea::testing {
 
-/// Pins the process-wide kernel mode for one scope and restores the
-/// previous mode on exit, so a failing test cannot leak its configuration
-/// into the rest of the binary.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(tmath::KernelMode mode)
-      : saved_(tmath::ActiveKernelMode()) {
-    tmath::SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { tmath::SetKernelMode(saved_); }
-
-  ScopedKernelMode(const ScopedKernelMode&) = delete;
-  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
-
- private:
-  tmath::KernelMode saved_;
-};
-
-/// Pins the process-wide SIMD level for one scope, like ScopedKernelMode.
-/// Asking for kAvx2 on a host without it is a programming error
-/// (tmath::SetSimdLevel checks); callers skip that level instead.
+/// Pins the process-wide SIMD level for one scope and restores the previous
+/// level on exit, so a failing test cannot leak its configuration into the
+/// rest of the binary. Asking for kAvx2 on a host without it is a
+/// programming error (tmath::SetSimdLevel checks); callers skip that level
+/// instead.
 class ScopedSimdLevel {
  public:
   explicit ScopedSimdLevel(tmath::SimdLevel level)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <utility>
 
 #include "base/rng.h"
 
@@ -46,14 +45,26 @@ Result<Tensor> CooccurrencePretrainer::Train(
     return Status::InvalidArgument("corpus produced no co-occurrences");
   }
 
-  // (key, x) pairs in key order, the deterministic base order. x never
-  // changes during training, so the epochs shuffle the pairs instead of
+  // One entry per pair, in key order, the deterministic base order. x
+  // never changes during training, so each pair's GloVe weight and log(x)
+  // are computed once here, and the epochs shuffle the pairs instead of
   // looking every key up again; Shuffle's draws depend only on the size.
   // The map is released before training.
-  std::vector<std::pair<uint64_t, float>> pairs(cooc.begin(), cooc.end());
+  struct Pair {
+    uint64_t key;
+    float weight;
+    float log_x;
+  };
+  std::vector<Pair> pairs;
+  pairs.reserve(cooc.size());
+  for (const auto& [key, x] : cooc) {
+    const float weight =
+        x >= config.x_max ? 1.0f : std::pow(x / config.x_max, config.alpha);
+    pairs.push_back(Pair{key, weight, std::log(x)});
+  }
   std::unordered_map<uint64_t, float>().swap(cooc);
   std::sort(pairs.begin(), pairs.end(),
-            [](const auto& l, const auto& r) { return l.first < r.first; });
+            [](const Pair& l, const Pair& r) { return l.key < r.key; });
 
   Rng rng(config.seed);
   const float init = 0.5f / static_cast<float>(d);
@@ -69,20 +80,16 @@ Result<Tensor> CooccurrencePretrainer::Train(
 
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(&pairs);
-    for (const auto& [key, x] : pairs) {
+    for (const auto& [key, weight, log_x] : pairs) {
       const int64_t i = static_cast<int64_t>(key >> 32);
       const int64_t j = static_cast<int64_t>(key & 0xffffffffULL);
-      const float weight =
-          x >= config.x_max
-              ? 1.0f
-              : std::pow(x / config.x_max, config.alpha);
       float dot = 0.0f;
       const float* wi = w.data() + i * d;
       const float* cj = c.data() + j * d;
       for (int64_t k = 0; k < d; ++k) dot += wi[k] * cj[k];
       const float err =
           dot + bw[static_cast<size_t>(i)] + bc[static_cast<size_t>(j)] -
-          std::log(x);
+          log_x;
       const float coeff = weight * err;
       float* wi_m = w.data() + i * d;
       float* cj_m = c.data() + j * d;

@@ -99,11 +99,9 @@ TEST(CandidatesTest, NearTieRankingMatchesScoreDotContract) {
   const auto c = GenerateCandidates(src, tgt, 6);
   ASSERT_EQ(c.size(), 1u);
 
-  // Reference: same normalization, scored per pair through the
-  // mode-dispatched kernels::ScoreDot (in the default exact mode that IS
-  // per-element double accumulation, pinned bitwise by the kernels tests),
-  // ranked by the same TopK total order. Holds in fast mode too: Gemv and
-  // ScoreDot share the fast reduction tree.
+  // Reference: same normalization, scored per pair through
+  // kernels::ScoreDot (per-element double accumulation, pinned bitwise by
+  // the kernels tests), ranked by the same TopK total order.
   Tensor s = src, t = tgt;
   tmath::L2NormalizeRowsInPlace(&s);
   tmath::L2NormalizeRowsInPlace(&t);
@@ -113,13 +111,11 @@ TEST(CandidatesTest, NearTieRankingMatchesScoreDotContract) {
         tmath::kernels::ScoreDot(s.data(), t.data() + j * 4, 4);
   }
   EXPECT_EQ(c[0], tmath::TopK(scores.data(), 6, 6));
-  // The construction really is adversarial: in exact mode row 3 must
-  // strictly outrank row 2 — exactly what float-product rounding erased.
-  if (tmath::ActiveKernelMode() == tmath::KernelMode::kExact) {
-    EXPECT_EQ(c[0][0], 3);
-    EXPECT_EQ(c[0][1], 2);
-    EXPECT_GT(scores[3], scores[2]);
-  }
+  // The construction really is adversarial: row 3 must strictly outrank
+  // row 2 — exactly what float-product rounding erased.
+  EXPECT_EQ(c[0][0], 3);
+  EXPECT_EQ(c[0][1], 2);
+  EXPECT_GT(scores[3], scores[2]);
 }
 
 }  // namespace

@@ -213,8 +213,7 @@ TEST(EmbeddingStoreTest, IvfAnswersAreSortedOnNearDuplicateRows) {
   // equal scores list ascending ids. When the index ranked a second,
   // re-normalized copy of the table while the store reported scores
   // against its own rows, 104 of these 500 answers came back unsorted and
-  // 59 had a negative top1 - top2 margin, which the abstain rule rejects
-  // (85 and 44 in fast kernel mode).
+  // 59 had a negative top1 - top2 margin, which the abstain rule rejects.
   const int64_t n = 500, d = 64;
   Rng rng(41);
   Tensor emb = Tensor::RandomNormal({n, d}, 1.0f, &rng);

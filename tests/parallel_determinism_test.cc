@@ -79,27 +79,15 @@ TEST(ParallelDeterminismTest, SoftmaxRowsMatchesSerialBitwise) {
 
 TEST(ParallelDeterminismTest, MatmulVariantsAgreeUnderSharedPolicy) {
   // The unified accumulation policy (double, ascending k, no skipping)
-  // makes the three variants bitwise-consistent on transposed views. This
-  // is an EXACT-mode property: fast mode trades it for speed (each variant
-  // has its own float reduction tree), keeping only per-variant
-  // determinism — which KernelsTest pins separately.
+  // makes the three variants bitwise-consistent on transposed views.
   Rng rng(15);
   const Tensor a = Tensor::RandomNormal({31, 23}, 1.0f, &rng);
   const Tensor b = Tensor::RandomNormal({23, 29}, 1.0f, &rng);
   const Tensor c = tmath::Matmul(a, b);
   const Tensor tb = tmath::MatmulTransposeB(a, tmath::Transpose(b));
   const Tensor ta = tmath::MatmulTransposeA(tmath::Transpose(a), b);
-  if (tmath::ActiveKernelMode() == tmath::KernelMode::kExact) {
-    ExpectBitwiseEqual(c, tb);
-    ExpectBitwiseEqual(c, ta);
-  } else {
-    ASSERT_EQ(c.shape(), tb.shape());
-    ASSERT_EQ(c.shape(), ta.shape());
-    for (int64_t i = 0; i < c.size(); ++i) {
-      EXPECT_NEAR(c[i], tb[i], 1e-4f);
-      EXPECT_NEAR(c[i], ta[i], 1e-4f);
-    }
-  }
+  ExpectBitwiseEqual(c, tb);
+  ExpectBitwiseEqual(c, ta);
 }
 
 TEST(ParallelDeterminismTest, EvaluateAlignmentMatchesSerialExactly) {

@@ -1,8 +1,8 @@
 // Golden answers for every nearest-neighbour entry point. Each test hashes
 // the (id, similarity bits) answers of one retrieval path on a seeded
-// table with no near-duplicate rows, in exact kernel mode. The pinned
-// hashes were captured at commit e47a377, before the five top-k paths
-// were folded into core::VectorIndex, by running this file unchanged
+// table with no near-duplicate rows, under the exact kernel contract. The
+// pinned hashes were captured at commit e47a377, before the five top-k
+// paths were folded into core::VectorIndex, by running this file unchanged
 // against that tree. A change to query normalization, the rerank pool,
 // the exact rescoring or the tie order moves one of these hashes.
 #include <cmath>
@@ -19,15 +19,10 @@
 #include "core/embedding_store.h"
 #include "store/candidates.h"
 #include "store/quantized_store.h"
-#include "tensor/kernels.h"
 #include "tensor/tensor.h"
-#include "testing/kernel_config.h"
 
 namespace sdea {
 namespace {
-
-using sdea::testing::ScopedKernelMode;
-using tmath::KernelMode;
 
 constexpr int64_t kRows = 400;
 constexpr int64_t kDim = 32;
@@ -140,19 +135,16 @@ store::QuantizedStore MakeQuantizedStore(const std::string& name,
   EXPECT_EQ(got, want) << "got 0x" << std::hex << (got)
 
 TEST(RetrievalGoldenTest, EmbeddingStoreExact) {
-  ScopedKernelMode mode(KernelMode::kExact);
   EXPECT_GOLDEN(HashStoreAnswers(MakeStore()), 0x6556930eb9e77a87ULL);
 }
 
 TEST(RetrievalGoldenTest, EmbeddingStoreIvf) {
-  ScopedKernelMode mode(KernelMode::kExact);
   core::EmbeddingStore store = MakeStore();
   store.BuildIndex();
   EXPECT_GOLDEN(HashStoreAnswers(store), 0x98c60ad21bd5d15eULL);
 }
 
 TEST(RetrievalGoldenTest, QuantizedStoreInt8) {
-  ScopedKernelMode mode(KernelMode::kExact);
   const store::QuantizedStore qstore =
       MakeQuantizedStore("sdea_golden_int8", store::Quantization::kInt8);
   EXPECT_GOLDEN(HashStoreAnswers(qstore), 0x6556930eb9e77a87ULL);
@@ -162,7 +154,6 @@ TEST(RetrievalGoldenTest, QuantizedStoreInt8) {
 }
 
 TEST(RetrievalGoldenTest, QuantizedStorePq) {
-  ScopedKernelMode mode(KernelMode::kExact);
   const store::QuantizedStore qstore =
       MakeQuantizedStore("sdea_golden_pq", store::Quantization::kPq);
   EXPECT_GOLDEN(HashStoreAnswers(qstore), 0xffc08e95c96dab3bULL);
@@ -173,7 +164,6 @@ TEST(RetrievalGoldenTest, QuantizedStorePq) {
 
 TEST(RetrievalGoldenTest, QuantizedStoreAdcOnly) {
   // A snapshot written without fp32 rows answers with raw ADC scores.
-  ScopedKernelMode mode(KernelMode::kExact);
   const std::string dir = TempDir("sdea_golden_adc_only");
   store::StoreWriteOptions options;
   options.store_full_precision = false;
@@ -185,21 +175,18 @@ TEST(RetrievalGoldenTest, QuantizedStoreAdcOnly) {
 }
 
 TEST(RetrievalGoldenTest, GenerateCandidates) {
-  ScopedKernelMode mode(KernelMode::kExact);
   EXPECT_GOLDEN(
       HashIds(core::GenerateCandidates(Queries(2), Table(1), kTopK)),
       0x533b84c35ccf163bULL);
 }
 
 TEST(RetrievalGoldenTest, GenerateCandidatesApprox) {
-  ScopedKernelMode mode(KernelMode::kExact);
   EXPECT_GOLDEN(
       HashIds(core::GenerateCandidatesApprox(Queries(2), Table(1), kTopK)),
       0x780fde95e1394825ULL);
 }
 
 TEST(RetrievalGoldenTest, GenerateCandidatesCompressed) {
-  ScopedKernelMode mode(KernelMode::kExact);
   store::CompressedCandidateOptions int8;
   EXPECT_GOLDEN(HashIds(store::GenerateCandidatesCompressed(
                     Queries(2), Table(1), kTopK, int8)),

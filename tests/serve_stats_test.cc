@@ -182,11 +182,11 @@ TEST(ServeStatsTest, InjectedRegistryExposesServeMetrics) {
   stats.RecordQuery(true);
   stats.RecordBatch(3);
   const obs::MetricsSnapshot snap = registry.Snapshot();
-  uint64_t queries = 0;
+  uint64_t text_queries = 0;
   for (const auto& [name, value] : snap.counters) {
-    if (name == "serve.queries") queries = value;
+    if (name == "serve.text_queries") text_queries = value;
   }
-  EXPECT_EQ(queries, 1u);
+  EXPECT_EQ(text_queries, 1u);
   bool found_batch_hist = false;
   for (const auto& [name, hist] : snap.histograms) {
     if (name == "serve.batch_size") {

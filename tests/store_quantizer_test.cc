@@ -1,11 +1,17 @@
 // Codebook training, encoding, and ADC scoring: the quantization error
-// bounds the satellite tests document, bitwise determinism across thread
-// counts (golden FNV over the codebook bytes), and the blob round trip.
+// bounds the satellite tests document, the int8 scan's exact contract at
+// both SIMD levels, bitwise determinism across thread counts (golden FNV
+// over the codebook bytes), and the blob round trip.
 #include "store/quantizer.h"
 
 #include <gtest/gtest.h>
 
+#include <bitset>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +20,7 @@
 #include "store/adc.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
+#include "testing/kernel_config.h"
 
 namespace sdea::store {
 namespace {
@@ -85,6 +92,75 @@ TEST(QuantizerTest, Int8AdcEqualsDotWithDequantizedRow) {
     // few ulps of each other, far inside the ranking tolerance.
     EXPECT_NEAR(adc[static_cast<size_t>(i)], direct, 1e-5f) << "row " << i;
   }
+}
+
+TEST(QuantizerTest, Int8AdcAvx2MatchesScalarOnRandomShapesAndSpecialValues) {
+  // The exact contract across SIMD levels: the AVX2 int8 scan gives every
+  // non-NaN score the scalar loop's bits and NaN in the same positions.
+  // Shapes cover one-code rows, ragged code tails (d % 8 != 0) and
+  // partial row blocks; the queries mix in values far from unit scale.
+  if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA not supported";
+  const float finite[] = {1e30f,        -1e30f,  FLT_MAX, -FLT_MAX,
+                          FLT_TRUE_MIN, -3e-42f, 1e-40f,  FLT_MIN,
+                          0.0f,         -0.0f};
+  const float non_finite[] = {std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(20261018);
+  std::bitset<256> seen;
+  int64_t one_code = 0, ragged = 0, partial_block = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int64_t n = static_cast<int64_t>(rng.UniformInt(71));
+    const int64_t d =
+        trial % 9 == 0 ? 1 : 1 + static_cast<int64_t>(rng.UniformInt(150));
+    one_code += d == 1;
+    ragged += d % 8 != 0;
+    partial_block += n % 16 != 0;
+    std::vector<uint8_t> codes(static_cast<size_t>(n * d));
+    for (size_t i = 0; i < codes.size(); ++i) {
+      // Every other trial sweeps the byte values in order.
+      codes[i] = static_cast<uint8_t>(trial % 2 == 0 ? i
+                                                     : rng.UniformInt(256));
+      seen.set(codes[i]);
+    }
+    // Fill 0: N(0, 1); 1: plus large, tiny and signed-zero values;
+    // 2: plus sparse infinities and NaNs.
+    const int fill = trial % 3;
+    std::vector<float> q(static_cast<size_t>(d));
+    for (float& x : q) {
+      x = static_cast<float>(rng.Normal());
+      const uint64_t draw = rng.UniformInt(1000);
+      if (fill >= 1 && draw < 150) {
+        x = finite[rng.UniformInt(std::size(finite))];
+      } else if (fill == 2 && draw < 160) {
+        x = non_finite[rng.UniformInt(std::size(non_finite))];
+      }
+    }
+    std::vector<float> out[2];
+    for (const tmath::SimdLevel level :
+         {tmath::SimdLevel::kScalar, tmath::SimdLevel::kAvx2}) {
+      sdea::testing::ScopedSimdLevel simd(level);
+      std::vector<float>& o = out[static_cast<int>(level)];
+      o.resize(static_cast<size_t>(n));
+      AdcScanInt8(codes.data(), n, d, q.data(), o.data());
+    }
+    for (int64_t i = 0; i < n; ++i) {
+      const float scalar = out[0][static_cast<size_t>(i)];
+      const float avx2 = out[1][static_cast<size_t>(i)];
+      const bool same =
+          std::isnan(scalar)
+              ? std::isnan(avx2)
+              : std::memcmp(&scalar, &avx2, sizeof(float)) == 0;
+      ASSERT_TRUE(same) << "n=" << n << " d=" << d << " fill=" << fill
+                        << " row " << i << " scalar=" << scalar
+                        << " avx2=" << avx2;
+    }
+  }
+  // The draws must have reached every code value and every tail.
+  EXPECT_TRUE(seen.all());
+  EXPECT_GT(one_code, 0);
+  EXPECT_GT(ragged, 0);
+  EXPECT_GT(partial_block, 0);
 }
 
 TEST(QuantizerTest, PqAdcScoreTracksExactDot) {

@@ -1,9 +1,7 @@
-// Contract tests for the kernel dispatch layer: exact mode must reproduce
+// Contract tests for the kernel dispatch layer: the kernels must reproduce
 // the double-accumulation semantics bitwise at every SIMD level (NaN
-// payloads aside), fast mode must stay within tolerance of exact mode
-// (scalar and AVX2) while remaining deterministic across thread counts,
-// and every ranking site's ScoreDot must agree bitwise with the
-// MatmulTransposeB score matrix in BOTH modes.
+// payloads aside), and every ranking site's ScoreDot must agree bitwise
+// with the MatmulTransposeB score matrix.
 #include "tensor/kernels.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "base/threadpool.h"
 #include "core/vector_index.h"
 #include "tensor/tensor.h"
 #include "testing/kernel_config.h"
@@ -24,10 +21,8 @@
 namespace sdea {
 namespace {
 
-using tmath::KernelMode;
 using tmath::SimdLevel;
 
-using sdea::testing::ScopedKernelMode;
 using sdea::testing::ScopedSimdLevel;
 
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
@@ -35,31 +30,6 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<size_t>(a.size()) * sizeof(float)),
             0);
-}
-
-// Largest |a-b| / (|b| + 1) over all elements: relative where values are
-// large, absolute near zero.
-double MaxRelError(const Tensor& a, const Tensor& b) {
-  EXPECT_EQ(a.shape(), b.shape());
-  double worst = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) {
-    const double diff = std::fabs(static_cast<double>(a[i]) - b[i]);
-    const double scale = std::fabs(static_cast<double>(b[i])) + 1.0;
-    worst = std::max(worst, diff / scale);
-  }
-  return worst;
-}
-
-// FNV-1a over the raw float bits — the same golden-hash scheme the
-// training goldens use. Equal hashes == bitwise-equal tensors.
-uint64_t FnvHash(const Tensor& t) {
-  uint64_t h = 1469598103934665603ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(t.data());
-  for (size_t i = 0; i < static_cast<size_t>(t.size()) * sizeof(float); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 struct MatmulCase {
@@ -77,7 +47,7 @@ MatmulCase MakeCase(int64_t m, int64_t k, int64_t n, uint64_t seed) {
 }
 
 // The exact contract, restated independently in the test: per-element
-// double accumulation, ascending k, rounded once. Exact mode must match
+// double accumulation, ascending k, rounded once. The kernels must match
 // this bitwise forever — it IS the serial==parallel golden path.
 Tensor ReferenceMatmul(const Tensor& a, const Tensor& b) {
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
@@ -95,61 +65,11 @@ Tensor ReferenceMatmul(const Tensor& a, const Tensor& b) {
 }
 
 TEST(KernelsTest, ExactModeMatchesReferenceBitwise) {
-  ScopedKernelMode mode(KernelMode::kExact);
   const MatmulCase c = MakeCase(23, 37, 19, 5);
   const Tensor want = ReferenceMatmul(c.a, c.b);
   ExpectBitwiseEqual(tmath::Matmul(c.a, c.b), want);
   ExpectBitwiseEqual(tmath::MatmulTransposeB(c.a, c.bt), want);
   ExpectBitwiseEqual(tmath::MatmulTransposeA(c.at, c.b), want);
-}
-
-TEST(KernelsTest, FastModeWithinToleranceOfExact) {
-  const MatmulCase c = MakeCase(31, 512, 17, 6);
-  Tensor exact, exact_tb, exact_ta;
-  {
-    ScopedKernelMode mode(KernelMode::kExact);
-    exact = tmath::Matmul(c.a, c.b);
-    exact_tb = tmath::MatmulTransposeB(c.a, c.bt);
-    exact_ta = tmath::MatmulTransposeA(c.at, c.b);
-  }
-  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-    if (level == SimdLevel::kAvx2 && !tmath::Avx2Supported()) continue;
-    ScopedKernelMode mode(KernelMode::kFast);
-    ScopedSimdLevel simd(level);
-    // Float accumulation over k=512 terms: worst-case ~k*eps relative,
-    // in practice far below this bound for N(0,1) data.
-    const double kTol = 1e-4;
-    EXPECT_LT(MaxRelError(tmath::Matmul(c.a, c.b), exact), kTol)
-        << tmath::SimdLevelName(level);
-    EXPECT_LT(MaxRelError(tmath::MatmulTransposeB(c.a, c.bt), exact_tb), kTol)
-        << tmath::SimdLevelName(level);
-    EXPECT_LT(MaxRelError(tmath::MatmulTransposeA(c.at, c.b), exact_ta), kTol)
-        << tmath::SimdLevelName(level);
-  }
-}
-
-TEST(KernelsTest, FastModeGoldenHashStableAcrossRunsAndThreads) {
-  // Fast mode gives up cross-mode bitwise equality, NOT determinism: for a
-  // fixed SimdLevel the golden hash must be identical run-to-run and for
-  // every thread count.
-  const MatmulCase c = MakeCase(65, 128, 43, 7);
-  ScopedKernelMode mode(KernelMode::kFast);
-  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-    if (level == SimdLevel::kAvx2 && !tmath::Avx2Supported()) continue;
-    ScopedSimdLevel simd(level);
-    base::ThreadPool::SetGlobalNumThreads(1);
-    const uint64_t serial = FnvHash(tmath::Matmul(c.a, c.b));
-    const uint64_t serial_tb = FnvHash(tmath::MatmulTransposeB(c.a, c.bt));
-    base::ThreadPool::SetGlobalNumThreads(8);
-    const uint64_t parallel = FnvHash(tmath::Matmul(c.a, c.b));
-    const uint64_t parallel_tb = FnvHash(tmath::MatmulTransposeB(c.a, c.bt));
-    base::ThreadPool::SetGlobalNumThreads(
-        base::ThreadPool::DefaultNumThreads());
-    EXPECT_EQ(serial, parallel) << tmath::SimdLevelName(level);
-    EXPECT_EQ(serial_tb, parallel_tb) << tmath::SimdLevelName(level);
-    // And rerunning reproduces the same bits.
-    EXPECT_EQ(serial, FnvHash(tmath::Matmul(c.a, c.b)));
-  }
 }
 
 TEST(KernelsTest, GemvMatchesPerRowDots) {
@@ -158,66 +78,44 @@ TEST(KernelsTest, GemvMatchesPerRowDots) {
   const Tensor rows = Tensor::RandomNormal({m, d}, 1.0f, &rng);
   const Tensor x = Tensor::RandomNormal({d}, 1.0f, &rng);
   std::vector<float> y(static_cast<size_t>(m));
-  {
-    ScopedKernelMode mode(KernelMode::kExact);
-    tmath::kernels::Gemv(rows.data(), m, d, x.data(), y.data());
-  }
+  tmath::kernels::Gemv(rows.data(), m, d, x.data(), y.data());
   for (int64_t i = 0; i < m; ++i) {
     EXPECT_EQ(y[static_cast<size_t>(i)],
               static_cast<float>(
                   tmath::kernels::DotExact(rows.data() + i * d, x.data(), d)));
   }
-  for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-    if (level == SimdLevel::kAvx2 && !tmath::Avx2Supported()) continue;
-    ScopedKernelMode mode(KernelMode::kFast);
-    ScopedSimdLevel simd(level);
-    std::vector<float> yf(static_cast<size_t>(m));
-    tmath::kernels::Gemv(rows.data(), m, d, x.data(), yf.data());
-    for (int64_t i = 0; i < m; ++i) {
-      EXPECT_NEAR(yf[static_cast<size_t>(i)], y[static_cast<size_t>(i)],
-                  1e-3)
-          << tmath::SimdLevelName(level);
-    }
-  }
 }
 
-TEST(KernelsTest, ScoreDotAgreesWithScoreMatrixInBothModes) {
+TEST(KernelsTest, ScoreDotAgreesWithScoreMatrix) {
   // The cross-site ranking contract: a candidate scored one-at-a-time via
   // ScoreDot must get the exact bits the MatmulTransposeB score matrix
-  // holds, in exact AND fast mode — otherwise candidate generation and the
-  // pipeline can rank near-ties differently.
+  // holds — otherwise candidate generation and the pipeline can rank
+  // near-ties differently.
   Rng rng(13);
   const int64_t n = 9, m = 21, d = 100;  // d not a multiple of 8 or 32.
   const Tensor src = Tensor::RandomNormal({n, d}, 1.0f, &rng);
   const Tensor tgt = Tensor::RandomNormal({m, d}, 1.0f, &rng);
-  for (const KernelMode mode : {KernelMode::kExact, KernelMode::kFast}) {
-    ScopedKernelMode scoped(mode);
-    const Tensor scores = tmath::MatmulTransposeB(src, tgt);
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < m; ++j) {
-        const float one = tmath::kernels::ScoreDot(src.data() + i * d,
-                                                   tgt.data() + j * d, d);
-        EXPECT_EQ(one, scores[i * m + j])
-            << tmath::KernelModeName(mode) << " i=" << i << " j=" << j;
-      }
+  const Tensor scores = tmath::MatmulTransposeB(src, tgt);
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) {
+      const float one = tmath::kernels::ScoreDot(src.data() + i * d,
+                                                 tgt.data() + j * d, d);
+      EXPECT_EQ(one, scores[i * m + j]) << "i=" << i << " j=" << j;
     }
   }
 }
 
-TEST(KernelsTest, NanAndInfPropagateInBothModes) {
+TEST(KernelsTest, NanAndInfPropagate) {
   // The no-term-skipped rule: a NaN/Inf anywhere in the operands reaches
-  // the output in every mode and at every SIMD level.
+  // the output.
   Tensor a({2, 40}, 1.0f);
   Tensor b({3, 40}, 0.5f);
   a[7] = std::numeric_limits<float>::quiet_NaN();
   b[40 + 3] = std::numeric_limits<float>::infinity();
-  for (const KernelMode mode : {KernelMode::kExact, KernelMode::kFast}) {
-    ScopedKernelMode scoped(mode);
-    const Tensor c = tmath::MatmulTransposeB(a, b);
-    EXPECT_TRUE(std::isnan(c[0 * 3 + 0])) << tmath::KernelModeName(mode);
-    EXPECT_TRUE(std::isnan(c[0 * 3 + 1])) << tmath::KernelModeName(mode);
-    EXPECT_TRUE(std::isinf(c[1 * 3 + 1])) << tmath::KernelModeName(mode);
-  }
+  const Tensor c = tmath::MatmulTransposeB(a, b);
+  EXPECT_TRUE(std::isnan(c[0 * 3 + 0]));
+  EXPECT_TRUE(std::isnan(c[0 * 3 + 1]));
+  EXPECT_TRUE(std::isinf(c[1 * 3 + 1]));
 }
 
 // --- Exact contract across SIMD levels -------------------------------------
@@ -277,7 +175,6 @@ Tensor FillTensor(std::vector<int64_t> shape, Fill fill, Rng* rng) {
 
 TEST(KernelsTest, ExactAvx2MatchesScalarOnRandomShapesAndSpecialValues) {
   if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA not supported";
-  ScopedKernelMode mode(KernelMode::kExact);
   Rng rng(20261018);
   int64_t one_row = 0, narrow = 0, ragged = 0, empty_k = 0;
   for (int trial = 0; trial < 1500; ++trial) {
@@ -337,7 +234,6 @@ TEST(KernelsTest, KMeansAssignmentIdenticalAcrossSimdLevels) {
   // kernel, so both assignment passes (spherical and Euclidean) must pick
   // the same centroids at every level.
   if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA not supported";
-  ScopedKernelMode mode(KernelMode::kExact);
   Rng rng(29);
   for (int trial = 0; trial < 40; ++trial) {
     const int64_t m = 1 + static_cast<int64_t>(rng.UniformInt(300));
@@ -365,8 +261,7 @@ TEST(KernelsTest, KMeansAssignmentIdenticalAcrossSimdLevels) {
 TEST(KernelsTest, DispatchReportsAndPinsLevels) {
   EXPECT_STREQ(tmath::SimdLevelName(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(tmath::SimdLevelName(SimdLevel::kAvx2), "avx2");
-  EXPECT_STREQ(tmath::KernelModeName(KernelMode::kExact), "exact");
-  EXPECT_STREQ(tmath::KernelModeName(KernelMode::kFast), "fast");
+  EXPECT_STREQ(tmath::KernelModeName(tmath::KernelMode::kExact), "exact");
   // Scalar can always be pinned, whatever the hardware.
   ScopedSimdLevel simd(SimdLevel::kScalar);
   EXPECT_EQ(tmath::ActiveSimdLevel(), SimdLevel::kScalar);

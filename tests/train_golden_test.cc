@@ -59,13 +59,6 @@ uint64_t HashString(const std::string& s) {
   return HashBytes(s.data(), s.size());
 }
 
-// The hashes are exact-mode numerics, so every case pins exact mode
-// whatever SDEA_KERNEL_MODE says.
-class TrainGoldenTest : public ::testing::Test {
- private:
-  sdea::testing::ScopedKernelMode mode_{tmath::KernelMode::kExact};
-};
-
 struct Fixture {
   datagen::GeneratedBenchmark bench;
   kg::AlignmentSeeds seeds;
@@ -89,7 +82,7 @@ Fixture MakeBaselineFixture() {
   return f;
 }
 
-TEST_F(TrainGoldenTest, TransEMatchesLegacyLoop) {
+TEST(TrainGoldenTest, TransEMatchesLegacyLoop) {
   Fixture f = MakeBaselineFixture();
   baselines::TransEConfig c;
   c.dim = 16;
@@ -102,7 +95,7 @@ TEST_F(TrainGoldenTest, TransEMatchesLegacyLoop) {
             0x455b7a550e696ef8ULL);
 }
 
-TEST_F(TrainGoldenTest, MTransEMatchesLegacyLoop) {
+TEST(TrainGoldenTest, MTransEMatchesLegacyLoop) {
   // Covers the no-negative-sampling TransE stream (two independent models)
   // plus the hand-rolled linear-mapping task.
   Fixture f = MakeBaselineFixture();
@@ -116,7 +109,7 @@ TEST_F(TrainGoldenTest, MTransEMatchesLegacyLoop) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x4590160074647dadULL);
 }
 
-TEST_F(TrainGoldenTest, TransEdgeMatchesLegacyLoop) {
+TEST(TrainGoldenTest, TransEdgeMatchesLegacyLoop) {
   // Covers the cumulative-shuffle autograd minibatch path (Adam + the
   // extracted MarginHingeLoss) in the seed-sharing joint space.
   Fixture f = MakeBaselineFixture();
@@ -130,7 +123,7 @@ TEST_F(TrainGoldenTest, TransEdgeMatchesLegacyLoop) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x082b268fdc8482e6ULL);
 }
 
-TEST_F(TrainGoldenTest, IpTransEMatchesLegacyLoop) {
+TEST(TrainGoldenTest, IpTransEMatchesLegacyLoop) {
   // Covers the two interleaved RNG streams of IPTransE: the TransE epoch
   // (OnEpochBegin hook, model RNG) and the 2-hop path sampling (TrainBatch,
   // dedicated path RNG), plus the soft-alignment rounds between Trainer
@@ -147,12 +140,12 @@ TEST_F(TrainGoldenTest, IpTransEMatchesLegacyLoop) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x91c757fc374cea97ULL);
 }
 
-TEST_F(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
+TEST(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
   // Covers both SDEA fine-tuning phases end to end: the text-encoder
   // pre-training (fresh-per-epoch shuffle over the replicated seed list,
   // candidate negatives, early stop + restore-best) and the relation
   // module's joint training (cumulative shuffle, eval on valid Hits@1).
-  // Exact mode gives the same bits at every SIMD level, so both levels
+  // The kernels give the same bits at every SIMD level, so both levels
   // must reproduce the same hashes.
   datagen::GeneratorConfig g;
   g.seed = 77;
@@ -200,7 +193,7 @@ TEST_F(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
 // count features (GCN-Align, HMAN), per-entity attribute sentences
 // (JAPE) and the seed-merged walk graph (RSN4EA).
 
-TEST_F(TrainGoldenTest, BootEaMatchesGolden) {
+TEST(TrainGoldenTest, BootEaMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::TransEConfig t;
   t.dim = 16;
@@ -215,7 +208,7 @@ TEST_F(TrainGoldenTest, BootEaMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x8e5553dc21bd39c1ULL);
 }
 
-TEST_F(TrainGoldenTest, JapeMatchesGolden) {
+TEST(TrainGoldenTest, JapeMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Jape::Config c;
   c.transe.dim = 16;
@@ -228,7 +221,7 @@ TEST_F(TrainGoldenTest, JapeMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0xeaeb71c5215ce753ULL);
 }
 
-TEST_F(TrainGoldenTest, KecgMatchesGolden) {
+TEST(TrainGoldenTest, KecgMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Kecg::Config c;
   c.dim = 16;
@@ -241,7 +234,7 @@ TEST_F(TrainGoldenTest, KecgMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0xd05048cbc4404637ULL);
 }
 
-TEST_F(TrainGoldenTest, GcnAlignMatchesGolden) {
+TEST(TrainGoldenTest, GcnAlignMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::GcnAlign::Config c = baselines::GcnAlignConfig();
   c.feature_dim = 16;
@@ -256,7 +249,7 @@ TEST_F(TrainGoldenTest, GcnAlignMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0xe2188f9836198207ULL);
 }
 
-TEST_F(TrainGoldenTest, HmanMatchesGolden) {
+TEST(TrainGoldenTest, HmanMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Hman::Config c;
   c.gcn.feature_dim = 16;
@@ -273,7 +266,7 @@ TEST_F(TrainGoldenTest, HmanMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x77d48e86edefcbf8ULL);
 }
 
-TEST_F(TrainGoldenTest, Rsn4EaMatchesGolden) {
+TEST(TrainGoldenTest, Rsn4EaMatchesGolden) {
   Fixture f = MakeBaselineFixture();
   baselines::Rsn4Ea::Config c;
   c.dim = 16;
@@ -285,7 +278,7 @@ TEST_F(TrainGoldenTest, Rsn4EaMatchesGolden) {
   EXPECT_EQ(HashTensor(m.embeddings2()), 0x92ba33570e3479f5ULL);
 }
 
-TEST_F(TrainGoldenTest, StreamingPresetMatchesGolden) {
+TEST(TrainGoldenTest, StreamingPresetMatchesGolden) {
   // The d_stream preset at a reduced size: the base graphs' encoded
   // bytes, the update log (arrivals and seeded attribute edits) and the
   // base-state truth pin GenerateStreaming's output row for row.
