@@ -7,6 +7,13 @@
 #include "bench/bench_util.h"
 #include "core/numeric_channel.h"
 
+namespace {
+
+// Weight of the numeric channel against the unit-norm entity embedding.
+constexpr float kNumericChannelWeight = 0.5f;
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace sdea;
   const bench::BenchOptions options = bench::ParseOptions(argc, argv);
@@ -22,21 +29,15 @@ int main(int argc, char** argv) {
     config.use_relation_module = false;  // Isolate the text encoder.
     const bench::SdeaRun r = bench::RunSdea(run, config);
     // The paper's proposed fix: dedicated numeric-value handling
-    // (SdeaConfig::use_numeric_channel) evaluated on the same run.
+    // (core/numeric_channel) evaluated on the same run.
     const Tensor num1 = core::ComputeNumericFeatures(run.bench.kg1);
     const Tensor num2 = core::ComputeNumericFeatures(run.bench.kg2);
-    const Tensor e1 = core::ConcatNumericChannel(
-        r.model->embeddings1(), num1, config.numeric_channel_weight);
-    const Tensor e2 = core::ConcatNumericChannel(
-        r.model->embeddings2(), num2, config.numeric_channel_weight);
-    Tensor src({static_cast<int64_t>(run.seeds.test.size()), e1.dim(1)});
-    std::vector<int64_t> gold;
-    for (size_t i = 0; i < run.seeds.test.size(); ++i) {
-      src.SetRow(static_cast<int64_t>(i), e1.Row(run.seeds.test[i].first));
-      gold.push_back(run.seeds.test[i].second);
-    }
+    const Tensor e1 = core::ConcatNumericChannel(r.model->embeddings1(), num1,
+                                                 kNumericChannelWeight);
+    const Tensor e2 = core::ConcatNumericChannel(r.model->embeddings2(), num2,
+                                                 kNumericChannelWeight);
     const double with_numeric =
-        eval::EvaluateAlignment(src, e2, gold).hits_at_1;
+        eval::EvaluatePairs(e1, e2, run.seeds.test).hits_at_1;
     table.AddRow({eval::FormatPercent(100.0 * share) + "%",
                   eval::FormatPercent(r.full.metrics.hits_at_1),
                   eval::FormatPercent(r.full.metrics.hits_at_10),

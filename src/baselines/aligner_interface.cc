@@ -6,17 +6,8 @@ namespace sdea::baselines {
 
 eval::RankingMetrics EntityAligner::Evaluate(
     const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const {
-  const Tensor& e1 = embeddings1();
-  const Tensor& e2 = embeddings2();
-  SDEA_CHECK_GT(e1.size(), 0);
-  Tensor src({static_cast<int64_t>(pairs.size()), e1.dim(1)});
-  std::vector<int64_t> gold;
-  gold.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    src.SetRow(static_cast<int64_t>(i), e1.Row(pairs[i].first));
-    gold.push_back(pairs[i].second);
-  }
-  return eval::EvaluateAlignment(src, e2, gold);
+  SDEA_CHECK_GT(embeddings1().size(), 0);
+  return eval::EvaluatePairs(embeddings1(), embeddings2(), pairs);
 }
 
 }  // namespace sdea::baselines

@@ -249,18 +249,10 @@ Status GcnAlign::Fit(const AlignInput& input) {
       Tensor e1, e2;
       extract(all_v, &e1, &e2);
       // Validation Hits@1 for best-checkpoint selection.
-      double h1 = 0.0;
-      if (!input.seeds->valid.empty()) {
-        Tensor src({static_cast<int64_t>(input.seeds->valid.size()),
-                    e1.dim(1)});
-        std::vector<int64_t> gold;
-        for (size_t i = 0; i < input.seeds->valid.size(); ++i) {
-          src.SetRow(static_cast<int64_t>(i),
-                     e1.Row(input.seeds->valid[i].first));
-          gold.push_back(input.seeds->valid[i].second);
-        }
-        h1 = eval::EvaluateAlignment(src, e2, gold).hits_at_1;
-      }
+      const double h1 =
+          input.seeds->valid.empty()
+              ? 0.0
+              : eval::EvaluatePairs(e1, e2, input.seeds->valid).hits_at_1;
       if (h1 >= best_valid) {
         best_valid = h1;
         best_e1 = e1;

@@ -9,7 +9,6 @@
 #include "nn/loss.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
-#include "train/loss.h"
 #include "train/sampler.h"
 #include "train/trainer.h"
 
@@ -53,7 +52,7 @@ class TransEdgeTask : public sdea::train::TrainTask {
         triples_(triples),
         sampler_(std::move(sampler)),
         rng_(rng),
-        loss_fn_(sdea::train::MarginHingeLoss(margin)) {}
+        margin_(margin) {}
 
   size_t num_examples() const override { return triples_->size(); }
   Rng* rng() override { return rng_; }
@@ -82,7 +81,7 @@ class TransEdgeTask : public sdea::train::TrainTask {
     NodeId neg_pred = g.Add(h, Psi(&g, h, tn, r));
     NodeId d_pos = sdea::nn::RowSquaredL2Distance(&g, pos_pred, t);
     NodeId d_neg = sdea::nn::RowSquaredL2Distance(&g, neg_pred, tn);
-    NodeId loss = loss_fn_(&g, d_pos, d_neg);
+    NodeId loss = sdea::nn::MarginHinge(&g, d_pos, d_neg, margin_);
     optimizer_->ZeroGrad();
     g.Backward(loss);
     optimizer_->ClipGradNorm(5.0f);
@@ -108,7 +107,7 @@ class TransEdgeTask : public sdea::train::TrainTask {
   const std::vector<Triple>* triples_;
   sdea::train::NegativeSampler sampler_;
   Rng* rng_;
-  sdea::train::PairwiseLossFn loss_fn_;
+  float margin_;
 };
 
 }  // namespace

@@ -60,14 +60,8 @@ Result<AlignmentResult> AlignmentPipeline::Run(
   if (config.threshold.enabled) {
     result.threshold = config.threshold;
   } else if (config.calibrate_threshold && !seeds.valid.empty() && n2 > 0) {
-    Tensor dev({static_cast<int64_t>(seeds.valid.size()), n2});
     std::vector<int64_t> dev_gold;
-    dev_gold.reserve(seeds.valid.size());
-    for (size_t i = 0; i < seeds.valid.size(); ++i) {
-      dev.SetRow(static_cast<int64_t>(i),
-                 scores.Row(seeds.valid[i].first));
-      dev_gold.push_back(seeds.valid[i].second);
-    }
+    const Tensor dev = eval::GatherPairQueries(scores, seeds.valid, &dev_gold);
     result.threshold = eval::CalibrateAbstainThreshold(dev, dev_gold);
   }
   if (!result.threshold.enabled) {

@@ -35,7 +35,7 @@ bool ParseNumeric(std::string_view text, double* value);
 Tensor ComputeNumericFeatures(const kg::KnowledgeGraph& graph);
 
 /// Concatenates `base` ([N, D]) with `numeric` ([N, F]) scaled by `weight`
-/// — the fusion used when SdeaConfig::use_numeric_channel is on.
+/// — the fusion bench_numeric_sensitivity applies to SDEA's embeddings.
 Tensor ConcatNumericChannel(const Tensor& base, const Tensor& numeric,
                             float weight);
 

@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "base/logging.h"
-#include "base/strings.h"
-#include "core/candidate_generator.h"
-#include "eval/metrics.h"
-#include "nn/loss.h"
-#include "nn/optimizer.h"
-#include "train/trainer.h"
+#include "core/margin_alignment.h"
 
 namespace sdea::core {
 namespace {
@@ -168,107 +162,6 @@ Tensor RelationEmbeddingModule::ComputeEntityEmbeddings(
   return out;
 }
 
-namespace {
-
-/// Algorithm 3 as a train::TrainTask: each batch builds one autograd graph
-/// of [Hr; Hm] triplets with candidate-based negatives; each epoch
-/// validates Hits@1 on the full Eq. 17 embeddings (line 12).
-class RelationTrainTask : public train::TrainTask {
- public:
-  RelationTrainTask(RelationEmbeddingModule* module, nn::Adam* optimizer,
-                    const Tensor* ha1, const Tensor* ha2,
-                    const kg::AlignmentSeeds* seeds,
-                    const std::vector<std::vector<int64_t>>* candidates,
-                    Rng* rng)
-      : module_(module),
-        optimizer_(optimizer),
-        ha1_(ha1),
-        ha2_(ha2),
-        seeds_(seeds),
-        candidates_(candidates),
-        rng_(rng) {}
-
-  size_t num_examples() const override { return seeds_->train.size(); }
-  Rng* rng() override { return rng_; }
-  nn::Module* module() override { return module_; }
-  nn::Optimizer* optimizer() override { return optimizer_; }
-
-  float TrainBatch(const uint64_t* ids, size_t n) override {
-    const RelationModuleConfig& config = module_->config();
-    Graph g;
-    NodeId anchors = -1, positives = -1, negatives = -1;
-    for (size_t i = 0; i < n; ++i) {
-      const auto& [e1, e2] = seeds_->train[ids[i]];
-      const auto& cand = (*candidates_)[static_cast<size_t>(e1)];
-      kg::EntityId neg = kg::kInvalidEntity;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const kg::EntityId c = static_cast<kg::EntityId>(
-            cand[rng_->UniformInt(cand.size())]);
-        if (c != e2) {
-          neg = c;
-          break;
-        }
-      }
-      if (neg == kg::kInvalidEntity) {
-        neg = static_cast<kg::EntityId>(
-            rng_->UniformInt(static_cast<uint64_t>(ha2_->dim(0))));
-        if (neg == e2) neg = (neg + 1) % static_cast<kg::EntityId>(
-                                 ha2_->dim(0));
-      }
-      // Lines 5-8: relation and joint embeddings for anchor/pos/neg.
-      NodeId hr_a, hm_a, hr_p, hm_p, hr_n, hm_n;
-      module_->ForwardEntity(&g, 1, e1, *ha1_, &hr_a, &hm_a);
-      module_->ForwardEntity(&g, 2, e2, *ha2_, &hr_p, &hm_p);
-      module_->ForwardEntity(&g, 2, neg, *ha2_, &hr_n, &hm_n);
-      // Line 9: the loss embedding is the concatenation [Hr; Hm].
-      NodeId a = g.ConcatCols(hr_a, hm_a);
-      NodeId p = g.ConcatCols(hr_p, hm_p);
-      NodeId q = g.ConcatCols(hr_n, hm_n);
-      anchors = (anchors < 0) ? a : g.ConcatRows(anchors, a);
-      positives = (positives < 0) ? p : g.ConcatRows(positives, p);
-      negatives = (negatives < 0) ? q : g.ConcatRows(negatives, q);
-    }
-    NodeId loss = nn::MarginRankingLoss(&g, anchors, positives, negatives,
-                                        config.margin);
-    optimizer_->ZeroGrad();
-    g.Backward(loss);
-    optimizer_->ClipGradNorm(config.grad_clip);
-    optimizer_->Step();
-    return g.Value(loss).data()[0];
-  }
-
-  // Line 12: validate on the final entity embedding (Eq. 17).
-  double EvalMetric() override {
-    const Tensor ent1 = module_->ComputeEntityEmbeddings(1, *ha1_);
-    const Tensor ent2 = module_->ComputeEntityEmbeddings(2, *ha2_);
-    Tensor valid_src({static_cast<int64_t>(seeds_->valid.size()),
-                      module_->entity_embedding_dim()});
-    std::vector<int64_t> gold;
-    gold.reserve(seeds_->valid.size());
-    for (size_t i = 0; i < seeds_->valid.size(); ++i) {
-      valid_src.SetRow(static_cast<int64_t>(i),
-                       ent1.Row(seeds_->valid[i].first));
-      gold.push_back(seeds_->valid[i].second);
-    }
-    const eval::RankingMetrics metrics =
-        seeds_->valid.empty()
-            ? eval::RankingMetrics{}
-            : eval::EvaluateAlignment(valid_src, ent2, gold);
-    return metrics.hits_at_1;
-  }
-
- private:
-  RelationEmbeddingModule* module_;
-  nn::Adam* optimizer_;
-  const Tensor* ha1_;
-  const Tensor* ha2_;
-  const kg::AlignmentSeeds* seeds_;
-  const std::vector<std::vector<int64_t>>* candidates_;
-  Rng* rng_;
-};
-
-}  // namespace
-
 Result<TrainReport> RelationEmbeddingModule::Train(
     const Tensor& ha1, const Tensor& ha2, const kg::AlignmentSeeds& seeds,
     train::CheckpointManager* checkpoint) {
@@ -278,39 +171,31 @@ Result<TrainReport> RelationEmbeddingModule::Train(
   if (seeds.train.empty()) {
     return Status::InvalidArgument("empty training set");
   }
-  Rng rng(config_.seed ^ 0x5ca1ab1eULL);
-  nn::Adam optimizer(Parameters(), config_.lr);
-
+  // Algorithm 3. Lines 5-9: the loss embedding of an entity is [Hr; Hm];
+  // line 12 validates on the final entity embedding (Eq. 17).
+  auto ha = [&ha1, &ha2](int side) -> const Tensor& {
+    return side == 1 ? ha1 : ha2;
+  };
+  MarginAlignmentTask task(
+      this, &seeds,
+      [this, ha](Graph* g, int side, kg::EntityId e, Rng* /*rng*/) {
+        NodeId hr, hm;
+        ForwardEntity(g, side, e, ha(side), &hr, &hm);
+        return g->ConcatCols(hr, hm);
+      },
+      [this, ha](int side) { return ComputeEntityEmbeddings(side, ha(side)); },
+      config_.seed ^ 0x5ca1ab1eULL, config_.lr, config_.margin,
+      config_.grad_clip, config_.num_candidates, /*negatives_per_pair=*/1);
   // Line 1: candidates from the pre-trained attribute embeddings, fixed for
   // the whole run.
-  const auto candidates =
-      GenerateCandidates(ha1, ha2, config_.num_candidates);
-
-  RelationTrainTask task(this, &optimizer, &ha1, &ha2, &seeds, &candidates,
-                         &rng);
+  task.FixCandidates(ha1, ha2);
   train::TrainerOptions options;
   options.max_epochs = config_.max_epochs;
   options.batch_size = config_.batch_size;
   options.shuffle = train::TrainerOptions::Shuffle::kCumulative;
-  options.evaluate = true;
   options.patience = config_.patience;
-  options.restore_best = true;
   options.checkpoint = checkpoint;
-  options.on_epoch = [](const train::EpochStats& es) {
-    SDEA_LOG_DEBUG(StrFormat("rel epoch %lld valid H@1=%.2f",
-                             static_cast<long long>(es.epoch),
-                             es.eval_metric));
-    return true;
-  };
-  train::Trainer trainer(&task, options);
-  auto stats = trainer.Run();
-  if (!stats.ok()) return stats.status();
-
-  TrainReport report;
-  report.epochs_run = trainer.epochs_run();
-  report.best_valid_hits1 = trainer.best_metric();
-  report.valid_hits1_history = trainer.metric_history();
-  return report;
+  return task.Train(std::move(options));
 }
 
 }  // namespace sdea::core

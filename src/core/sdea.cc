@@ -2,7 +2,6 @@
 
 #include "base/logging.h"
 #include "base/strings.h"
-#include "core/numeric_channel.h"
 #include "obs/trace.h"
 #include "train/checkpoint.h"
 
@@ -46,12 +45,6 @@ Result<SdeaFitReport> SdeaModel::Fit(
     // "SDEA w/o rel.": the attribute embedding is the entity embedding.
     ent1_ = ha1_;
     ent2_ = ha2_;
-    if (config.use_numeric_channel) {
-      ent1_ = ConcatNumericChannel(ent1_, ComputeNumericFeatures(kg1),
-                                   config.numeric_channel_weight);
-      ent2_ = ConcatNumericChannel(ent2_, ComputeNumericFeatures(kg2),
-                                   config.numeric_channel_weight);
-    }
     fitted_ = true;
     return report;
   }
@@ -72,12 +65,6 @@ Result<SdeaFitReport> SdeaModel::Fit(
   obs::TraceSpan embed_span("sdea/entity_embed");
   ent1_ = relation_module_.ComputeEntityEmbeddings(1, ha1_);
   ent2_ = relation_module_.ComputeEntityEmbeddings(2, ha2_);
-  if (config.use_numeric_channel) {
-    ent1_ = ConcatNumericChannel(ent1_, ComputeNumericFeatures(kg1),
-                                 config.numeric_channel_weight);
-    ent2_ = ConcatNumericChannel(ent2_, ComputeNumericFeatures(kg2),
-                                 config.numeric_channel_weight);
-  }
   fitted_ = true;
   return report;
 }
@@ -85,27 +72,13 @@ Result<SdeaFitReport> SdeaModel::Fit(
 eval::RankingMetrics SdeaModel::EvaluateWithoutRelation(
     const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const {
   SDEA_CHECK(fitted_);
-  Tensor src({static_cast<int64_t>(pairs.size()), ha1_.dim(1)});
-  std::vector<int64_t> gold;
-  gold.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    src.SetRow(static_cast<int64_t>(i), ha1_.Row(pairs[i].first));
-    gold.push_back(pairs[i].second);
-  }
-  return eval::EvaluateAlignment(src, ha2_, gold);
+  return eval::EvaluatePairs(ha1_, ha2_, pairs);
 }
 
 eval::RankingMetrics SdeaModel::Evaluate(
     const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const {
   SDEA_CHECK(fitted_);
-  Tensor src({static_cast<int64_t>(pairs.size()), ent1_.dim(1)});
-  std::vector<int64_t> gold;
-  gold.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    src.SetRow(static_cast<int64_t>(i), ent1_.Row(pairs[i].first));
-    gold.push_back(pairs[i].second);
-  }
-  return eval::EvaluateAlignment(src, ent2_, gold);
+  return eval::EvaluatePairs(ent1_, ent2_, pairs);
 }
 
 std::vector<eval::RankingMetrics> SdeaModel::EvaluateByDegree(
@@ -114,14 +87,11 @@ std::vector<eval::RankingMetrics> SdeaModel::EvaluateByDegree(
     const std::vector<int64_t>& bucket_upper) const {
   SDEA_CHECK(fitted_);
   const kg::KgSnapshot snap1 = kg1.Snapshot();
-  Tensor src({static_cast<int64_t>(pairs.size()), ent1_.dim(1)});
   std::vector<int64_t> gold;
+  const Tensor src = eval::GatherPairQueries(ent1_, pairs, &gold);
   std::vector<int64_t> degrees;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    src.SetRow(static_cast<int64_t>(i), ent1_.Row(pairs[i].first));
-    gold.push_back(pairs[i].second);
-    degrees.push_back(snap1.DegreeOf(pairs[i].first));
-  }
+  degrees.reserve(pairs.size());
+  for (const auto& pair : pairs) degrees.push_back(snap1.DegreeOf(pair.first));
   return eval::EvaluateByDegree(src, ent2_, gold, degrees, bucket_upper);
 }
 

@@ -17,12 +17,6 @@ struct SdeaConfig {
   /// When false, runs the paper's "SDEA w/o rel." ablation: the final
   /// entity embedding is the attribute embedding alone.
   bool use_relation_module = true;
-
-  /// The paper's proposed future-work extension (Remarks III-A): numeric
-  /// attribute values get a dedicated magnitude-aware channel appended to
-  /// the entity embedding instead of relying on subword tokenization.
-  bool use_numeric_channel = false;
-  float numeric_channel_weight = 0.5f;
 };
 
 /// Combined training report.

@@ -3,12 +3,8 @@
 #include <algorithm>
 
 #include "base/logging.h"
-#include "base/strings.h"
-#include "core/candidate_generator.h"
-#include "eval/metrics.h"
-#include "nn/loss.h"
+#include "core/margin_alignment.h"
 #include "nn/optimizer.h"
-#include "train/trainer.h"
 
 namespace sdea::core {
 
@@ -42,17 +38,15 @@ Status TextAlignmentEncoder::Init(const std::vector<std::string>& texts1,
   AddSubmodule(encoder_.get());
   AddSubmodule(output_mlp_.get());
 
-  if (config.use_pretrained_embeddings) {
-    text::PretrainConfig pt = config.pretrain;
-    pt.dim = config_.encoder.dim;
-    text::CooccurrencePretrainer pretrainer;
-    auto table = pretrainer.Train(corpus, tokenizer_, pt);
-    if (table.ok()) {
-      encoder_->token_embedding()->table()->value = std::move(table).value();
-    } else {
-      SDEA_LOG_WARNING("token pre-training skipped: " +
-                       table.status().ToString());
-    }
+  text::PretrainConfig pt = config.pretrain;
+  pt.dim = config_.encoder.dim;
+  text::CooccurrencePretrainer pretrainer;
+  auto table = pretrainer.Train(corpus, tokenizer_, pt);
+  if (table.ok()) {
+    encoder_->token_embedding()->table()->value = std::move(table).value();
+  } else {
+    SDEA_LOG_WARNING("token pre-training skipped: " +
+                     table.status().ToString());
   }
 
   token_ids_.resize(2);
@@ -84,6 +78,25 @@ const std::vector<int64_t>& TextAlignmentEncoder::token_ids(
   return per_side[static_cast<size_t>(e)];
 }
 
+std::vector<int64_t> TextAlignmentEncoder::DropTokens(
+    const std::vector<int64_t>& ids, float p, Rng* rng) {
+  std::vector<int64_t> kept;
+  kept.push_back(ids[0]);  // [CLS]
+  for (size_t i = 1; i < ids.size(); ++i) {
+    if (!rng->Bernoulli(p)) kept.push_back(ids[i]);
+  }
+  if (kept.size() == 1) kept.push_back(ids[1]);
+  return kept;
+}
+
+NodeId TextAlignmentEncoder::Encode(Graph* g, const std::vector<int64_t>& ids,
+                                    bool training, Rng* rng) const {
+  NodeId pooled = (config_.pooling == SequencePooling::kCls)
+                      ? encoder_->EncodeCls(g, ids, training, rng)
+                      : encoder_->EncodeMean(g, ids, training, rng);
+  return g->L2NormalizeRows(output_mlp_->Forward(g, pooled));
+}
+
 NodeId TextAlignmentEncoder::EncodeEntity(Graph* g, int side, kg::EntityId e,
                                           bool training, Rng* rng) const {
   SDEA_CHECK(initialized_);
@@ -92,22 +105,10 @@ NodeId TextAlignmentEncoder::EncodeEntity(Graph* g, int side, kg::EntityId e,
     SDEA_CHECK(rng != nullptr);
     // Drop non-[CLS] tokens so the margin cannot be satisfied by
     // memorizing entity-unique tokens of the seed pairs.
-    std::vector<int64_t> kept;
-    kept.push_back(ids[0]);
-    for (size_t i = 1; i < ids.size(); ++i) {
-      if (!rng->Bernoulli(config_.train_token_dropout)) kept.push_back(ids[i]);
-    }
-    if (kept.size() == 1) kept.push_back(ids[1]);
-    NodeId pooled = (config_.pooling == SequencePooling::kCls)
-                        ? encoder_->EncodeCls(g, kept, training, rng)
-                        : encoder_->EncodeMean(g, kept, training, rng);
-    return g->L2NormalizeRows(output_mlp_->Forward(g, pooled));
+    return Encode(g, DropTokens(ids, config_.train_token_dropout, rng),
+                  training, rng);
   }
-  NodeId pooled = (config_.pooling == SequencePooling::kCls)
-                      ? encoder_->EncodeCls(g, ids, training, rng)
-                      : encoder_->EncodeMean(g, ids, training, rng);
-  NodeId out = output_mlp_->Forward(g, pooled);
-  return g->L2NormalizeRows(out);
+  return Encode(g, ids, training, rng);
 }
 
 Tensor TextAlignmentEncoder::ComputeAllEmbeddings(int side) const {
@@ -141,24 +142,11 @@ void TextAlignmentEncoder::SelfSupervisedPretrain() {
   }
   if (pool.size() < 4) return;
 
-  // A "view" drops each non-CLS token with ssl_token_dropout (keeping at
-  // least one token).
-  auto make_view = [&](int side, kg::EntityId e) {
-    const std::vector<int64_t>& ids = token_ids(side, e);
-    std::vector<int64_t> view;
-    view.push_back(ids[0]);  // [CLS]
-    for (size_t i = 1; i < ids.size(); ++i) {
-      if (!rng.Bernoulli(config_.ssl_token_dropout)) view.push_back(ids[i]);
-    }
-    if (view.size() == 1) view.push_back(ids[1]);
-    return view;
-  };
-  auto encode_view = [&](Graph* g, const std::vector<int64_t>& ids) {
-    NodeId pooled =
-        (config_.pooling == SequencePooling::kCls)
-            ? encoder_->EncodeCls(g, ids, /*training=*/true, &rng)
-            : encoder_->EncodeMean(g, ids, /*training=*/true, &rng);
-    return g->L2NormalizeRows(output_mlp_->Forward(g, pooled));
+  // A "view" drops each non-CLS token with ssl_token_dropout.
+  auto encode_view = [&](Graph* g, int side, kg::EntityId e) {
+    const std::vector<int64_t> view =
+        DropTokens(token_ids(side, e), config_.ssl_token_dropout, &rng);
+    return Encode(g, view, /*training=*/true, &rng);
   };
 
   for (int64_t epoch = 0; epoch < config_.ssl_epochs; ++epoch) {
@@ -171,130 +159,21 @@ void TextAlignmentEncoder::SelfSupervisedPretrain() {
           std::min(limit, start + static_cast<size_t>(config_.ssl_batch));
       if (end - start < 2) break;
       Graph g;
-      NodeId anchors = -1, positives = -1, negatives = -1;
+      std::vector<NodeId> anchors, positives, negatives;
       for (size_t i = start; i < end; ++i) {
         const auto& [side, e] = pool[i];
         // Negative: the positive view of the batch neighbor (ring order).
         const size_t j = (i + 1 < end) ? i + 1 : start;
         const auto& [nside, ne] = pool[j];
-        NodeId a = encode_view(&g, make_view(side, e));
-        NodeId p = encode_view(&g, make_view(side, e));
-        NodeId q = encode_view(&g, make_view(nside, ne));
-        anchors = (anchors < 0) ? a : g.ConcatRows(anchors, a);
-        positives = (positives < 0) ? p : g.ConcatRows(positives, p);
-        negatives = (negatives < 0) ? q : g.ConcatRows(negatives, q);
+        anchors.push_back(encode_view(&g, side, e));
+        positives.push_back(encode_view(&g, side, e));
+        negatives.push_back(encode_view(&g, nside, ne));
       }
-      NodeId loss = nn::MarginRankingLoss(&g, anchors, positives, negatives,
-                                          config_.margin);
-      optimizer.ZeroGrad();
-      g.Backward(loss);
-      optimizer.ClipGradNorm(config_.grad_clip);
-      optimizer.Step();
+      MarginStep(&g, anchors, positives, negatives, config_.margin,
+                 config_.grad_clip, &optimizer);
     }
   }
 }
-
-namespace {
-
-/// Algorithm 2 as a train::TrainTask. Example i of the Trainer's order maps
-/// to seed pair i % |train| — the legacy loop replicated the pair list
-/// rep-major (`negatives_per_pair` full copies back to back), so the
-/// modulo reproduces the same example array. Candidates are refreshed from
-/// scratch each epoch (lines 2-4) in OnEpochBegin, which draws no
-/// randomness and therefore leaves the shared RNG stream identical to the
-/// historical loop's.
-class TextPretrainTask : public train::TrainTask {
- public:
-  TextPretrainTask(TextAlignmentEncoder* encoder, nn::Adam* optimizer,
-                   const kg::AlignmentSeeds* seeds, Rng* rng)
-      : encoder_(encoder), optimizer_(optimizer), seeds_(seeds), rng_(rng) {}
-
-  size_t num_examples() const override {
-    return seeds_->train.size() *
-           static_cast<size_t>(encoder_->config().negatives_per_pair);
-  }
-  Rng* rng() override { return rng_; }
-  nn::Module* module() override { return encoder_; }
-  nn::Optimizer* optimizer() override { return optimizer_; }
-
-  // Algorithm 2 lines 2-4: fresh embeddings and candidates per epoch.
-  void OnEpochBegin(int64_t /*epoch*/) override {
-    const Tensor ha1 = encoder_->ComputeAllEmbeddings(1);
-    const Tensor ha2 = encoder_->ComputeAllEmbeddings(2);
-    candidates_ =
-        GenerateCandidates(ha1, ha2, encoder_->config().num_candidates);
-  }
-
-  // Lines 5-10: margin-loss updates over the shuffled training pairs.
-  float TrainBatch(const uint64_t* ids, size_t n) override {
-    const TextEncoderConfig& config = encoder_->config();
-    const size_t base_n = seeds_->train.size();
-    Graph g;
-    NodeId anchors = -1, positives = -1, negatives = -1;
-    for (size_t i = 0; i < n; ++i) {
-      const auto& [e1, e2] = seeds_->train[ids[i] % base_n];
-      // Line 6: negative from the candidate set, != the positive.
-      const auto& cand = candidates_[static_cast<size_t>(e1)];
-      kg::EntityId neg = kg::kInvalidEntity;
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const kg::EntityId c =
-            static_cast<kg::EntityId>(cand[rng_->UniformInt(cand.size())]);
-        if (c != e2) {
-          neg = c;
-          break;
-        }
-      }
-      if (neg == kg::kInvalidEntity) {
-        neg = static_cast<kg::EntityId>(rng_->UniformInt(
-            static_cast<uint64_t>(encoder_->num_entities(2))));
-        if (neg == e2) {
-          neg = static_cast<kg::EntityId>((neg + 1) %
-                                          encoder_->num_entities(2));
-        }
-      }
-      NodeId a = encoder_->EncodeEntity(&g, 1, e1, /*training=*/true, rng_);
-      NodeId p = encoder_->EncodeEntity(&g, 2, e2, /*training=*/true, rng_);
-      NodeId q = encoder_->EncodeEntity(&g, 2, neg, /*training=*/true, rng_);
-      anchors = (anchors < 0) ? a : g.ConcatRows(anchors, a);
-      positives = (positives < 0) ? p : g.ConcatRows(positives, p);
-      negatives = (negatives < 0) ? q : g.ConcatRows(negatives, q);
-    }
-    NodeId loss = nn::MarginRankingLoss(&g, anchors, positives, negatives,
-                                        config.margin);
-    optimizer_->ZeroGrad();
-    g.Backward(loss);
-    optimizer_->ClipGradNorm(config.grad_clip);
-    optimizer_->Step();
-    return g.Value(loss).data()[0];
-  }
-
-  // Line 11: validation Hits@1 (0 when there is no validation split, as in
-  // the historical loop, which then effectively stops after `patience`).
-  double EvalMetric() override {
-    if (seeds_->valid.empty()) return 0.0;
-    const Tensor va1 = encoder_->ComputeAllEmbeddings(1);
-    const Tensor va2 = encoder_->ComputeAllEmbeddings(2);
-    Tensor valid_src({static_cast<int64_t>(seeds_->valid.size()),
-                      encoder_->config().out_dim});
-    std::vector<int64_t> gold;
-    gold.reserve(seeds_->valid.size());
-    for (size_t i = 0; i < seeds_->valid.size(); ++i) {
-      valid_src.SetRow(static_cast<int64_t>(i),
-                       va1.Row(seeds_->valid[i].first));
-      gold.push_back(seeds_->valid[i].second);
-    }
-    return eval::EvaluateAlignment(valid_src, va2, gold).hits_at_1;
-  }
-
- private:
-  TextAlignmentEncoder* encoder_;
-  nn::Adam* optimizer_;
-  const kg::AlignmentSeeds* seeds_;
-  Rng* rng_;
-  std::vector<std::vector<int64_t>> candidates_;
-};
-
-}  // namespace
 
 Result<TrainReport> TextAlignmentEncoder::Pretrain(
     const kg::AlignmentSeeds& seeds, train::CheckpointManager* checkpoint) {
@@ -305,33 +184,25 @@ Result<TrainReport> TextAlignmentEncoder::Pretrain(
     return Status::InvalidArgument("empty training set");
   }
   SelfSupervisedPretrain();
-  Rng rng(config_.seed ^ 0xabcdef12345ULL);
-  nn::Adam optimizer(Parameters(), config_.lr);
 
-  TextPretrainTask task(this, &optimizer, &seeds, &rng);
+  // Algorithm 2. The seed list is replicated rep-major
+  // (`negatives_per_pair` full copies back to back) and the candidates are
+  // refreshed at every epoch start (lines 2-4).
+  MarginAlignmentTask task(
+      this, &seeds,
+      [this](Graph* g, int side, kg::EntityId e, Rng* rng) {
+        return EncodeEntity(g, side, e, /*training=*/true, rng);
+      },
+      [this](int side) { return ComputeAllEmbeddings(side); },
+      config_.seed ^ 0xabcdef12345ULL, config_.lr, config_.margin,
+      config_.grad_clip, config_.num_candidates, config_.negatives_per_pair);
   train::TrainerOptions options;
   options.max_epochs = config_.max_epochs;
   options.batch_size = config_.batch_size;
   options.shuffle = train::TrainerOptions::Shuffle::kFreshPerEpoch;
-  options.evaluate = true;
   options.patience = config_.patience;
-  options.restore_best = true;
   options.checkpoint = checkpoint;
-  options.on_epoch = [](const train::EpochStats& es) {
-    SDEA_LOG_DEBUG(StrFormat("text-encoder epoch %lld valid H@1=%.2f",
-                             static_cast<long long>(es.epoch),
-                             es.eval_metric));
-    return true;
-  };
-  train::Trainer trainer(&task, options);
-  auto stats = trainer.Run();
-  if (!stats.ok()) return stats.status();
-
-  TrainReport report;
-  report.epochs_run = trainer.epochs_run();
-  report.best_valid_hits1 = trainer.best_metric();
-  report.valid_hits1_history = trainer.metric_history();
-  return report;
+  return task.Train(std::move(options));
 }
 
 }  // namespace sdea::core

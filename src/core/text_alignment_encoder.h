@@ -39,7 +39,6 @@ struct TextEncoderConfig {
 
   text::TokenizerConfig tokenizer;
   text::PretrainConfig pretrain;
-  bool use_pretrained_embeddings = true;
 
   float margin = 1.0f;
   float lr = 1e-3f;
@@ -107,16 +106,28 @@ class TextAlignmentEncoder : public nn::Module {
   Result<TrainReport> Pretrain(const kg::AlignmentSeeds& seeds,
                                train::CheckpointManager* checkpoint = nullptr);
 
-  /// The label-free contrastive encoder pre-training stage; public so the
-  /// ablation bench can invoke/skip it independently.
-  void SelfSupervisedPretrain();
-
   const TextEncoderConfig& config() const { return config_; }
   const text::SubwordTokenizer& tokenizer() const { return tokenizer_; }
   int64_t num_entities(int side) const;
   const std::vector<int64_t>& token_ids(int side, kg::EntityId e) const;
 
  private:
+  /// Keeps [CLS] (ids[0]) and each other token with probability 1 - p,
+  /// one Bernoulli draw per token; ids[1] stays when every other token is
+  /// dropped. `ids` must hold at least two tokens.
+  static std::vector<int64_t> DropTokens(const std::vector<int64_t>& ids,
+                                         float p, Rng* rng);
+
+  /// Pools the encoded `ids`, applies the output MLP and L2-normalizes:
+  /// a [1, out_dim] node.
+  NodeId Encode(Graph* g, const std::vector<int64_t>& ids, bool training,
+                Rng* rng) const;
+
+  /// The label-free contrastive encoder pre-training stage: two
+  /// token-dropout views of the same text embed close, the batch
+  /// neighbour's view far (ssl_epochs = 0 skips it).
+  void SelfSupervisedPretrain();
+
   TextEncoderConfig config_;
   text::SubwordTokenizer tokenizer_;
   std::unique_ptr<nn::TransformerEncoder> encoder_;

@@ -141,6 +141,28 @@ RankingMetrics EvaluateAlignment(const Tensor& src, const Tensor& tgt,
   return EvaluateFromScores(tmath::MatmulTransposeB(s, t), gold);
 }
 
+Tensor GatherPairQueries(
+    const Tensor& src,
+    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs,
+    std::vector<int64_t>* gold) {
+  Tensor rows({static_cast<int64_t>(pairs.size()), src.dim(1)});
+  gold->clear();
+  gold->reserve(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    rows.SetRow(static_cast<int64_t>(i), src.Row(pairs[i].first));
+    gold->push_back(pairs[i].second);
+  }
+  return rows;
+}
+
+RankingMetrics EvaluatePairs(
+    const Tensor& src, const Tensor& tgt,
+    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) {
+  std::vector<int64_t> gold;
+  const Tensor rows = GatherPairQueries(src, pairs, &gold);
+  return EvaluateAlignment(rows, tgt, gold);
+}
+
 std::vector<int64_t> GoldRanks(const Tensor& src, const Tensor& tgt,
                                const std::vector<int64_t>& gold) {
   const Tensor s = NormalizedCopy(src);

@@ -2,8 +2,10 @@
 #define SDEA_EVAL_METRICS_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "kg/types.h"
 #include "tensor/tensor.h"
 
 namespace sdea::eval {
@@ -84,6 +86,20 @@ DecisionMetrics EvaluateDecisions(const std::vector<int64_t>& predicted,
 /// need not be pre-normalized.
 RankingMetrics EvaluateAlignment(const Tensor& src, const Tensor& tgt,
                                  const std::vector<int64_t>& gold);
+
+/// The queries of a (source, target) entity pair list such as a seed
+/// split: row i of the result is row pairs[i].first of `src`, and
+/// (*gold)[i] = pairs[i].second.
+Tensor GatherPairQueries(
+    const Tensor& src,
+    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs,
+    std::vector<int64_t>* gold);
+
+/// EvaluateAlignment of a pair list's queries (GatherPairQueries) against
+/// every row of `tgt`.
+RankingMetrics EvaluatePairs(
+    const Tensor& src, const Tensor& tgt,
+    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs);
 
 /// As EvaluateAlignment but from a precomputed score matrix [N, M] where
 /// higher means more similar. Degenerate inputs are well-defined instead of

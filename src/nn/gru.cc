@@ -72,11 +72,7 @@ NodeId Gru::Forward(Graph* g, NodeId x, bool reverse) const {
     h = cell_->Step(g, xt, h);
     outputs[static_cast<size_t>(t)] = h;
   }
-  NodeId out = outputs[0];
-  for (int64_t t = 1; t < t_len; ++t) {
-    out = g->ConcatRows(out, outputs[static_cast<size_t>(t)]);
-  }
-  return out;
+  return g->StackRows(outputs);
 }
 
 BiGru::BiGru(const std::string& name, int64_t input_dim, int64_t hidden_dim,

@@ -11,12 +11,16 @@ NodeId RowSquaredL2Distance(Graph* g, NodeId a, NodeId b) {
   return g->Matmul(sq, ones);  // [B, 1]
 }
 
+NodeId MarginHinge(Graph* g, NodeId d_pos, NodeId d_neg, float margin) {
+  NodeId hinge = g->Relu(g->AddConst(g->Sub(d_pos, d_neg), margin));
+  return g->MeanAll(hinge);
+}
+
 NodeId MarginRankingLoss(Graph* g, NodeId anchor, NodeId positive,
                          NodeId negative, float margin) {
   NodeId d_pos = RowSquaredL2Distance(g, anchor, positive);
   NodeId d_neg = RowSquaredL2Distance(g, anchor, negative);
-  NodeId hinge = g->Relu(g->AddConst(g->Sub(d_pos, d_neg), margin));
-  return g->MeanAll(hinge);
+  return MarginHinge(g, d_pos, d_neg, margin);
 }
 
 }  // namespace sdea::nn

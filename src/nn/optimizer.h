@@ -31,10 +31,6 @@ class Optimizer {
   /// Returns the pre-clip norm.
   float ClipGradNorm(float max_norm);
 
-  /// Current learning rate (the target of train::LrSchedule).
-  virtual float lr() const = 0;
-  virtual void set_lr(float lr) = 0;
-
   /// Appends this optimizer's slot state (momentum/moment tensors, step
   /// counters — everything beyond the parameters themselves) to `out`, so a
   /// checkpointed run resumes with bitwise-identical updates.
@@ -59,8 +55,6 @@ class Sgd : public Optimizer {
 
   void Step() override;
 
-  void set_lr(float lr) override { lr_ = lr; }
-  float lr() const override { return lr_; }
   void SerializeState(std::string* out) const override;
   Status DeserializeState(std::string_view blob) override;
 
@@ -78,8 +72,6 @@ class Adam : public Optimizer {
 
   void Step() override;
 
-  void set_lr(float lr) override { lr_ = lr; }
-  float lr() const override { return lr_; }
   void SerializeState(std::string* out) const override;
   Status DeserializeState(std::string_view blob) override;
 

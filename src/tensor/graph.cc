@@ -212,42 +212,6 @@ NodeId Graph::AddRowBroadcast(NodeId a, NodeId bias) {
   });
 }
 
-NodeId Graph::MulColBroadcast(NodeId a, NodeId w) {
-  const Tensor& av = Value(a);
-  const Tensor& wv = Value(w);
-  SDEA_CHECK_EQ(av.rank(), 2);
-  SDEA_CHECK_EQ(wv.size(), av.dim(0));
-  Tensor out = av;
-  const int64_t rows = av.dim(0), cols = av.dim(1);
-  for (int64_t i = 0; i < rows; ++i) {
-    for (int64_t j = 0; j < cols; ++j) out[i * cols + j] *= wv[i];
-  }
-  const bool rg = RequiresGrad(a) || RequiresGrad(w);
-  NodeId id = static_cast<NodeId>(nodes_.size());
-  return AddNode(std::move(out), rg, [id, a, w](Graph* g) {
-    const Tensor& dc = g->node(id).grad;
-    const Tensor& av2 = g->Value(a);
-    const Tensor& wv2 = g->Value(w);
-    const int64_t r = av2.dim(0), c = av2.dim(1);
-    if (g->RequiresGrad(a)) {
-      Tensor& da = g->MutableGrad(a);
-      for (int64_t i = 0; i < r; ++i) {
-        for (int64_t j = 0; j < c; ++j) da[i * c + j] += dc[i * c + j] * wv2[i];
-      }
-    }
-    if (g->RequiresGrad(w)) {
-      Tensor& dw = g->MutableGrad(w);
-      for (int64_t i = 0; i < r; ++i) {
-        double s = 0.0;
-        for (int64_t j = 0; j < c; ++j) {
-          s += static_cast<double>(dc[i * c + j]) * av2[i * c + j];
-        }
-        dw[i] += static_cast<float>(s);
-      }
-    }
-  });
-}
-
 namespace {
 
 // Views a rank-1 tensor as [1, n] for concat/slice purposes.
@@ -301,26 +265,34 @@ NodeId Graph::ConcatCols(NodeId a, NodeId b) {
   });
 }
 
-NodeId Graph::ConcatRows(NodeId a, NodeId b) {
-  int64_t ra, ca, rb, cb;
-  ShapeAs2d(Value(a), &ra, &ca);
-  ShapeAs2d(Value(b), &rb, &cb);
-  SDEA_CHECK_EQ(ca, cb);
-  Tensor out({ra + rb, ca});
-  std::copy(Value(a).data(), Value(a).data() + ra * ca, out.data());
-  std::copy(Value(b).data(), Value(b).data() + rb * cb,
-            out.data() + ra * ca);
-  const bool rg = RequiresGrad(a) || RequiresGrad(b);
+NodeId Graph::StackRows(const std::vector<NodeId>& parts) {
+  SDEA_CHECK(!parts.empty());
+  int64_t rows = 0, cols = 0;
+  std::vector<int64_t> offsets;  // First element of each part in the output.
+  offsets.reserve(parts.size());
+  bool rg = false;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    int64_t r, c;
+    ShapeAs2d(Value(parts[i]), &r, &c);
+    if (i == 0) cols = c;
+    SDEA_CHECK_EQ(c, cols);
+    offsets.push_back(rows * cols);
+    rows += r;
+    rg = rg || RequiresGrad(parts[i]);
+  }
+  Tensor out({rows, cols});
+  for (size_t i = 0; i < parts.size(); ++i) {
+    const Tensor& v = Value(parts[i]);
+    std::copy(v.data(), v.data() + v.size(), out.data() + offsets[i]);
+  }
   NodeId id = static_cast<NodeId>(nodes_.size());
-  return AddNode(std::move(out), rg, [id, a, b, ra, ca, rb](Graph* g) {
+  return AddNode(std::move(out), rg, [id, parts, offsets](Graph* g) {
     const Tensor& dc = g->node(id).grad;
-    if (g->RequiresGrad(a)) {
-      Tensor& da = g->MutableGrad(a);
-      for (int64_t i = 0; i < ra * ca; ++i) da[i] += dc[i];
-    }
-    if (g->RequiresGrad(b)) {
-      Tensor& db = g->MutableGrad(b);
-      for (int64_t i = 0; i < rb * ca; ++i) db[i] += dc[ra * ca + i];
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (!g->RequiresGrad(parts[i])) continue;
+      Tensor& dp = g->MutableGrad(parts[i]);
+      const float* slice = dc.data() + offsets[i];
+      for (int64_t j = 0; j < dp.size(); ++j) dp[j] += slice[j];
     }
   });
 }
@@ -365,16 +337,6 @@ NodeId Graph::SliceRows(NodeId a, int64_t begin, int64_t end) {
                      da[begin * cols + i] += dc[i];
                    }
                  });
-}
-
-NodeId Graph::Reshape(NodeId a, std::vector<int64_t> shape) {
-  Tensor out = Value(a).Reshaped(std::move(shape));
-  NodeId id = static_cast<NodeId>(nodes_.size());
-  return AddNode(std::move(out), RequiresGrad(a), [id, a](Graph* g) {
-    const Tensor& dc = g->node(id).grad;
-    Tensor& da = g->MutableGrad(a);
-    for (int64_t i = 0; i < dc.size(); ++i) da[i] += dc[i];
-  });
 }
 
 NodeId Graph::SumAll(NodeId a) {

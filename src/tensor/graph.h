@@ -83,26 +83,22 @@ class Graph {
   /// Adds rank-1 `bias` (length n) to every row of [m,n] `a`.
   NodeId AddRowBroadcast(NodeId a, NodeId bias);
 
-  /// Multiplies row i of [m,n] `a` by element i of rank-1 `w` (length m).
-  NodeId MulColBroadcast(NodeId a, NodeId w);
-
   // ---- Shape --------------------------------------------------------------
 
   /// Concatenates along columns: [m,n1] ++ [m,n2] -> [m,n1+n2].
   /// Rank-1 inputs of equal "rows" semantics (treated as [1,n]) are allowed.
   NodeId ConcatCols(NodeId a, NodeId b);
 
-  /// Concatenates along rows: [m1,n] ++ [m2,n] -> [m1+m2,n].
-  NodeId ConcatRows(NodeId a, NodeId b);
+  /// Stacks `parts` (at least one) along rows: [m1,n] ++ ... ++ [mk,n] ->
+  /// [m1+...+mk,n] in one node and one copy. Rank-1 parts count as [1,n].
+  /// Backward adds each part's row slice of the gradient into it once.
+  NodeId StackRows(const std::vector<NodeId>& parts);
 
   /// Column slice [m, end-begin] of [m,n]; 0 <= begin < end <= n.
   NodeId SliceCols(NodeId a, int64_t begin, int64_t end);
 
   /// Row slice [end-begin, n] of [m,n].
   NodeId SliceRows(NodeId a, int64_t begin, int64_t end);
-
-  /// Reshape preserving element count.
-  NodeId Reshape(NodeId a, std::vector<int64_t> shape);
 
   // ---- Reductions & normalization ------------------------------------------
 

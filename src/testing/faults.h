@@ -29,7 +29,7 @@ struct FaultPlan {
   /// When non-empty, only operations whose path contains this substring
   /// count as matching — lets a test break checkpoint writes while the
   /// rest of the filesystem stays healthy.
-  std::string path_substring;
+  std::string path_substring = {};
 };
 
 /// Fault injector driven by one FaultPlan. Deterministic by construction:

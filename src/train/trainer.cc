@@ -74,18 +74,9 @@ Status Trainer::Validate() const {
     return Status::FailedPrecondition(
         "restore_best requires a task with a module()");
   }
-  if (options_.checkpoint != nullptr) {
-    if (task_->module() == nullptr) {
-      return Status::FailedPrecondition(
-          "checkpointing requires a task with a module()");
-    }
-    if (options_.checkpoint_every <= 0) {
-      return Status::InvalidArgument("checkpoint_every must be > 0");
-    }
-  }
-  if (options_.lr_schedule != nullptr && task_->optimizer() == nullptr) {
+  if (options_.checkpoint != nullptr && task_->module() == nullptr) {
     return Status::FailedPrecondition(
-        "lr_schedule requires a task with an optimizer()");
+        "checkpointing requires a task with a module()");
   }
   if (!options_.warm_start_params.empty() && task_->module() == nullptr) {
     return Status::FailedPrecondition(
@@ -160,8 +151,7 @@ Result<TrainStats> Trainer::Run() {
   TrainStats stats;
   int64_t start_epoch = 0;
 
-  if (options_.checkpoint != nullptr && options_.resume &&
-      options_.checkpoint->Exists()) {
+  if (options_.checkpoint != nullptr && options_.checkpoint->Exists()) {
     SDEA_ASSIGN_OR_RETURN(TrainerCheckpoint ckpt,
                           options_.checkpoint->Load());
     SDEA_RETURN_IF_ERROR(ApplyCheckpoint(ckpt));
@@ -196,9 +186,6 @@ Result<TrainStats> Trainer::Run() {
     es.epoch = epoch;
 
     task_->OnEpochBegin(epoch);
-    if (options_.lr_schedule != nullptr) {
-      task_->optimizer()->set_lr(options_.lr_schedule->LearningRate(epoch));
-    }
     if (options_.shuffle == TrainerOptions::Shuffle::kFreshPerEpoch) {
       std::iota(order_.begin(), order_.end(), uint64_t{0});
     }
@@ -253,8 +240,7 @@ Result<TrainStats> Trainer::Run() {
     if (options_.on_epoch && !options_.on_epoch(es)) stop = true;
 
     if (options_.checkpoint != nullptr && !stop &&
-        epoch + 1 < options_.max_epochs &&
-        (epoch + 1) % options_.checkpoint_every == 0) {
+        epoch + 1 < options_.max_epochs) {
       obs::TraceSpan ckpt_span("train/checkpoint");
       // A failed save (full disk, dead mount) costs a resume point, not
       // the run: log it and keep training. The atomic writer guarantees

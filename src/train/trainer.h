@@ -11,7 +11,6 @@
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "train/checkpoint.h"
-#include "train/schedule.h"
 #include "train/stats.h"
 
 namespace sdea::train {
@@ -56,8 +55,7 @@ class TrainTask {
   /// and restore_best are unavailable).
   virtual nn::Module* module() { return nullptr; }
 
-  /// The optimizer, for LrSchedule and optimizer-state checkpointing. May
-  /// be null.
+  /// The optimizer, for optimizer-state checkpointing. May be null.
   virtual nn::Optimizer* optimizer() { return nullptr; }
 };
 
@@ -86,18 +84,11 @@ struct TrainerOptions {
   /// epoch after the loop. Requires task->module().
   bool restore_best = false;
 
-  /// Per-epoch learning rate (applied to task->optimizer() before each
-  /// epoch). Borrowed; may be null for a fixed lr.
-  const LrSchedule* lr_schedule = nullptr;
-
-  /// Periodic atomic checkpointing. Borrowed; null disables. Requires
-  /// task->module().
+  /// Atomic checkpointing after every epoch and at the end. Borrowed;
+  /// null disables. Requires task->module(). When checkpoint->path()
+  /// exists the run resumes from it; a checkpoint marked finished restores
+  /// the final state and returns without training.
   CheckpointManager* checkpoint = nullptr;
-  int64_t checkpoint_every = 1;  ///< Save every N epochs (and at the end).
-
-  /// Resume from checkpoint->path() when it exists. A checkpoint marked
-  /// finished restores the final state and returns without training.
-  bool resume = true;
 
   /// Warm start: a serialized parameter blob (nn::SerializeParameters)
   /// loaded into task->module() before the first epoch, replacing the

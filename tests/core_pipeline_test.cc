@@ -5,6 +5,7 @@
 #include <set>
 
 #include "baselines/jape.h"
+#include "core/stable_matching.h"
 #include "datagen/generator.h"
 
 namespace sdea::core {
@@ -105,6 +106,45 @@ TEST(PipelineTest, TopTargetsOrderedAndScored) {
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].similarity, top[i].similarity);
   }
+}
+
+TEST(PipelineTest, CalibratedThresholdFitsOnValidRows) {
+  Fixture f = MakeFixture();
+  PipelineConfig config = FastConfig();
+  config.calibrate_threshold = true;
+  AlignmentPipeline pipeline;
+  auto result = pipeline.Run(f.bench.kg1, f.bench.kg2, f.seeds, config,
+                             f.bench.pretrain_corpus);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  // The score matrix the decision layer ranks: cosine over the final
+  // entity embeddings.
+  Tensor e1 = pipeline.model().embeddings1();
+  Tensor e2 = pipeline.model().embeddings2();
+  tmath::L2NormalizeRowsInPlace(&e1);
+  tmath::L2NormalizeRowsInPlace(&e2);
+  const Tensor scores = tmath::MatmulTransposeB(e1, e2);
+
+  // The threshold is calibrated on the seeds.valid rows of that matrix.
+  ASSERT_FALSE(f.seeds.valid.empty());
+  Tensor dev({static_cast<int64_t>(f.seeds.valid.size()), scores.dim(1)});
+  std::vector<int64_t> dev_gold;
+  for (size_t i = 0; i < f.seeds.valid.size(); ++i) {
+    dev.SetRow(static_cast<int64_t>(i), scores.Row(f.seeds.valid[i].first));
+    dev_gold.push_back(f.seeds.valid[i].second);
+  }
+  const eval::AbstainThreshold expected =
+      eval::CalibrateAbstainThreshold(dev, dev_gold);
+  ASSERT_TRUE(expected.enabled);
+  EXPECT_TRUE(result->threshold.enabled);
+  EXPECT_EQ(result->threshold.min_similarity, expected.min_similarity);
+  EXPECT_EQ(result->threshold.min_margin, expected.min_margin);
+  EXPECT_EQ(result->threshold.dev_f1, expected.dev_f1);
+
+  // The decisions are the stable matching with that threshold applied.
+  std::vector<int64_t> decisions = StableMatch(scores);
+  eval::ApplyAbstainThreshold(scores, expected, &decisions);
+  EXPECT_EQ(result->decisions, decisions);
 }
 
 TEST(JapeTest, FitsAndUsesBothChannels) {

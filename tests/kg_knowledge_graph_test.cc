@@ -162,7 +162,7 @@ TEST(KnowledgeGraphTest, SaveTsvRejectsUnescapableNames) {
   const char* dir = std::getenv("TMPDIR");
   const std::string prefix =
       std::string(dir != nullptr ? dir : "/tmp") + "/sdea_kg_badname_test";
-  for (const std::string& bad : {"tab\tname", "line\nname", "cr\rname"}) {
+  for (const char* bad : {"tab\tname", "line\nname", "cr\rname"}) {
     KnowledgeGraph g;
     g.AddEntity(bad);
     const Status s = g.SaveTsv(prefix);

@@ -116,7 +116,9 @@ TEST(ObsRegistryTest, SnapshotUnderConcurrentWritesIsWellFormed) {
     int64_t total = 0;
     for (int64_t b : hs.bucket_counts()) total += b;
     EXPECT_EQ(total, hs.count());
-    if (hs.count() > 0) EXPECT_LE(hs.min(), hs.max());
+    if (hs.count() > 0) {
+      EXPECT_LE(hs.min(), hs.max());
+    }
   }
   stop.store(true);
   for (auto& t : writers) t.join();

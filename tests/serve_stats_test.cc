@@ -163,7 +163,9 @@ TEST(ServeStatsTest, SnapshotUnderConcurrentWritesIsWellFormed) {
     const double rate = snap.cache_hit_rate();
     EXPECT_GE(rate, 0.0);
     EXPECT_LE(rate, 1.0);
-    if (snap.batches > 0) EXPECT_GE(snap.mean_batch_size(), 1.0);
+    if (snap.batches > 0) {
+      EXPECT_GE(snap.mean_batch_size(), 1.0);
+    }
   }
   stop.store(true);
   for (std::thread& t : writers) t.join();

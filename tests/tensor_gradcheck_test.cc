@@ -104,15 +104,6 @@ TEST(GradCheckTest, AddRowBroadcast) {
   EXPECT_LT(c.Run(), kTol);
 }
 
-TEST(GradCheckTest, MulColBroadcast) {
-  Parameter a = MakeParam("a", {3, 4}, 12);
-  Parameter w = MakeParam("w", {3}, 13);
-  OpCheck c{{&a, &w}, [&](Graph* g) {
-              return g->MulColBroadcast(g->Param(&a), g->Param(&w));
-            }};
-  EXPECT_LT(c.Run(), kTol);
-}
-
 TEST(GradCheckTest, ConcatAndSlice) {
   Parameter a = MakeParam("a", {2, 3}, 14);
   Parameter b = MakeParam("b", {2, 2}, 15);
@@ -123,14 +114,24 @@ TEST(GradCheckTest, ConcatAndSlice) {
   EXPECT_LT(c.Run(), kTol);
 }
 
-TEST(GradCheckTest, ConcatRowsAndSliceRows) {
+TEST(GradCheckTest, StackRowsAndSliceRows) {
+  // Three parts: a [2,3] parameter, a constant that needs no gradient and
+  // a rank-1 parameter (one row). Squaring before the slice makes each
+  // row's gradient depend on its own value, so a misrouted slice fails.
   Parameter a = MakeParam("a", {2, 3}, 16);
-  Parameter b = MakeParam("b", {1, 3}, 17);
+  Parameter b = MakeParam("b", {3}, 17);
   OpCheck c{{&a, &b}, [&](Graph* g) {
-              NodeId cat = g->ConcatRows(g->Param(&a), g->Param(&b));
-              return g->SliceRows(cat, 1, 3);
+              NodeId fixed = g->Input(Tensor({1, 3}, 0.5f));
+              NodeId s = g->StackRows({g->Param(&a), fixed, g->Param(&b)});
+              return g->SliceRows(g->Mul(s, s), 1, 4);
             }};
   EXPECT_LT(c.Run(), kTol);
+  // A one-part stack passes the gradient straight through.
+  OpCheck one{{&a}, [&](Graph* g) {
+                NodeId s = g->StackRows({g->Param(&a)});
+                return g->Mul(s, s);
+              }};
+  EXPECT_LT(one.Run(), kTol);
 }
 
 TEST(GradCheckTest, MeanRowsMeanAll) {

@@ -76,14 +76,42 @@ TEST(GraphTest, ConcatColsAndSlice) {
   EXPECT_EQ(g.Value(s).at(1, 1), 6.0f);
 }
 
-TEST(GraphTest, ConcatRowsAndSliceRows) {
+TEST(GraphTest, StackRowsAndSliceRows) {
+  // Three parts: a [1,2] parameter, a [2,2] constant that needs no
+  // gradient and a rank-1 parameter that stacks as one row.
+  Parameter pa("a", Tensor({1, 2}, {1, 2}));
+  Parameter pc("c", Tensor({2}, {7, 8}));
   Graph g;
-  NodeId a = g.Input(Tensor({1, 2}, {1, 2}));
+  NodeId a = g.Param(&pa);
   NodeId b = g.Input(Tensor({2, 2}, {3, 4, 5, 6}));
-  NodeId c = g.ConcatRows(a, b);
-  EXPECT_EQ(g.Value(c).shape(), (std::vector<int64_t>{3, 2}));
-  NodeId s = g.SliceRows(c, 2, 3);
-  EXPECT_EQ(g.Value(s).at(0, 1), 6.0f);
+  NodeId c = g.Param(&pc);
+  const int64_t before = g.NumNodes();
+  NodeId s = g.StackRows({a, b, c});
+  EXPECT_EQ(g.NumNodes(), before + 1);  // One node for the whole stack.
+  EXPECT_EQ(g.Value(s).shape(), (std::vector<int64_t>{4, 2}));
+  EXPECT_EQ(g.Value(s).at(0, 1), 2.0f);
+  EXPECT_EQ(g.Value(s).at(2, 1), 6.0f);
+  EXPECT_EQ(g.Value(s).at(3, 0), 7.0f);
+  NodeId r = g.SliceRows(s, 2, 3);
+  EXPECT_EQ(g.Value(r).at(0, 1), 6.0f);
+  // Row i of the stack is weighted by i + 1, so each part's gradient
+  // shows which slice it received.
+  NodeId w = g.Input(Tensor({4, 2}, {1, 1, 2, 2, 3, 3, 4, 4}));
+  g.Backward(g.SumAll(g.Mul(s, w)));
+  EXPECT_EQ(pa.grad[0], 1.0f);
+  EXPECT_EQ(pa.grad[1], 1.0f);
+  EXPECT_EQ(pc.grad.shape(), (std::vector<int64_t>{2}));
+  EXPECT_EQ(pc.grad[0], 4.0f);
+  EXPECT_EQ(pc.grad[1], 4.0f);
+
+  // A one-part stack is a copy whose gradient passes straight through.
+  Parameter pd("d", Tensor({2, 2}, {1, 2, 3, 4}));
+  Graph g2;
+  NodeId one = g2.StackRows({g2.Param(&pd)});
+  EXPECT_EQ(g2.Value(one).shape(), (std::vector<int64_t>{2, 2}));
+  EXPECT_EQ(g2.Value(one).at(1, 0), 3.0f);
+  g2.Backward(g2.SumAll(g2.Scale(one, 3.0f)));
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(pd.grad[i], 3.0f);
 }
 
 TEST(GraphTest, ReductionValues) {
@@ -147,15 +175,6 @@ TEST(GraphTest, DropoutTrainingZeroesAndScales) {
   }
   EXPECT_GT(zeros, 400);
   EXPECT_LT(zeros, 600);
-}
-
-TEST(GraphTest, MulColBroadcast) {
-  Graph g;
-  NodeId a = g.Input(Tensor({2, 2}, {1, 2, 3, 4}));
-  NodeId w = g.Input(Tensor({2}, {10, 100}));
-  const Tensor& out = g.Value(g.MulColBroadcast(a, w));
-  EXPECT_EQ(out.at(0, 1), 20.0f);
-  EXPECT_EQ(out.at(1, 0), 300.0f);
 }
 
 TEST(GraphTest, SparseMatmulMatchesDense) {

@@ -111,7 +111,7 @@ TEST(TrainGoldenTest, MTransEMatchesLegacyLoop) {
 
 TEST(TrainGoldenTest, TransEdgeMatchesLegacyLoop) {
   // Covers the cumulative-shuffle autograd minibatch path (Adam + the
-  // extracted MarginHingeLoss) in the seed-sharing joint space.
+  // shared nn::MarginHinge) in the seed-sharing joint space.
   Fixture f = MakeBaselineFixture();
   baselines::TransEdge::Config c;
   c.dim = 16;

@@ -1,17 +1,15 @@
 // train::Trainer unit tests: deterministic shuffled batching, the legacy
-// early-stopping semantics, LrSchedule application, callback stop, stats,
-// and the option-validation errors.
+// early-stopping semantics, callback stop, stats, and the option-validation
+// errors.
 #include "train/trainer.h"
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "base/rng.h"
 #include "nn/module.h"
-#include "nn/optimizer.h"
 #include "nn/serialization.h"
 
 namespace sdea::train {
@@ -28,19 +26,13 @@ class ToyNet : public nn::Module {
 // weights), and replays scripted eval metrics and losses.
 class ToyTask : public TrainTask {
  public:
-  ToyTask(size_t n, uint64_t seed, bool with_optimizer = false)
-      : n_(n), rng_(seed) {
-    if (with_optimizer) {
-      optimizer_ = std::make_unique<nn::Sgd>(net_.Parameters(), /*lr=*/1.0f);
-    }
-  }
+  ToyTask(size_t n, uint64_t seed) : n_(n), rng_(seed) {}
 
   size_t num_examples() const override { return n_; }
   Rng* rng() override { return &rng_; }
 
   float TrainBatch(const uint64_t* ids, size_t n) override {
     batches_.emplace_back(ids, ids + n);
-    if (optimizer_ != nullptr) lrs_seen_.push_back(optimizer_->lr());
     net_.w->value.data()[0] += 1.0f;
     return losses_.empty() ? 2.0f
                            : losses_[(batches_.size() - 1) % losses_.size()];
@@ -53,20 +45,17 @@ class ToyTask : public TrainTask {
   }
 
   nn::Module* module() override { return &net_; }
-  nn::Optimizer* optimizer() override { return optimizer_.get(); }
 
   size_t n_;
   Rng rng_;
   ToyNet net_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
   std::vector<std::vector<uint64_t>> batches_;
   std::vector<double> metrics_;
   std::vector<float> losses_;
-  std::vector<float> lrs_seen_;
   size_t eval_calls_ = 0;
 };
 
-// A task without module()/optimizer(), for the mismatch validations.
+// A task without module(), for the mismatch validations.
 class BareTask : public TrainTask {
  public:
   explicit BareTask(size_t n) : n_(n), rng_(1) {}
@@ -178,36 +167,6 @@ TEST(TrainerTest, FirstEvaluatedEpochAlwaysBecomesBest) {
   EXPECT_DOUBLE_EQ(trainer.best_metric(), 0.0);
 }
 
-TEST(TrainerTest, LrScheduleAppliedEachEpoch) {
-  ToyTask task(2, /*seed=*/8, /*with_optimizer=*/true);
-  StepDecayLr schedule(/*base=*/0.1f, /*factor=*/0.5f, /*every=*/2);
-  TrainerOptions opts;
-  opts.max_epochs = 4;
-  opts.batch_size = 2;
-  opts.lr_schedule = &schedule;
-  Trainer trainer(&task, opts);
-  ASSERT_TRUE(trainer.Run().ok());
-  ASSERT_EQ(task.lrs_seen_.size(), 4u);
-  EXPECT_FLOAT_EQ(task.lrs_seen_[0], 0.1f);
-  EXPECT_FLOAT_EQ(task.lrs_seen_[1], 0.1f);
-  EXPECT_FLOAT_EQ(task.lrs_seen_[2], 0.05f);
-  EXPECT_FLOAT_EQ(task.lrs_seen_[3], 0.05f);
-}
-
-TEST(TrainerTest, ScheduleShapes) {
-  ConstantLr c(0.3f);
-  EXPECT_FLOAT_EQ(c.LearningRate(0), 0.3f);
-  EXPECT_FLOAT_EQ(c.LearningRate(100), 0.3f);
-  StepDecayLr s(1.0f, 0.1f, 3);
-  EXPECT_FLOAT_EQ(s.LearningRate(2), 1.0f);
-  EXPECT_FLOAT_EQ(s.LearningRate(3), 0.1f);
-  EXPECT_FLOAT_EQ(s.LearningRate(7), 0.01f);
-  WarmupLr w(1.0f, 4);
-  EXPECT_FLOAT_EQ(w.LearningRate(0), 0.25f);
-  EXPECT_FLOAT_EQ(w.LearningRate(3), 1.0f);
-  EXPECT_FLOAT_EQ(w.LearningRate(50), 1.0f);
-}
-
 TEST(TrainerTest, CallbackStopsTraining) {
   ToyTask task(3, /*seed=*/2);
   TrainerOptions opts;
@@ -302,22 +261,6 @@ TEST(TrainerTest, ValidatesOptionCombinations) {
     o.checkpoint = &mgr;  // Task has no module().
     EXPECT_EQ(Trainer(&bare, o).Run().status().code(),
               StatusCode::kFailedPrecondition);
-  }
-  {
-    ConstantLr lr(0.1f);
-    TrainerOptions o;
-    o.lr_schedule = &lr;  // Task has no optimizer().
-    EXPECT_EQ(Trainer(&bare, o).Run().status().code(),
-              StatusCode::kFailedPrecondition);
-  }
-  {
-    ToyTask task(4, 1);
-    CheckpointManager mgr("/tmp/sdea_trainer_validate.ckpt");
-    TrainerOptions o;
-    o.checkpoint = &mgr;
-    o.checkpoint_every = 0;
-    EXPECT_EQ(Trainer(&task, o).Run().status().code(),
-              StatusCode::kInvalidArgument);
   }
 }
 
