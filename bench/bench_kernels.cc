@@ -12,7 +12,6 @@
 #include "bench/bench_meta.h"
 #include "core/candidate_generator.h"
 #include "core/stable_matching.h"
-#include "core/vector_index.h"
 #include "datagen/generator.h"
 #include "eval/metrics.h"
 #include "nn/gru.h"
@@ -268,25 +267,6 @@ BENCHMARK(BM_EvaluateAlignmentThreaded)
     ->Args({2048, 8})
     ->Unit(benchmark::kMillisecond);
 
-void BM_IvfSearchBatchThreaded(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  ScopedThreads threads(static_cast<int>(state.range(1)));
-  Rng rng(4);
-  Tensor tgt = Tensor::RandomNormal({n, 64}, 1.0f, &rng);
-  Tensor src = Tensor::RandomNormal({n, 64}, 1.0f, &rng);
-  tmath::L2NormalizeRowsInPlace(&tgt);
-  core::VectorIndex index(tgt.data(), n, 64);
-  index.BuildIvf(core::IvfOptions{});
-  for (auto _ : state) {
-    auto c = index.SearchBatch(src, 10);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_IvfSearchBatchThreaded)
-    ->Args({4000, 1})
-    ->Args({4000, 8})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_StableMatchingThreaded(benchmark::State& state) {
   const int64_t n = state.range(0);
   ScopedThreads threads(static_cast<int>(state.range(1)));
@@ -394,18 +374,6 @@ void BM_CandidateGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateGeneration)->Arg(500)->Arg(2000);
-
-void BM_CandidateGenerationIvf(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(7);
-  Tensor src = Tensor::RandomNormal({n, 32}, 1.0f, &rng);
-  Tensor tgt = Tensor::RandomNormal({n, 32}, 1.0f, &rng);
-  for (auto _ : state) {
-    auto c = core::GenerateCandidatesApprox(src, tgt, 10);
-    benchmark::DoNotOptimize(c.data());
-  }
-}
-BENCHMARK(BM_CandidateGenerationIvf)->Arg(500)->Arg(2000);
 
 void BM_StableMatching(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -221,10 +221,9 @@ int main(int argc, char** argv) {
 
   const HashTrigramEncoder encode(d);
 
-  // The naive baseline and the server each get an identical indexed store,
-  // so both sides search the exact same structure.
-  core::EmbeddingStore naive_store = MakeStore(n, d);
-  naive_store.BuildIndex();
+  // The naive baseline and the server each get an identical store, so both
+  // sides search the exact same structure.
+  const core::EmbeddingStore naive_store = MakeStore(n, d);
 
   // A short max_wait: with blocking single-in-flight clients, once every
   // client's request is queued no further request can arrive, so holding

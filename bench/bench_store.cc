@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the sdea::store quantized snapshot
 // layer: codebook encoding, the ADC scan kernels (the int8 scan at both
 // SIMD levels), snapshot open latency (the O(ms) mmap claim), the end-to-end
-// compressed-candidates query against the full-precision baseline, and a
+// quantized query against the full-precision baseline, and a
 // recall@10-vs-latency row per retrieval configuration. Memory footprints
 // are emitted as counters so the JSON records the compression ratios next
 // to the latencies.
@@ -17,7 +17,6 @@
 #include "bench/bench_meta.h"
 #include "core/embedding_store.h"
 #include "store/adc.h"
-#include "store/candidates.h"
 #include "store/quantized_store.h"
 #include "store/quantizer.h"
 #include "tensor/kernels.h"
@@ -252,37 +251,17 @@ void BM_FullPrecisionSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPrecisionSearch)->Arg(100000);
 
-void BM_CompressedCandidates(benchmark::State& state,
-                             store::Quantization kind) {
-  const int64_t n = state.range(0), d = 64;
-  const Tensor src = RandomRows(n, d, 10);
-  const Tensor tgt = RandomRows(n, d, 11);
-  store::CompressedCandidateOptions options;
-  options.quantization = kind;
-  for (auto _ : state) {
-    auto c = store::GenerateCandidatesCompressed(src, tgt, 10, options);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK_CAPTURE(BM_CompressedCandidates, int8, store::Quantization::kInt8)
-    ->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_CompressedCandidates, pq, store::Quantization::kPq)
-    ->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-
 // The recall@10-vs-latency table: one row per retrieval configuration
 // over one seeded table and query set, each reporting its per-query
-// latency and its recall@10 against the exact scan. All four run through
-// core::VectorIndex — exact, IVF cells, and int8 / PQ ADC with the exact
-// rerank at the default pool.
-enum class Retrieval { kExact, kIvf, kInt8, kPq };
+// latency and its recall@10 against the exact scan. All three run through
+// core::VectorIndex — exact, and int8 / PQ ADC with the exact rerank at
+// the default pool.
+enum class Retrieval { kExact, kInt8, kPq };
 
 struct RetrievalFixture {
   static constexpr int64_t kRows = 50000, kDim = 64, kQueries = 64;
 
-  core::EmbeddingStore exact, ivf;
+  core::EmbeddingStore exact;
   store::QuantizedStore int8, pq;
   Tensor queries = RandomRows(kQueries, kDim, 15);
   std::vector<std::vector<core::EmbeddingStore::Neighbor>> truth;
@@ -297,8 +276,6 @@ struct RetrievalFixture {
     switch (config) {
       case Retrieval::kExact:
         return exact.NearestNeighbors(q, 10);
-      case Retrieval::kIvf:
-        return ivf.NearestNeighbors(q, 10);
       case Retrieval::kInt8:
         return int8.NearestNeighbors(q, 10);
       case Retrieval::kPq:
@@ -311,8 +288,6 @@ struct RetrievalFixture {
   RetrievalFixture() {
     const Tensor table = RandomRows(kRows, kDim, 14);
     exact = core::EmbeddingStore::Create(Names(kRows), table).value();
-    ivf = core::EmbeddingStore::Create(Names(kRows), table).value();
-    ivf.BuildIndex();
     int8 = Open(table, store::Quantization::kInt8);
     pq = Open(table, store::Quantization::kPq);
     for (int64_t i = 0; i < kQueries; ++i) {
@@ -354,8 +329,6 @@ void BM_Retrieval(benchmark::State& state, Retrieval config) {
   state.counters["rows"] = benchmark::Counter(static_cast<double>(f.kRows));
 }
 BENCHMARK_CAPTURE(BM_Retrieval, exact, Retrieval::kExact)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_Retrieval, ivf, Retrieval::kIvf)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Retrieval, int8_rerank, Retrieval::kInt8)
     ->Unit(benchmark::kMicrosecond);

@@ -81,9 +81,8 @@ int main() {
   serve::AlignmentServer server(options, std::move(name_encoder));
   auto version = server.LoadSnapshot(artifact);
   SDEA_CHECK(version.ok());
-  std::printf("serving snapshot v%llu loaded, IVF index built: %s\n\n",
-              (unsigned long long)*version,
-              server.snapshot()->store.has_index() ? "yes" : "no");
+  std::printf("serving snapshot v%llu loaded\n\n",
+              (unsigned long long)*version);
 
   // Concurrent clients: each thread streams its test queries through the
   // batcher; answers are bitwise-identical to serial NearestNeighbors

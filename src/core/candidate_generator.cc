@@ -1,21 +1,9 @@
 #include "core/candidate_generator.h"
 
 #include "base/check.h"
+#include "core/vector_index.h"
 
 namespace sdea::core {
-namespace {
-
-std::vector<std::vector<int64_t>> Candidates(const Tensor& src,
-                                             const Tensor& tgt, int64_t k,
-                                             const IvfOptions* ivf) {
-  Tensor t = tgt;
-  tmath::L2NormalizeRowsInPlace(&t);
-  VectorIndex index(t.data(), t.dim(0), t.dim(1));
-  if (ivf != nullptr) index.BuildIvf(*ivf);
-  return HitIds(index.SearchBatch(src, k));
-}
-
-}  // namespace
 
 std::vector<std::vector<int64_t>> GenerateCandidates(const Tensor& src,
                                                      const Tensor& tgt,
@@ -24,13 +12,16 @@ std::vector<std::vector<int64_t>> GenerateCandidates(const Tensor& src,
   SDEA_CHECK_EQ(tgt.rank(), 2);
   SDEA_CHECK_EQ(src.dim(1), tgt.dim(1));
   SDEA_CHECK_GT(k, 0);
-  return Candidates(src, tgt, k, nullptr);
-}
-
-std::vector<std::vector<int64_t>> GenerateCandidatesApprox(
-    const Tensor& src, const Tensor& tgt, int64_t k,
-    const IvfOptions& options) {
-  return Candidates(src, tgt, k, &options);
+  Tensor t = tgt;
+  tmath::L2NormalizeRowsInPlace(&t);
+  const VectorIndex index(t.data(), t.dim(0), t.dim(1));
+  const std::vector<std::vector<VectorIndex::Hit>> answers =
+      index.SearchBatch(src, k);
+  std::vector<std::vector<int64_t>> ids(answers.size());
+  for (size_t i = 0; i < answers.size(); ++i) {
+    for (const VectorIndex::Hit& hit : answers[i]) ids[i].push_back(hit.id);
+  }
+  return ids;
 }
 
 }  // namespace sdea::core

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/vector_index.h"
 #include "tensor/tensor.h"
 
 namespace sdea::core {
@@ -17,15 +16,6 @@ namespace sdea::core {
 std::vector<std::vector<int64_t>> GenerateCandidates(const Tensor& src,
                                                      const Tensor& tgt,
                                                      int64_t k);
-
-/// Approximate variant of GenerateCandidates (same contract): the index
-/// scores only the rows of the probed IVF cells. The exact scan is
-/// O(N*M) per epoch, which dominates at the 100K scale of OpenEA
-/// D_W_100K; IVF trades a little recall for a num_probes/num_clusters
-/// scan fraction.
-std::vector<std::vector<int64_t>> GenerateCandidatesApprox(
-    const Tensor& src, const Tensor& tgt, int64_t k,
-    const IvfOptions& options = {});
 
 }  // namespace sdea::core
 

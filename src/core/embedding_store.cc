@@ -122,8 +122,4 @@ std::vector<EmbeddingStore::Neighbor> EmbeddingStore::NearestNeighbors(
   return out;
 }
 
-void EmbeddingStore::BuildIndex(const IvfOptions& options) {
-  index_.BuildIvf(options);
-}
-
 }  // namespace sdea::core

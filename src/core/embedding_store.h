@@ -12,7 +12,7 @@
 namespace sdea::core {
 
 /// A deployable artifact: entity embeddings keyed by entity name, with
-/// disk persistence and (optionally approximate) nearest-neighbor queries.
+/// disk persistence and exact nearest-neighbor queries.
 /// This is the piece a downstream service loads after training — the
 /// trained model itself is no longer needed to serve alignment queries.
 class EmbeddingStore {
@@ -68,20 +68,14 @@ class EmbeddingStore {
   };
 
   /// Top-k most cosine-similar entries to `query` (length dim()), ranked
-  /// by core::VectorIndex over the stored rows: exact scan unless
-  /// BuildIndex was called. The dim contract is checked before
-  /// any early return: a wrong-dim query aborts (SDEA_CHECK) even when the
-  /// store is empty or k <= 0, matching serve/server.cc's per-request dim
-  /// guard. Defensive edges: k <= 0 or an empty store yields an empty
-  /// vector; k > size() clamps. Thread-safe for concurrent calls
-  /// (read-only).
+  /// by an exact core::VectorIndex scan of the stored rows. The dim
+  /// contract is checked before any early return: a wrong-dim query aborts
+  /// (SDEA_CHECK) even when the store is empty or k <= 0, matching
+  /// serve/server.cc's per-request dim guard. Defensive edges: k <= 0 or
+  /// an empty store yields an empty vector; k > size() clamps. Thread-safe
+  /// for concurrent calls (read-only).
   std::vector<Neighbor> NearestNeighbors(const Tensor& query,
                                          int64_t k) const;
-
-  /// Adds IVF cells to the index so NearestNeighbors runs approximately
-  /// but sub-linearly.
-  void BuildIndex(const IvfOptions& options = {});
-  bool has_index() const { return index_.has_ivf(); }
 
  private:
   std::vector<std::string> names_;

@@ -63,7 +63,11 @@ Result<TrainReport> MarginAlignmentTask::Train(
     return true;
   };
   train::Trainer trainer(this, std::move(options));
-  SDEA_RETURN_IF_ERROR(trainer.Run().status());
+  const Status run = trainer.Run().status();
+  // The last epoch's pair has no next epoch, and restoring the best
+  // epoch's parameters left it stale.
+  eval_spaces_.reset();
+  SDEA_RETURN_IF_ERROR(run);
   TrainReport report;
   report.epochs_run = trainer.epochs_run();
   report.best_valid_hits1 = trainer.best_metric();
@@ -79,6 +83,12 @@ void MarginAlignmentTask::OnEpochBegin(int64_t /*epoch*/) {
   // Draws no randomness, so the shared RNG stream is the same with fixed
   // and with refreshed candidates.
   if (!refresh_candidates_) return;
+  if (eval_spaces_.has_value()) {
+    const std::pair<Tensor, Tensor> spaces = std::move(*eval_spaces_);
+    eval_spaces_.reset();
+    SetCandidates(spaces.first, spaces.second);
+    return;
+  }
   const Tensor space1 = embed_all_(1);
   const Tensor space2 = embed_all_(2);
   SetCandidates(space1, space2);
@@ -118,9 +128,14 @@ float MarginAlignmentTask::TrainBatch(const uint64_t* ids, size_t n) {
 
 double MarginAlignmentTask::EvalMetric() {
   if (seeds_->valid.empty()) return 0.0;
-  const Tensor valid1 = embed_all_(1);
-  const Tensor valid2 = embed_all_(2);
-  return eval::EvaluatePairs(valid1, valid2, seeds_->valid).hits_at_1;
+  Tensor valid1 = embed_all_(1);
+  Tensor valid2 = embed_all_(2);
+  const double hits1 =
+      eval::EvaluatePairs(valid1, valid2, seeds_->valid).hits_at_1;
+  if (refresh_candidates_) {
+    eval_spaces_.emplace(std::move(valid1), std::move(valid2));
+  }
+  return hits1;
 }
 
 }  // namespace sdea::core

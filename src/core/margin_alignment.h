@@ -2,6 +2,8 @@
 #define SDEA_CORE_MARGIN_ALIGNMENT_H_
 
 #include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -41,9 +43,10 @@ class MarginAlignmentTask final : public train::TrainTask {
   /// Trains `module` with Adam at `lr` and an RNG seeded with `rng_seed`.
   /// Every epoch starts by regenerating the `num_candidates` nearest
   /// side-2 entities of each side-1 entity from `embed_all` (Algorithm 2
-  /// lines 2-4) unless FixCandidates was called. Each seed pair is
-  /// `negatives_per_pair` examples per epoch: example i is seed pair
-  /// i % |train|.
+  /// lines 2-4) unless FixCandidates was called; after the first epoch
+  /// those are the embeddings the previous EvalMetric computed, since no
+  /// parameter changes in between. Each seed pair is `negatives_per_pair`
+  /// examples per epoch: example i is seed pair i % |train|.
   MarginAlignmentTask(nn::Module* module, const kg::AlignmentSeeds* seeds,
                       EmbedOne embed_one, EmbedAll embed_all,
                       uint64_t rng_seed, float lr, float margin,
@@ -83,6 +86,9 @@ class MarginAlignmentTask final : public train::TrainTask {
   int64_t num_candidates_;
   int64_t negatives_per_pair_;
   bool refresh_candidates_ = true;
+  // Both sides' embeddings from the last EvalMetric, kept only while
+  // candidates refresh; the next OnEpochBegin moves them out.
+  std::optional<std::pair<Tensor, Tensor>> eval_spaces_;
   std::vector<std::vector<int64_t>> candidates_;
   int64_t num_targets_ = 0;
 };

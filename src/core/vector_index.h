@@ -9,63 +9,23 @@
 
 namespace sdea::core {
 
-/// Options for the shared k-means machinery underneath the IVF cells of
-/// VectorIndex and store::PqQuantizer codebook training.
-struct KMeansOptions {
-  int64_t iters = 6;
-  uint64_t seed = 47;
-  /// Spherical (cosine) k-means: assignment by max dot product, centroids
-  /// re-normalized to unit length each round — the IVF configuration,
-  /// where rows are L2-normalized and similarity is cosine. When false,
-  /// plain Euclidean k-means: assignment by min squared L2 distance,
-  /// centroids are un-normalized means — the PQ configuration, where
-  /// subvectors carry magnitude that quantization must preserve.
-  bool spherical = true;
-};
-
-struct KMeansResult {
-  Tensor centroids;                 ///< [k, d].
-  std::vector<int64_t> assignment;  ///< m entries in [0, k).
-};
-
-/// Lloyd's k-means over `m` row-major rows of `d` floats, deterministic
-/// for a fixed seed AND thread count-independent: the assignment pass
-/// shards rows across base::ThreadPool with each row writing only its own
-/// slot, and every tie (equidistant centroids) breaks toward the lowest
-/// centroid index. Seeds are k distinct random rows; a cluster left empty
-/// after an update round is re-seeded with a random row. The returned
-/// assignment is computed against the FINAL centroids (one extra
-/// assignment pass after the last update), so callers can bucket rows
-/// without a stale-centroid mismatch. k is clamped to m; m == 0 returns
-/// empty.
-KMeansResult KMeansRows(const float* rows, int64_t m, int64_t d, int64_t k,
-                        const KMeansOptions& options);
-
-/// Options for the IVF coarse stage of VectorIndex.
-struct IvfOptions {
-  int64_t num_clusters = 0;   ///< 0 = sqrt(N) heuristic.
-  int64_t num_probes = 4;     ///< Clusters scanned per query.
-  int64_t kmeans_iters = 6;
-  uint64_t seed = 47;
-};
-
 /// The one nearest-neighbour search behind every retrieval entry point
-/// (EmbeddingStore and QuantizedStore queries, the GenerateCandidates
-/// family, AlignmentPipeline::TopTargets). It owns the whole ranking
-/// decision, in three stages:
+/// (EmbeddingStore and QuantizedStore queries, GenerateCandidates,
+/// AlignmentPipeline::TopTargets). It owns the whole ranking decision and
+/// ranks one of two ways, fixed by the constructor:
 ///
-///   - coarse: score every row, or only the rows of the `num_probes` IVF
-///     cells whose k-means centroids are nearest the query;
-///   - scan: exact fp32 scores, or an approximate scan (int8/PQ ADC) of
-///     which the best max(4k, k + 16) rows — or `pool` — survive;
-///   - rerank: exact kernels::ScoreDot on the fp32 rows, ranked by
-///     tmath::TopKWithTieIds — score descending, ties by ascending row id.
+///   - exact: kernels::Gemv scores every fp32 row;
+///   - scan and rerank: an approximate scan (int8/PQ ADC) scores every
+///     row, and the best max(4k, k + 16) rows — or `pool` — are rescored
+///     exactly with kernels::ScoreDot on the fp32 rows.
+///
+/// Either way the answer is ranked by tmath's top-k: score descending,
+/// ties by ascending row id.
 ///
 /// The index keeps no copy of the table. Its owner hands it rows that are
 /// already L2-normalized and keeps them alive and in place while the
-/// index is in use; the index itself keeps only IVF centroids and per-cell
-/// row ids. Queries are normalized here, once per query. Search keeps no
-/// shared mutable scratch, so concurrent calls are safe.
+/// index is in use. Queries are normalized here, once per query. Search
+/// keeps no shared mutable scratch, so concurrent calls are safe.
 class VectorIndex {
  public:
   /// One answer: a row id and its cosine similarity to the query.
@@ -92,12 +52,6 @@ class VectorIndex {
   VectorIndex(int64_t size, int64_t dim, ScanFn scan, RowFn row,
               int64_t pool = 0);
 
-  /// Adds the IVF coarse stage: spherical k-means cells over the exact
-  /// rows (requires the rows constructor).
-  void BuildIvf(const IvfOptions& options);
-  bool has_ivf() const { return centroids_.rank() == 2; }
-  int64_t num_clusters() const { return has_ivf() ? centroids_.dim(0) : 0; }
-
   /// How many scan survivors a k-query rescores exactly (0 for exact
   /// indexes and for scan-only answers).
   int64_t RerankPool(int64_t k) const;
@@ -115,28 +69,13 @@ class VectorIndex {
                                             int64_t k) const;
 
  private:
-  const float* Row(int64_t id) const {
-    return rows_ != nullptr ? rows_ + id * dim_ : row_(id);
-  }
-  std::vector<int64_t> ProbedRows(const float* query) const;
-
   int64_t size_ = 0;
   int64_t dim_ = 0;
   const float* rows_ = nullptr;  // Borrowed exact rows, or null.
-  RowFn row_;                    // Exact rows when they are not contiguous.
+  RowFn row_;                    // A scan's rerank rows, or empty.
   ScanFn scan_;                  // Approximate scan, or empty.
   int64_t pool_ = 0;
-  // IVF stage: [C, d] centroids (rank 0 until BuildIvf) and row ids per
-  // cell.
-  Tensor centroids_;
-  std::vector<std::vector<int64_t>> cells_;
-  int64_t num_probes_ = 0;
 };
-
-/// The ids of SearchBatch answers, best first: the candidate-list shape
-/// the GenerateCandidates family returns.
-std::vector<std::vector<int64_t>> HitIds(
-    const std::vector<std::vector<VectorIndex::Hit>>& answers);
 
 }  // namespace sdea::core
 

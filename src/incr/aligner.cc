@@ -6,7 +6,6 @@
 
 #include "base/check.h"
 #include "nn/module.h"
-#include "nn/serialization.h"
 #include "obs/histogram.h"
 #include "obs/obs.h"
 #include "obs/registry.h"
@@ -175,7 +174,7 @@ Status IncrementalAligner::FitBase(
 
   obs::TraceSpan span("incr/fit_base");
   SDEA_RETURN_IF_ERROR(
-      RunTraining(CollectAllTriples(), opts_.base_epochs, /*warm=*/""));
+      RunTraining(CollectAllTriples(), opts_.base_epochs));
   MaterializeEmbeddings();
   last_epoch1_ = snap1_.epoch();
   last_epoch2_ = snap2_.epoch();
@@ -293,15 +292,13 @@ void IncrementalAligner::NormalizeTrainable() {
 }
 
 Status IncrementalAligner::RunTraining(
-    const std::vector<UnionTriple>& triples, int64_t epochs,
-    std::string warm_start) {
+    const std::vector<UnionTriple>& triples, int64_t epochs) {
   if (triples.empty() || epochs <= 0) return Status::Ok();
   Task task(this, triples);
   train::TrainerOptions options;
   options.max_epochs = epochs;
   options.batch_size = static_cast<int64_t>(triples.size());
   options.shuffle = train::TrainerOptions::Shuffle::kFreshPerEpoch;
-  options.warm_start_params = std::move(warm_start);
   train::Trainer trainer(&task, options);
   return trainer.Run().status();
 }
@@ -660,11 +657,10 @@ Result<IncrementReport> IncrementalAligner::ProcessIncrement() {
   {
     obs::TraceSpan reembed_span("incr/reembed");
     const auto re_t0 = std::chrono::steady_clock::now();
-    // Warm start: the Trainer loads the post-growth parameters (old rows
-    // carried over, new rows seeded-init) through the same entry point a
-    // from-checkpoint re-embed job would use.
-    SDEA_RETURN_IF_ERROR(RunTraining(triples, opts_.incr_epochs,
-                                     nn::SerializeParameters(net_.get())));
+    // Warm start: the task trains net_ itself, so training resumes from
+    // the post-growth parameters (old rows carried over, new rows
+    // seeded-init).
+    SDEA_RETURN_IF_ERROR(RunTraining(triples, opts_.incr_epochs));
     rep.reembed_ms = MsSince(re_t0);
   }
   MaterializeEmbeddings();

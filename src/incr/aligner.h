@@ -96,10 +96,9 @@ struct IncrementReport {
 ///      whose margin collapsed, queueing their entities for re-embedding,
 ///   3. expands the diff-touched entities k hops to the affected
 ///      neighborhood (hub-capped),
-///   4. re-embeds *only* the affected rows: the Trainer is warm-started
-///      from the current parameters (TrainerOptions::warm_start_params) and
-///      every SGD write is gated by a per-row trainable mask, so frozen
-///      embeddings come out bitwise-unchanged,
+///   4. re-embeds *only* the affected rows: training resumes from the
+///      current parameters and every SGD write is gated by a per-row
+///      trainable mask, so frozen embeddings come out bitwise-unchanged,
 ///   5. bootstraps: promotes mutually-nearest high-margin pairs into the
 ///      pseudo-seed set for subsequent increments.
 ///
@@ -177,8 +176,7 @@ class IncrementalAligner {
   void TrainTriple(const UnionTriple& t);
   void PullPromoted();
   void NormalizeTrainable();
-  Status RunTraining(const std::vector<UnionTriple>& triples, int64_t epochs,
-                     std::string warm_start);
+  Status RunTraining(const std::vector<UnionTriple>& triples, int64_t epochs);
   std::vector<UnionTriple> CollectAllTriples() const;
   std::vector<UnionTriple> CollectAffectedTriples() const;
   void GrowTables(const kg::KgSnapshot& snap1, const kg::KgSnapshot& snap2);

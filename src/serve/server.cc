@@ -36,18 +36,13 @@ AlignmentServer::AlignmentServer(const ServerOptions& options,
 }
 
 uint64_t AlignmentServer::SwapSnapshot(core::EmbeddingStore store) {
-  if (options_.build_index && !store.has_index()) {
-    store.BuildIndex(options_.index);
-  }
   const uint64_t version = snapshots_.Swap(std::move(store));
   stats_.RecordSwap();
   return version;
 }
 
 Result<uint64_t> AlignmentServer::LoadSnapshot(const std::string& path) {
-  SDEA_ASSIGN_OR_RETURN(
-      uint64_t version,
-      snapshots_.LoadAndSwap(path, options_.build_index, options_.index));
+  SDEA_ASSIGN_OR_RETURN(uint64_t version, snapshots_.LoadAndSwap(path));
   stats_.RecordSwap();
   return version;
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "base/status.h"
-#include "core/vector_index.h"
 #include "eval/abstention.h"
 #include "obs/registry.h"
 #include "core/embedding_store.h"
@@ -37,10 +36,6 @@ using BatchEncoderFn =
 struct ServerOptions {
   BatcherOptions batcher;
   LruCacheOptions cache;
-  /// Build the snapshot's IVF index on swap/load when the store has none.
-  /// Disable for small stores where the exact scan is already fast.
-  bool build_index = true;
-  core::IvfOptions index;
   /// Key the embedding cache (and feed the encoder) with
   /// text::NormalizeText(query) instead of the raw query string, so
   /// trivially different spellings of one attribute value share an entry.
@@ -75,8 +70,8 @@ struct ServerOptions {
 /// so concurrent batched answers are bitwise-equal to one-at-a-time
 /// answers (a tested property, see tests/serve_server_test.cc).
 ///
-/// Snapshot path: SwapSnapshot/LoadSnapshot build + index the new store
-/// off to the side and publish it atomically; in-flight batches finish on
+/// Snapshot path: SwapSnapshot/LoadSnapshot build the new store off to
+/// the side and publish it atomically; in-flight batches finish on
 /// the snapshot they pinned. The text cache survives swaps intentionally:
 /// cached entries are encoder outputs, which do not depend on the store.
 class AlignmentServer {
@@ -90,9 +85,8 @@ class AlignmentServer {
   AlignmentServer(const AlignmentServer&) = delete;
   AlignmentServer& operator=(const AlignmentServer&) = delete;
 
-  /// Publishes `store` (indexing it first if options say so and it has no
-  /// index) as the serving snapshot. Returns the new version. Callable at
-  /// any time, including while queries are in flight.
+  /// Publishes `store` as the serving snapshot. Returns the new version.
+  /// Callable at any time, including while queries are in flight.
   uint64_t SwapSnapshot(core::EmbeddingStore store);
 
   /// Loads a store artifact from disk and publishes it (same as
@@ -100,9 +94,9 @@ class AlignmentServer {
   Result<uint64_t> LoadSnapshot(const std::string& path);
 
   /// Opens a memory-mapped SDEASTOR1 quantized snapshot directory and
-  /// publishes it. No index is built: the quantized store answers with its
-  /// own ADC-scan + exact-rerank path, and the snapshot keeps the mmaps
-  /// alive for every batch pinned on it.
+  /// publishes it. The quantized store answers with its own ADC-scan +
+  /// exact-rerank path, and the snapshot keeps the mmaps alive for every
+  /// batch pinned on it.
   Result<uint64_t> LoadQuantizedSnapshot(const std::string& dir);
 
   /// The snapshot queries are currently answered against; nullptr before
@@ -138,7 +132,7 @@ class AlignmentServer {
   /// Replaces the batcher (draining it first) with one using `options`,
   /// keeping the loaded snapshot and cache. Must not race with in-flight
   /// queries; intended for benchmarks sweeping batching configurations on
-  /// one indexed server.
+  /// one loaded server.
   void ReconfigureBatcher(const BatcherOptions& options);
 
   const ServerOptions& options() const { return options_; }

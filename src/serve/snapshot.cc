@@ -29,12 +29,9 @@ uint64_t SnapshotManager::SwapWithKg(core::EmbeddingStore store,
   return last_version_;
 }
 
-Result<uint64_t> SnapshotManager::LoadAndSwap(
-    const std::string& path, bool build_index,
-    const core::IvfOptions& index_options) {
+Result<uint64_t> SnapshotManager::LoadAndSwap(const std::string& path) {
   SDEA_ASSIGN_OR_RETURN(core::EmbeddingStore store,
                         core::EmbeddingStore::Load(path));
-  if (build_index && !store.has_index()) store.BuildIndex(index_options);
   return Swap(std::move(store));
 }
 

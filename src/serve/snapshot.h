@@ -7,7 +7,6 @@
 #include <string>
 
 #include "base/status.h"
-#include "core/vector_index.h"
 #include "core/embedding_store.h"
 #include "kg/columnar.h"
 #include "store/quantized_store.h"
@@ -15,9 +14,9 @@
 namespace sdea::serve {
 
 /// One immutable serving state: a versioned store. Either an in-RAM
-/// EmbeddingStore (with its IVF index built inside, if any) or a
-/// memory-mapped store::QuantizedStore — the variant for stores too large
-/// to slurp into RAM, whose pages stay on disk until queries touch them.
+/// EmbeddingStore (searched exactly) or a memory-mapped
+/// store::QuantizedStore — the variant for stores too large to slurp into
+/// RAM, whose pages stay on disk until queries touch them.
 /// Once published through SnapshotManager a snapshot is never mutated
 /// again, so any number of request threads may read it concurrently; both
 /// stores' query methods are const and touch no mutable state.
@@ -55,8 +54,8 @@ struct ServingSnapshot {
 /// concurrent Swap publishes the replacement for *subsequent* readers while
 /// in-flight queries finish on the pinned old snapshot, which stays alive
 /// until its last shared_ptr drops. This is the zero-downtime reload path:
-/// a freshly trained store is built and indexed off to the side, then
-/// swapped in with one pointer store.
+/// a freshly trained store is built off to the side, then swapped in with
+/// one pointer store.
 class SnapshotManager {
  public:
   SnapshotManager() = default;
@@ -67,8 +66,8 @@ class SnapshotManager {
   std::shared_ptr<const ServingSnapshot> Current() const;
 
   /// Publishes `store` as the new current snapshot and returns its version
-  /// (monotonically increasing from 1). Build the store's index *before*
-  /// calling — Swap itself is just an allocation and a pointer store.
+  /// (monotonically increasing from 1). Swap itself is just an allocation
+  /// and a pointer store.
   uint64_t Swap(core::EmbeddingStore store);
 
   /// Publishes `store` together with the KG snapshot it was computed from,
@@ -78,12 +77,10 @@ class SnapshotManager {
   /// snapshot.
   uint64_t SwapWithKg(core::EmbeddingStore store, kg::KgSnapshot kg);
 
-  /// Loads a store artifact from disk, optionally builds its IVF index,
-  /// and publishes it. The load + index build happen entirely outside the
-  /// swap lock; queries keep flowing against the old snapshot meanwhile.
-  Result<uint64_t> LoadAndSwap(const std::string& path,
-                               bool build_index = true,
-                               const core::IvfOptions& index_options = {});
+  /// Loads a store artifact from disk and publishes it. The load happens
+  /// entirely outside the swap lock; queries keep flowing against the old
+  /// snapshot meanwhile.
+  Result<uint64_t> LoadAndSwap(const std::string& path);
 
   /// Publishes a memory-mapped quantized store. Same pointer-store swap;
   /// the mmaps move into the snapshot and stay alive until the last

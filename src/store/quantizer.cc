@@ -11,7 +11,6 @@
 #include "base/rng.h"
 #include "base/threadpool.h"
 #include "base/wire.h"
-#include "core/vector_index.h"
 #include "tensor/kernels.h"
 
 namespace sdea::store {
@@ -19,7 +18,112 @@ namespace {
 
 constexpr std::string_view kMagic = "SDEACBK1";
 
+// assignment[i] = the centroid nearest row i by squared L2 distance, ties
+// to the lowest j, via the equivalent argmax of (x . c - 0.5*||c||^2). The
+// scores come from the MatmulTransposeB row kernel, which equals ScoreDot
+// bitwise, a block of rows at a time so the score buffer stays small. Rows
+// are sharded across threads; each row writes only its own slot, so the
+// assignment is identical for every thread count.
+void AssignToNearestCentroid(const float* rows, int64_t m, int64_t d,
+                             const Tensor& centroids,
+                             std::vector<int64_t>* assignment) {
+  constexpr int64_t kBlockRows = 64;
+  const int64_t c = centroids.dim(0);
+  std::vector<float> half_norms(static_cast<size_t>(c));
+  for (int64_t j = 0; j < c; ++j) {
+    const float* crow = centroids.data() + j * d;
+    half_norms[static_cast<size_t>(j)] =
+        0.5f * tmath::kernels::ScoreDot(crow, crow, d);
+  }
+  // A shard packs the centroids once per block (see MatmulTransposeB), so
+  // shards are at least one block long.
+  const int64_t grain =
+      std::max(base::GrainForWork(m, c * d), std::min(m, kBlockRows));
+  base::ParallelFor(
+      m, grain, [&](int64_t begin, int64_t end) {
+        std::vector<float> scores(
+            static_cast<size_t>(std::min(kBlockRows, end - begin) * c));
+        for (int64_t first = begin; first < end; first += kBlockRows) {
+          const int64_t count = std::min(kBlockRows, end - first);
+          tmath::kernels::MatmulTransposeBRows(rows + first * d,
+                                               centroids.data(), scores.data(),
+                                               d, c, 0, count);
+          for (int64_t r = 0; r < count; ++r) {
+            const float* row_scores = scores.data() + r * c;
+            int64_t best = 0;
+            float best_score = -std::numeric_limits<float>::infinity();
+            for (int64_t j = 0; j < c; ++j) {
+              const float s =
+                  row_scores[j] - half_norms[static_cast<size_t>(j)];
+              if (s > best_score) {
+                best_score = s;
+                best = j;
+              }
+            }
+            (*assignment)[static_cast<size_t>(first + r)] = best;
+          }
+        }
+      });
+}
+
 }  // namespace
+
+KMeansResult KMeansRows(const float* rows, int64_t m, int64_t d, int64_t k,
+                        const KMeansOptions& options) {
+  KMeansResult result;
+  if (m == 0) {
+    result.centroids = Tensor({0, d});
+    return result;
+  }
+  k = std::min(std::max<int64_t>(k, 1), m);
+  const auto set_centroid = [&](int64_t j, int64_t row) {
+    std::copy_n(rows + row * d, d, result.centroids.data() + j * d);
+  };
+
+  // k-means++ style init: random distinct rows as seeds.
+  Rng rng(options.seed);
+  const std::vector<size_t> seeds = rng.SampleWithoutReplacement(
+      static_cast<size_t>(m), static_cast<size_t>(k));
+  result.centroids = Tensor({k, d});
+  for (int64_t i = 0; i < k; ++i) {
+    set_centroid(i, static_cast<int64_t>(seeds[static_cast<size_t>(i)]));
+  }
+
+  result.assignment.assign(static_cast<size_t>(m), 0);
+  for (int64_t iter = 0; iter < options.iters; ++iter) {
+    AssignToNearestCentroid(rows, m, d, result.centroids, &result.assignment);
+    // Recompute centroids as means.
+    result.centroids.Zero();
+    std::vector<int64_t> counts(static_cast<size_t>(k), 0);
+    for (int64_t i = 0; i < m; ++i) {
+      const int64_t a = result.assignment[static_cast<size_t>(i)];
+      ++counts[static_cast<size_t>(a)];
+      float* crow = result.centroids.data() + a * d;
+      const float* row = rows + i * d;
+      for (int64_t j = 0; j < d; ++j) crow[j] += row[j];
+    }
+    for (int64_t j = 0; j < k; ++j) {
+      const int64_t n_j = counts[static_cast<size_t>(j)];
+      if (n_j == 0) {
+        // Re-seed an empty cluster with a random row.
+        set_centroid(j, static_cast<int64_t>(
+                            rng.UniformInt(static_cast<uint64_t>(m))));
+      } else {
+        float* crow = result.centroids.data() + j * d;
+        const float inv = 1.0f / static_cast<float>(n_j);
+        for (int64_t jj = 0; jj < d; ++jj) crow[jj] *= inv;
+      }
+    }
+  }
+
+  // The loop above ends with a centroid update (possibly reseeding empty
+  // clusters), so `assignment` describes the *previous* centroids.
+  // Re-assign against the final centroids; otherwise callers bucketing by
+  // assignment disagree with the returned centroids, and a cluster
+  // reseeded on the last iteration would always own an empty bucket.
+  AssignToNearestCentroid(rows, m, d, result.centroids, &result.assignment);
+  return result;
+}
 
 const char* QuantizationName(Quantization q) {
   switch (q) {
@@ -116,10 +220,9 @@ Result<Codebook> Codebook::TrainPq(const Tensor& rows,
   cb.pq_m_ = m;
   cb.pq_k_ = k;
   cb.centroids_ = Tensor({m * k, subdim});
-  // One Euclidean k-means per subspace over the gathered subvectors.
-  // Subvectors carry magnitude the quantizer must preserve, hence
-  // Euclidean rather than the spherical mode IVF uses. Distinct seeds per
-  // subspace so identical subspace distributions don't share init rows.
+  // One k-means per subspace over the gathered subvectors. Distinct seeds
+  // per subspace so identical subspace distributions don't share init
+  // rows.
   Tensor sub({sn, subdim});
   for (int64_t s = 0; s < m; ++s) {
     for (int64_t i = 0; i < sn; ++i) {
@@ -128,12 +231,10 @@ Result<Codebook> Codebook::TrainPq(const Tensor& rows,
                       s * subdim,
                   static_cast<size_t>(subdim) * sizeof(float));
     }
-    core::KMeansOptions km;
+    KMeansOptions km;
     km.iters = options.kmeans_iters;
     km.seed = options.seed + static_cast<uint64_t>(s);
-    km.spherical = false;
-    core::KMeansResult result =
-        core::KMeansRows(sub.data(), sn, subdim, k, km);
+    KMeansResult result = KMeansRows(sub.data(), sn, subdim, k, km);
     SDEA_CHECK_EQ(result.centroids.dim(0), k);
     std::memcpy(cb.centroids_.data() + s * k * subdim,
                 result.centroids.data(),

@@ -36,14 +36,40 @@ struct PqOptions {
   uint64_t seed = 47;
 };
 
+/// Options for KMeansRows, the PQ codebook trainer.
+struct KMeansOptions {
+  int64_t iters = 6;
+  uint64_t seed = 47;
+};
+
+struct KMeansResult {
+  Tensor centroids;                 ///< [k, d].
+  std::vector<int64_t> assignment;  ///< m entries in [0, k).
+};
+
+/// Euclidean Lloyd's k-means over `m` row-major rows of `d` floats:
+/// assignment by min squared L2 distance, centroids are un-normalized
+/// means, since PQ subvectors carry magnitude that quantization must
+/// preserve. Deterministic for a fixed seed AND thread count-independent:
+/// the assignment pass shards rows across base::ThreadPool with each row
+/// writing only its own slot, and every tie (equidistant centroids) breaks
+/// toward the lowest centroid index. Seeds are k distinct random rows; a
+/// cluster left empty after an update round is re-seeded with a random
+/// row. The returned assignment is computed against the FINAL centroids
+/// (one extra assignment pass after the last update), so callers can
+/// bucket rows without a stale-centroid mismatch. k is clamped to m;
+/// m == 0 returns empty.
+KMeansResult KMeansRows(const float* rows, int64_t m, int64_t d, int64_t k,
+                        const KMeansOptions& options);
+
 /// A trained quantizer: everything needed to encode rows to codes and to
 /// build per-query ADC lookup tables (store/adc.h). Value type with a
 /// self-describing binary blob (SDEACBK1) embedded in the store manifest.
 ///
 /// Training is deterministic for a fixed seed and independent of thread
 /// count: int8 scales come from a serial per-dimension max-abs pass, and
-/// PQ centroids from core::KMeansRows (Euclidean mode), whose assignment
-/// pass is row-sharded with ties broken to the lowest centroid index.
+/// PQ centroids from KMeansRows, whose assignment pass is row-sharded with
+/// ties broken to the lowest centroid index.
 class Codebook {
  public:
   Codebook() = default;

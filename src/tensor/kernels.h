@@ -62,8 +62,8 @@ namespace kernels {
 /// caller if a float is wanted.
 double DotExact(const float* a, const float* b, int64_t d);
 
-/// The similarity used by every ranking site (candidate generation, IVF
-/// probing and scanning, embedding-store scans): DotExact rounded to float
+/// The similarity used by every ranking site (candidate generation,
+/// embedding-store scans, the exact rerank): DotExact rounded to float
 /// once, so every site agrees bitwise with the MatmulTransposeB score
 /// matrix.
 float ScoreDot(const float* a, const float* b, int64_t d);
@@ -86,8 +86,8 @@ void MatmulTransposeARows(const float* a, const float* b, float* c, int64_t k,
                           int64_t i_end);
 
 /// y[i] = ScoreDot(x, rows[i,:]) for a row-major rows [m, d] against one
-/// query x (the scan shape behind NearestNeighbors, IVF probing and the PQ
-/// lookup tables): the one-row case of MatmulTransposeBRows.
+/// query x (the scan shape behind NearestNeighbors and the PQ lookup
+/// tables): the one-row case of MatmulTransposeBRows.
 void Gemv(const float* rows, int64_t m, int64_t d, const float* x, float* y);
 
 /// Writes the positions i in [0, m) with scores[i] >= threshold into

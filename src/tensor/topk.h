@@ -6,8 +6,8 @@
 
 namespace sdea::tmath {
 
-/// The single top-k used by every ranking site (candidate generation, IVF
-/// probe ordering and cell scans, embedding-store scans, pipeline
+/// The single top-k used by every ranking site (candidate generation,
+/// embedding-store scans, the quantized store's scan survivors, pipeline
 /// TopTargets). Returns the positions of the `k` largest scores, ranked
 /// best-first, under one TOTAL order shared by all call sites:
 ///
@@ -36,8 +36,8 @@ std::vector<int64_t> TopK(const float* scores, int64_t m, int64_t k);
 std::vector<int64_t> TopK(const std::vector<float>& scores, int64_t k);
 
 /// As TopK, but ties break by ascending tie_ids[position] instead of
-/// position (used by the IVF cell scan, whose score array is ordered by
-/// cell visit while the contract tie-breaks by row id). tie_ids must have
+/// position (used by the exact rerank of scan survivors, whose score array
+/// is ordered by scan rank while the contract tie-breaks by row id). tie_ids must have
 /// m entries; returned values are positions into `scores`.
 std::vector<int64_t> TopKWithTieIds(const float* scores, int64_t m, int64_t k,
                                     const int64_t* tie_ids);

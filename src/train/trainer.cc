@@ -78,10 +78,6 @@ Status Trainer::Validate() const {
     return Status::FailedPrecondition(
         "checkpointing requires a task with a module()");
   }
-  if (!options_.warm_start_params.empty() && task_->module() == nullptr) {
-    return Status::FailedPrecondition(
-        "warm_start_params requires a task with a module()");
-  }
   return Status::Ok();
 }
 
@@ -161,19 +157,10 @@ Result<TrainStats> Trainer::Run() {
       return stats;
     }
     start_epoch = ckpt.next_epoch;
-  } else {
-    if (!options_.warm_start_params.empty()) {
-      // Warm start replaces the task's fresh init. DeserializeParameters
-      // validates names/shapes before writing, so a mismatched blob leaves
-      // the task untouched.
-      SDEA_RETURN_IF_ERROR(nn::DeserializeParameters(
-          task_->module(), options_.warm_start_params));
-    }
-    if (options_.restore_best) {
-      // Legacy loops snapshot the initial parameters before the first epoch,
-      // so a zero-epoch run restores exactly what it started with.
-      best_params_ = nn::SerializeParameters(task_->module());
-    }
+  } else if (options_.restore_best) {
+    // Legacy loops snapshot the initial parameters before the first epoch,
+    // so a zero-epoch run restores exactly what it started with.
+    best_params_ = nn::SerializeParameters(task_->module());
   }
 
   const auto batch = static_cast<size_t>(options_.batch_size);

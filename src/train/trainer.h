@@ -90,16 +90,6 @@ struct TrainerOptions {
   /// the final state and returns without training.
   CheckpointManager* checkpoint = nullptr;
 
-  /// Warm start: a serialized parameter blob (nn::SerializeParameters)
-  /// loaded into task->module() before the first epoch, replacing the
-  /// task's fresh initialization. This is the incremental-alignment entry
-  /// point — re-embedding resumes from the current embeddings instead of
-  /// retraining from scratch. Ignored when a checkpoint resume applies
-  /// (the checkpoint's params already embed any warm start). Requires
-  /// task->module(); shape/name mismatches fail with InvalidArgument
-  /// before anything is mutated.
-  std::string warm_start_params;
-
   /// Called after each epoch (post-eval). Return false to stop training —
   /// the hook for progress logging, external snapshot publishing, or
   /// custom stopping rules.

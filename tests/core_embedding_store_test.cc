@@ -58,7 +58,7 @@ TEST(EmbeddingStoreTest, NearestNeighborsExact) {
   EXPECT_GE(nn[0].similarity, nn[1].similarity);
 }
 
-TEST(EmbeddingStoreTest, NearestNeighborsWithIndex) {
+TEST(EmbeddingStoreTest, NearestNeighborsFindsAStoredRow) {
   Rng rng(5);
   const int64_t n = 200;
   Tensor emb = Tensor::RandomNormal({n, 8}, 1.0f, &rng);
@@ -66,10 +66,7 @@ TEST(EmbeddingStoreTest, NearestNeighborsWithIndex) {
   for (int64_t i = 0; i < n; ++i) names.push_back("e" + std::to_string(i));
   auto store_r = EmbeddingStore::Create(std::move(names), std::move(emb));
   ASSERT_TRUE(store_r.ok());
-  EmbeddingStore store = std::move(store_r).value();
-  EXPECT_FALSE(store.has_index());
-  store.BuildIndex();
-  EXPECT_TRUE(store.has_index());
+  const EmbeddingStore store = std::move(store_r).value();
   // Querying an existing row returns that row first.
   const auto nn = store.NearestNeighbors(store.embeddings().Row(17), 1);
   ASSERT_EQ(nn.size(), 1u);
@@ -191,26 +188,11 @@ TEST(EmbeddingStoreTest, EmptyStoreRoundTripKeepsDim) {
   EXPECT_EQ(decoded->dim(), 7);
 }
 
-TEST(EmbeddingStoreTest, NearestNeighborsEdgeCasesWithIndex) {
-  Rng rng(8);
-  Tensor emb = Tensor::RandomNormal({20, 4}, 1.0f, &rng);
-  std::vector<std::string> names;
-  for (int64_t i = 0; i < 20; ++i) names.push_back("e" + std::to_string(i));
-  auto store_r = EmbeddingStore::Create(std::move(names), std::move(emb));
-  ASSERT_TRUE(store_r.ok());
-  EmbeddingStore store = std::move(store_r).value();
-  store.BuildIndex();
-  const Tensor query = Tensor::RandomNormal({4}, 1.0f, &rng);
-  EXPECT_TRUE(store.NearestNeighbors(query, 0).empty());
-  EXPECT_TRUE(store.NearestNeighbors(query, -1).empty());
-  EXPECT_LE(store.NearestNeighbors(query, 500).size(), 20u);
-}
-
-TEST(EmbeddingStoreTest, IvfAnswersAreSortedOnNearDuplicateRows) {
+TEST(EmbeddingStoreTest, AnswersAreSortedOnNearDuplicateRows) {
   // Each odd row is the row before it plus N(0, 1e-6) noise, so pairs of
-  // rows score within a few ulps of each other. An IVF answer must still
-  // come back in the store's own order: similarities never increase and
-  // equal scores list ascending ids. When the index ranked a second,
+  // rows score within a few ulps of each other. An answer must still come
+  // back in the store's own order: similarities never increase and equal
+  // scores list ascending ids. When an index ranked a second,
   // re-normalized copy of the table while the store reported scores
   // against its own rows, 104 of these 500 answers came back unsorted and
   // 59 had a negative top1 - top2 margin, which the abstain rule rejects.
@@ -227,8 +209,7 @@ TEST(EmbeddingStoreTest, IvfAnswersAreSortedOnNearDuplicateRows) {
   for (int64_t i = 0; i < n; ++i) names.push_back("e" + std::to_string(i));
   auto store_r = EmbeddingStore::Create(std::move(names), emb);
   ASSERT_TRUE(store_r.ok());
-  EmbeddingStore store = std::move(store_r).value();
-  store.BuildIndex();
+  const EmbeddingStore store = std::move(store_r).value();
 
   Rng query_rng(42);
   int64_t unsorted = 0, negative_margin = 0;

@@ -145,20 +145,5 @@ TEST(ParallelDeterminismTest, GenerateCandidatesMatchesSerialExactly) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelDeterminismTest, IvfSearchBatchMatchesSerialExactly) {
-  Rng rng(19);
-  const Tensor tgt = Tensor::RandomNormal({300, 16}, 1.0f, &rng);
-  const Tensor src = Tensor::RandomNormal({40, 16}, 1.0f, &rng);
-  core::IvfOptions opt;
-  opt.num_probes = 4;
-  // Build + batched query under each thread count: covers the parallel
-  // k-means assignment, the final assignment pass, and SearchBatch.
-  const auto serial = RunWithThreads(
-      1, [&] { return core::GenerateCandidatesApprox(src, tgt, 10, opt); });
-  const auto parallel = RunWithThreads(
-      8, [&] { return core::GenerateCandidatesApprox(src, tgt, 10, opt); });
-  EXPECT_EQ(serial, parallel);
-}
-
 }  // namespace
 }  // namespace sdea

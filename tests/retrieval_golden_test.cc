@@ -17,7 +17,6 @@
 #include "base/rng.h"
 #include "core/candidate_generator.h"
 #include "core/embedding_store.h"
-#include "store/candidates.h"
 #include "store/quantized_store.h"
 #include "tensor/tensor.h"
 
@@ -138,12 +137,6 @@ TEST(RetrievalGoldenTest, EmbeddingStoreExact) {
   EXPECT_GOLDEN(HashStoreAnswers(MakeStore()), 0x6556930eb9e77a87ULL);
 }
 
-TEST(RetrievalGoldenTest, EmbeddingStoreIvf) {
-  core::EmbeddingStore store = MakeStore();
-  store.BuildIndex();
-  EXPECT_GOLDEN(HashStoreAnswers(store), 0x98c60ad21bd5d15eULL);
-}
-
 TEST(RetrievalGoldenTest, QuantizedStoreInt8) {
   const store::QuantizedStore qstore =
       MakeQuantizedStore("sdea_golden_int8", store::Quantization::kInt8);
@@ -178,25 +171,6 @@ TEST(RetrievalGoldenTest, GenerateCandidates) {
   EXPECT_GOLDEN(
       HashIds(core::GenerateCandidates(Queries(2), Table(1), kTopK)),
       0x533b84c35ccf163bULL);
-}
-
-TEST(RetrievalGoldenTest, GenerateCandidatesApprox) {
-  EXPECT_GOLDEN(
-      HashIds(core::GenerateCandidatesApprox(Queries(2), Table(1), kTopK)),
-      0x780fde95e1394825ULL);
-}
-
-TEST(RetrievalGoldenTest, GenerateCandidatesCompressed) {
-  store::CompressedCandidateOptions int8;
-  EXPECT_GOLDEN(HashIds(store::GenerateCandidatesCompressed(
-                    Queries(2), Table(1), kTopK, int8)),
-                0x533b84c35ccf163bULL);
-  store::CompressedCandidateOptions pq;
-  pq.quantization = store::Quantization::kPq;
-  pq.pq = CoarsePq();
-  EXPECT_GOLDEN(HashIds(store::GenerateCandidatesCompressed(
-                    Queries(2), Table(1), kTopK, pq)),
-                0x3eb3cb0d7c6e77f2ULL);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "base/rng.h"
 #include "core/attribute_sequencer.h"
 #include "core/numeric_channel.h"
-#include "eval/csv.h"
 #include "kg/validation.h"
 #include "text/normalizer.h"
 #include "text/tokenizer.h"
@@ -103,20 +102,6 @@ TEST(RobustnessTest, ValidationOnNastyValues) {
   const auto report = kg::ValidateKnowledgeGraph(g);
   // Formatting a report full of binary garbage must not crash.
   (void)kg::FormatValidationReport(report);
-}
-
-TEST(RobustnessTest, CsvEscapeRandomBytes) {
-  Rng rng(106);
-  for (int i = 0; i < 500; ++i) {
-    const std::string field = RandomBytes(&rng, 60);
-    const std::string escaped = eval::CsvEscape(field);
-    // Escaped field either equals the input or is quoted.
-    if (escaped != field) {
-      ASSERT_GE(escaped.size(), 2u);
-      EXPECT_EQ(escaped.front(), '"');
-      EXPECT_EQ(escaped.back(), '"');
-    }
-  }
 }
 
 TEST(RobustnessTest, HugeAttributeValueHandled) {

@@ -39,7 +39,7 @@ TEST(ServeFaultsTest, CorruptArtifactKeepsOldSnapshot) {
   ASSERT_TRUE(MakeStore().Save(path).ok());
 
   SnapshotManager mgr;
-  auto v1 = mgr.LoadAndSwap(path, /*build_index=*/false);
+  auto v1 = mgr.LoadAndSwap(path);
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   const auto pinned = mgr.Current();
   ASSERT_NE(pinned, nullptr);
@@ -47,7 +47,7 @@ TEST(ServeFaultsTest, CorruptArtifactKeepsOldSnapshot) {
   // Corrupt the artifact in place; the reload fails, the published
   // snapshot stays the exact object v1 pinned.
   ASSERT_TRUE(WriteStringToFile(path, "not an embedding store").ok());
-  auto v2 = mgr.LoadAndSwap(path, /*build_index=*/false);
+  auto v2 = mgr.LoadAndSwap(path);
   ASSERT_FALSE(v2.ok());
   EXPECT_EQ(v2.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(mgr.Current().get(), pinned.get());
@@ -59,7 +59,7 @@ TEST(ServeFaultsTest, InjectedReadFaultKeepsOldSnapshot) {
   ASSERT_TRUE(MakeStore().Save(path).ok());
 
   SnapshotManager mgr;
-  ASSERT_TRUE(mgr.LoadAndSwap(path, /*build_index=*/false).ok());
+  ASSERT_TRUE(mgr.LoadAndSwap(path).ok());
   const uint64_t version = mgr.version();
   const auto pinned = mgr.Current();
 
@@ -69,7 +69,7 @@ TEST(ServeFaultsTest, InjectedReadFaultKeepsOldSnapshot) {
                                .path_substring = ".emb"}};
   {
     ScopedFaultInjector scope(&injector);
-    auto reload = mgr.LoadAndSwap(path, /*build_index=*/false);
+    auto reload = mgr.LoadAndSwap(path);
     ASSERT_FALSE(reload.ok());
     EXPECT_EQ(reload.status().code(), StatusCode::kIoError);
   }
@@ -82,9 +82,7 @@ TEST(ServeFaultsTest, ServerKeepsAnsweringAfterFailedReload) {
   const std::string path = TempPath("sdea_serve_server.emb");
   ASSERT_TRUE(MakeStore().Save(path).ok());
 
-  ServerOptions options;
-  options.build_index = false;
-  AlignmentServer server(options);
+  AlignmentServer server;
   ASSERT_TRUE(server.LoadSnapshot(path).ok());
 
   ASSERT_TRUE(WriteStringToFile(path, "garbage").ok());

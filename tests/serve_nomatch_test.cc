@@ -38,16 +38,10 @@ core::EmbeddingStore StoreFromRows(
   return std::move(store).value();
 }
 
-ServerOptions NoIndexOptions() {
-  ServerOptions options;
-  options.build_index = false;  // Tiny stores: exact scan.
-  return options;
-}
-
 TEST(ServeNoMatchTest, NaNRowsAreNeverServed) {
   // One diverged (all-NaN) row among finite ones: it must not appear in
   // any answer, whatever its NaN "similarity" compares like in top-k.
-  AlignmentServer server(NoIndexOptions());
+  AlignmentServer server;
   server.SwapSnapshot(StoreFromRows({{1.0f, 0.0f},
                                      {0.0f, 1.0f},
                                      {kNaN, kNaN},
@@ -64,7 +58,7 @@ TEST(ServeNoMatchTest, NaNRowsAreNeverServed) {
 
 TEST(ServeNoMatchTest, AllNaNSnapshotYieldsEmptyOkAnswer) {
   // Pre-fix this returned NaN-scored neighbors with status OK.
-  AlignmentServer server(NoIndexOptions());
+  AlignmentServer server;
   server.SwapSnapshot(StoreFromRows({{kNaN, kNaN}, {kNaN, kNaN}}));
   auto result =
       server.AlignEmbedding(Tensor::FromVector({1.0f, 0.0f}), 2);
@@ -73,7 +67,7 @@ TEST(ServeNoMatchTest, AllNaNSnapshotYieldsEmptyOkAnswer) {
 }
 
 TEST(ServeNoMatchTest, AbstainThresholdTurnsWeakBestIntoNoMatch) {
-  ServerOptions options = NoIndexOptions();
+  ServerOptions options;
   options.abstain.enabled = true;
   options.abstain.min_similarity = 0.9f;
   AlignmentServer server(options);
@@ -97,7 +91,7 @@ TEST(ServeNoMatchTest, AbstainThresholdTurnsWeakBestIntoNoMatch) {
 }
 
 TEST(ServeNoMatchTest, MarginRuleRejectsAmbiguousAnswers) {
-  ServerOptions options = NoIndexOptions();
+  ServerOptions options;
   options.abstain.enabled = true;
   options.abstain.min_margin = 0.1f;
   AlignmentServer server(options);
@@ -120,7 +114,7 @@ TEST(ServeNoMatchTest, MarginRuleRejectsAmbiguousAnswers) {
 }
 
 TEST(ServeNoMatchTest, DisabledAbstainKeepsForcedAnswers) {
-  AlignmentServer server(NoIndexOptions());
+  AlignmentServer server;
   server.SwapSnapshot(StoreFromRows({{1.0f, 0.0f}, {0.0f, 1.0f}}));
   auto result = server.AlignEmbedding(Tensor::FromVector({1.0f, 1.0f}), 1);
   ASSERT_TRUE(result.ok());

@@ -307,7 +307,6 @@ TEST(AlignmentServerTest, LoadSnapshotServesSavedArtifact) {
   auto version = server.LoadSnapshot(path);
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(*version, 1u);
-  EXPECT_TRUE(server.snapshot()->store.has_index());
 
   Rng rng(4);
   const Tensor query = Tensor::RandomNormal({8}, 1.0f, &rng);

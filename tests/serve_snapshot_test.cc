@@ -73,13 +73,12 @@ TEST(SnapshotManagerTest, LoadAndSwapRoundTrips) {
   SDEA_CHECK_OK(original.Save(path));
 
   SnapshotManager manager;
-  auto version = manager.LoadAndSwap(path, /*build_index=*/true);
+  auto version = manager.LoadAndSwap(path);
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(*version, 1u);
   auto snap = manager.Current();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->store.size(), 30);
-  EXPECT_TRUE(snap->store.has_index());
   std::remove(path.c_str());
 }
 

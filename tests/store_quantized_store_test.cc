@@ -1,7 +1,6 @@
 // End-to-end QuantizedStore: write → mmap-open → query, the exactness
 // contract against the full-precision EmbeddingStore, compression
-// accounting, fault injection on the open path, and compressed candidate
-// generation (Hits@1 preserved on a generated pair).
+// accounting, and fault injection on the open path.
 #include "store/quantized_store.h"
 
 #include <gtest/gtest.h>
@@ -14,11 +13,8 @@
 #include "base/fault_injection.h"
 #include "base/fileio.h"
 #include "base/rng.h"
-#include "base/threadpool.h"
-#include "core/candidate_generator.h"
 #include "core/embedding_store.h"
 #include "obs/registry.h"
-#include "store/candidates.h"
 #include "testing/faults.h"
 #include "tensor/tensor.h"
 
@@ -244,55 +240,6 @@ TEST(QuantizedStoreTest, OpenFaultsAndCorruptionAreClean) {
                 ->GetCounter("store.opens")
                 ->Value(),
             opens_before);
-}
-
-TEST(QuantizedStoreTest, CompressedCandidatesPreserveHits1) {
-  // The satellite pair test: target entities plus noisy source copies (a
-  // generated alignment pair in miniature). Full-precision candidate
-  // generation puts the aligned target at rank 1; the compressed path
-  // must preserve every one of those Hits@1 — and agree with the exact
-  // path's ranking wholesale, since both end in an exact rerank.
-  const int64_t n = 300, d = 32;
-  const Tensor tgt = RandomRows(n, d, 60);
-  Tensor src = tgt;
-  Rng noise(61);
-  for (int64_t i = 0; i < src.size(); ++i) {
-    src.data()[i] += 0.01f * noise.UniformFloat(-1.0f, 1.0f);
-  }
-
-  const auto exact = core::GenerateCandidates(src, tgt, 5);
-  for (Quantization quant : {Quantization::kInt8, Quantization::kPq}) {
-    CompressedCandidateOptions options;
-    options.quantization = quant;
-    options.pq.num_subspaces = 4;
-    options.pq.num_centroids = 128;
-    options.rerank_pool = 48;
-    const auto compressed =
-        GenerateCandidatesCompressed(src, tgt, 5, options);
-    ASSERT_EQ(compressed.size(), exact.size());
-    for (int64_t i = 0; i < n; ++i) {
-      ASSERT_FALSE(compressed[static_cast<size_t>(i)].empty());
-      EXPECT_EQ(compressed[static_cast<size_t>(i)][0],
-                exact[static_cast<size_t>(i)][0])
-          << QuantizationName(quant) << " row " << i;
-    }
-  }
-}
-
-TEST(QuantizedStoreTest, CompressedCandidatesDeterministicAcrossThreads) {
-  const Tensor src = RandomRows(60, 16, 70);
-  const Tensor tgt = RandomRows(200, 16, 71);
-  std::vector<std::vector<int64_t>> baseline;
-  for (int threads : {1, 4}) {
-    base::ThreadPool::SetGlobalNumThreads(threads);
-    const auto out = GenerateCandidatesCompressed(src, tgt, 5, {});
-    if (threads == 1) {
-      baseline = out;
-    } else {
-      EXPECT_EQ(out, baseline);
-    }
-  }
-  base::ThreadPool::SetGlobalNumThreads(base::ThreadPool::DefaultNumThreads());
 }
 
 }  // namespace

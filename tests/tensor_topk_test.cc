@@ -265,7 +265,7 @@ TEST(TopKTest, PropertyWithTieIdsMatchesReference) {
     const int64_t m = 1 + static_cast<int64_t>(rng.UniformInt(30));
     std::vector<float> scores(static_cast<size_t>(m));
     for (float& s : scores) s = AdversarialValue(&rng);
-    // Unique ids in shuffled order (the IVF scan's row ids).
+    // Unique ids in shuffled order (the rerank pool's row ids).
     std::vector<int64_t> ids(static_cast<size_t>(m));
     std::iota(ids.begin(), ids.end(), 100);
     for (int64_t i = m - 1; i > 0; --i) {

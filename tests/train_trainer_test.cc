@@ -10,7 +10,6 @@
 
 #include "base/rng.h"
 #include "nn/module.h"
-#include "nn/serialization.h"
 
 namespace sdea::train {
 namespace {
@@ -262,45 +261,6 @@ TEST(TrainerTest, ValidatesOptionCombinations) {
     EXPECT_EQ(Trainer(&bare, o).Run().status().code(),
               StatusCode::kFailedPrecondition);
   }
-}
-
-TEST(TrainerTest, WarmStartLoadsParamsBeforeFirstEpoch) {
-  // Serialize a donor net with a known weight, warm-start a fresh task
-  // from the blob, and run one epoch: the final weight must be the donor's
-  // value plus exactly the per-batch bumps — proof the load happened
-  // before any TrainBatch.
-  ToyTask donor(4, 1);
-  donor.net_.w->value.data()[0] = 42.0f;
-  const std::string blob = nn::SerializeParameters(&donor.net_);
-
-  ToyTask task(4, 1);
-  TrainerOptions opts;
-  opts.max_epochs = 1;
-  opts.batch_size = 2;
-  opts.warm_start_params = blob;
-  ASSERT_TRUE(Trainer(&task, opts).Run().ok());
-  EXPECT_FLOAT_EQ(task.net_.w->value.data()[0], 44.0f);  // 42 + 2 batches.
-}
-
-TEST(TrainerTest, WarmStartShapeMismatchFails) {
-  class WideNet : public nn::Module {
-   public:
-    WideNet() { w = AddParameter("toy.w", Tensor({1, 8})); }
-    Parameter* w;
-  } wide;
-  ToyTask task(4, 1);
-  TrainerOptions opts;
-  opts.warm_start_params = nn::SerializeParameters(&wide);
-  EXPECT_FALSE(Trainer(&task, opts).Run().ok());
-}
-
-TEST(TrainerTest, WarmStartRequiresModule) {
-  BareTask bare(4);
-  ToyTask donor(4, 1);
-  TrainerOptions opts;
-  opts.warm_start_params = nn::SerializeParameters(&donor.net_);
-  EXPECT_EQ(Trainer(&bare, opts).Run().status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
