@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
   auto gcn_config = baselines::GcnConfig();
   gcn_config.epochs = options.fast ? 40 : 120;
   baselines::GcnAlign gcn(gcn_config);
-  const baselines::AlignInput input{&run.bench.kg1, &run.bench.kg2,
-                                    &run.seeds};
+  const baselines::AlignInput input{run.bench.kg1, run.bench.kg2, run.seeds};
   SDEA_CHECK_OK(gcn.Fit(input));
   // Bucket the GCN results with the same machinery.
   Tensor src({static_cast<int64_t>(run.seeds.test.size()),

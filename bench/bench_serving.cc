@@ -12,7 +12,13 @@
 // On a single-core box the served wins come from *less total work* —
 // cache hits skip the encoder entirely and in-batch dedup encodes each
 // unique text once — not from parallel search, so the numbers are a lower
-// bound for multi-core hosts. Run with --fast for a smoke-sized config.
+// bound for multi-core hosts.
+//
+// The full-size run exits nonzero unless served batched beats naive at 4
+// client threads. --fast is a smoke run: its only gate is the bitwise
+// served == direct check, and it prints the ratio without a verdict, since
+// 100 queries per client thread finish too quickly for the ratio to
+// separate batching from scheduling noise.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -315,8 +321,10 @@ int main(int argc, char** argv) {
                 100.0 * (obs_off.qps - obs_on.qps) / obs_off.qps);
   }
 
+  const bool pass = speedup_at_4 > 1.0;
   std::printf("\nbatched+cached vs naive at 4 client threads (25%% "
               "distinct): %.2fx %s\n",
-              speedup_at_4, speedup_at_4 > 1.0 ? "(PASS)" : "(FAIL)");
-  return speedup_at_4 > 1.0 ? 0 : 1;
+              speedup_at_4, fast ? "(smoke run, no verdict)"
+                            : pass ? "(PASS)" : "(FAIL)");
+  return fast || pass ? 0 : 1;
 }

@@ -134,8 +134,7 @@ MethodResult TimeFit(baselines::EntityAligner* aligner,
 std::vector<MethodResult> RunBaselines(const DatasetRun& run,
                                        const BaselineRoster& roster,
                                        const BenchOptions& options) {
-  const baselines::AlignInput input{&run.bench.kg1, &run.bench.kg2,
-                                    &run.seeds};
+  const baselines::AlignInput input{run.bench.kg1, run.bench.kg2, run.seeds};
   std::vector<MethodResult> results;
   const int64_t transe_epochs = options.fast ? 40 : 100;
   const int64_t gcn_epochs = options.fast ? 40 : 120;

@@ -11,16 +11,18 @@
 namespace sdea::baselines {
 
 /// Inputs shared by every alignment method: the KG pair and the seed split.
+/// The caller keeps all three alive for the duration of Fit.
 struct AlignInput {
-  const kg::KnowledgeGraph* kg1 = nullptr;
-  const kg::KnowledgeGraph* kg2 = nullptr;
-  const kg::AlignmentSeeds* seeds = nullptr;
+  const kg::KnowledgeGraph& kg1;
+  const kg::KnowledgeGraph& kg2;
+  const kg::AlignmentSeeds& seeds;
 };
 
 /// Common interface of the baseline re-implementations (one representative
-/// per technique group of the paper's Table II). After Fit, each method
-/// exposes per-entity embeddings in a shared space; evaluation ranks all
-/// KG2 entities per source by cosine similarity, exactly like SDEA.
+/// per technique group of the paper's Table II). Fit leaves per-entity
+/// embeddings of both KGs in a shared space in `emb1_`/`emb2_`; evaluation
+/// ranks all KG2 entities per source by cosine similarity, exactly like
+/// SDEA.
 class EntityAligner {
  public:
   virtual ~EntityAligner() = default;
@@ -31,14 +33,18 @@ class EntityAligner {
   /// Trains on the input's train/valid splits.
   virtual Status Fit(const AlignInput& input) = 0;
 
-  virtual const Tensor& embeddings1() const = 0;
-  virtual const Tensor& embeddings2() const = 0;
+  const Tensor& embeddings1() const { return emb1_; }
+  const Tensor& embeddings2() const { return emb2_; }
 
   /// Hits@K / MRR over `pairs` against the full KG2 entity space. The
   /// default ranks by cosine over the exposed embeddings; methods that fuse
   /// non-embedding evidence (CEA) override it.
   virtual eval::RankingMetrics Evaluate(
       const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) const;
+
+ protected:
+  Tensor emb1_;  ///< [|E1|, d] after Fit.
+  Tensor emb2_;  ///< [|E2|, d] after Fit.
 };
 
 }  // namespace sdea::baselines

@@ -1,23 +1,13 @@
 #include "baselines/bert_int_lite.h"
 
+#include "baselines/union_graph.h"
+
 namespace sdea::baselines {
 
 Status BertIntLite::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("BertIntLite: null input");
-  }
-  std::vector<std::string> names1, names2;
-  names1.reserve(static_cast<size_t>(input.kg1->num_entities()));
-  for (kg::EntityId e = 0; e < input.kg1->num_entities(); ++e) {
-    names1.push_back(input.kg1->entity_name(e));
-  }
-  names2.reserve(static_cast<size_t>(input.kg2->num_entities()));
-  for (kg::EntityId e = 0; e < input.kg2->num_entities(); ++e) {
-    names2.push_back(input.kg2->entity_name(e));
-  }
-  SDEA_RETURN_IF_ERROR(encoder_.Init(names1, names2, config_.text));
-  SDEA_ASSIGN_OR_RETURN(auto report, encoder_.Pretrain(*input.seeds));
+  SDEA_RETURN_IF_ERROR(encoder_.Init(EntityNames(input.kg1),
+                                     EntityNames(input.kg2), config_.text));
+  SDEA_ASSIGN_OR_RETURN(auto report, encoder_.Pretrain(input.seeds));
   (void)report;
   emb1_ = encoder_.ComputeAllEmbeddings(1);
   emb2_ = encoder_.ComputeAllEmbeddings(2);

@@ -23,14 +23,10 @@ class BertIntLite : public EntityAligner {
 
   std::string name() const override { return "BERT-INT (lite)"; }
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return emb1_; }
-  const Tensor& embeddings2() const override { return emb2_; }
 
  private:
   Config config_;
   core::TextAlignmentEncoder encoder_;
-  Tensor emb1_;
-  Tensor emb2_;
 };
 
 }  // namespace sdea::baselines

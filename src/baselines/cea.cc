@@ -3,59 +3,26 @@
 #include <cmath>
 
 #include "base/strings.h"
+#include "baselines/union_graph.h"
 #include "core/stable_matching.h"
 #include "text/pretrain.h"
 #include "text/tokenizer.h"
 
 namespace sdea::baselines {
-namespace {
-
-std::vector<std::string> EntityNames(const kg::KnowledgeGraph& g) {
-  std::vector<std::string> out;
-  out.reserve(static_cast<size_t>(g.num_entities()));
-  for (kg::EntityId e = 0; e < g.num_entities(); ++e) {
-    out.push_back(g.entity_name(e));
-  }
-  return out;
-}
-
-// Mean of pre-trained token vectors per name ("semantic" channel).
-Tensor NameSemanticEmbeddings(const std::vector<std::string>& names,
-                              const text::SubwordTokenizer& tokenizer,
-                              const Tensor& table) {
-  const int64_t d = table.dim(1);
-  Tensor out({static_cast<int64_t>(names.size()), d});
-  for (size_t i = 0; i < names.size(); ++i) {
-    const std::vector<int64_t> ids = tokenizer.Encode(names[i]);
-    if (ids.empty()) continue;
-    float* row = out.data() + static_cast<int64_t>(i) * d;
-    for (int64_t id : ids) {
-      const float* trow = table.data() + id * d;
-      for (int64_t j = 0; j < d; ++j) row[j] += trow[j];
-    }
-    const float inv = 1.0f / static_cast<float>(ids.size());
-    for (int64_t j = 0; j < d; ++j) row[j] *= inv;
-  }
-  return out;
-}
-
-}  // namespace
 
 Status Cea::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("Cea: null input");
-  }
   // Channel 1: structural GCN embeddings.
   GcnAlign gcn(config_.gcn);
   SDEA_RETURN_IF_ERROR(gcn.Fit(input));
-  struct1_ = gcn.embeddings1();
-  struct2_ = gcn.embeddings2();
+  emb1_ = gcn.embeddings1();
+  emb2_ = gcn.embeddings2();
 
-  const std::vector<std::string> names1 = EntityNames(*input.kg1);
-  const std::vector<std::string> names2 = EntityNames(*input.kg2);
+  const std::vector<std::string> names1 = EntityNames(input.kg1);
+  const std::vector<std::string> names2 = EntityNames(input.kg2);
+  const int64_t n1 = static_cast<int64_t>(names1.size());
+  const int64_t n2 = static_cast<int64_t>(names2.size());
 
-  // Channel 3 prerequisites: tokenizer + co-occurrence vectors over names.
+  // Channel 3: the mean of co-occurrence token vectors per name.
   text::SubwordTokenizer tokenizer;
   text::TokenizerConfig tok_cfg;
   tok_cfg.num_merges = 512;
@@ -69,18 +36,17 @@ Status Cea::Fit(const AlignInput& input) {
   text::CooccurrencePretrainer pretrainer;
   SDEA_ASSIGN_OR_RETURN(Tensor table,
                         pretrainer.Train(corpus, tokenizer, pre_cfg));
-  Tensor sem1 = NameSemanticEmbeddings(names1, tokenizer, table);
-  Tensor sem2 = NameSemanticEmbeddings(names2, tokenizer, table);
+  Tensor sem1({n1, config_.semantic_dim});
+  Tensor sem2({n2, config_.semantic_dim});
+  MeanTokenVectors(names1, tokenizer, table, &sem1);
+  MeanTokenVectors(names2, tokenizer, table, &sem2);
   tmath::L2NormalizeRowsInPlace(&sem1);
   tmath::L2NormalizeRowsInPlace(&sem2);
 
-  Tensor s1 = struct1_;
-  Tensor s2 = struct2_;
+  Tensor s1 = emb1_;
+  Tensor s2 = emb2_;
   tmath::L2NormalizeRowsInPlace(&s1);
   tmath::L2NormalizeRowsInPlace(&s2);
-
-  const int64_t n1 = static_cast<int64_t>(names1.size());
-  const int64_t n2 = static_cast<int64_t>(names2.size());
   const Tensor struct_scores = tmath::MatmulTransposeB(s1, s2);
   const Tensor sem_scores = tmath::MatmulTransposeB(sem1, sem2);
 

@@ -30,9 +30,8 @@ class Cea : public EntityAligner {
   explicit Cea(Config config) : config_(std::move(config)) {}
 
   std::string name() const override { return "CEA (Emb)"; }
+  /// Leaves the structural GCN embeddings in embeddings1()/embeddings2().
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return struct1_; }
-  const Tensor& embeddings2() const override { return struct2_; }
 
   /// Ranks by the fused score matrix.
   eval::RankingMetrics Evaluate(
@@ -48,8 +47,6 @@ class Cea : public EntityAligner {
 
  private:
   Config config_;
-  Tensor struct1_;
-  Tensor struct2_;
   Tensor scores_;
 };
 

@@ -124,19 +124,15 @@ GcnAlign::Config RdgcnLiteConfig() {
 }
 
 Status GcnAlign::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("GcnAlign: null input");
-  }
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
+  const int64_t n1 = input.kg1.num_entities();
+  const int64_t n2 = input.kg2.num_entities();
   const int64_t total = n1 + n2;
 
-  const auto raw_edges = UnionEdges(*input.kg1, *input.kg2);
+  const auto raw_edges = UnionEdges(input.kg1, input.kg2);
   CsrMatrix adjacency = NormalizedAdjacency(total, raw_edges);
   Tensor attr_features;
   if (config_.use_attributes) {
-    attr_features = AttributeNameCounts(*input.kg1, *input.kg2,
+    attr_features = AttributeNameCounts(input.kg1, input.kg2,
                                         config_.attr_feature_dim);
   }
 
@@ -145,14 +141,9 @@ Status GcnAlign::Fit(const AlignInput& input) {
   if (config_.init_features_from_names) {
     // RDGCN/HGCN recipe: seed features with pre-trained name embeddings
     // (mean of co-occurrence word vectors over both KGs' entity names).
-    std::vector<std::string> names;
-    names.reserve(static_cast<size_t>(total));
-    for (kg::EntityId e = 0; e < n1; ++e) {
-      names.push_back(input.kg1->entity_name(e));
-    }
-    for (kg::EntityId e = 0; e < n2; ++e) {
-      names.push_back(input.kg2->entity_name(e));
-    }
+    std::vector<std::string> names = EntityNames(input.kg1);
+    const std::vector<std::string> names2 = EntityNames(input.kg2);
+    names.insert(names.end(), names2.begin(), names2.end());
     text::SubwordTokenizer tokenizer;
     text::TokenizerConfig tok_cfg;
     tok_cfg.num_merges = 512;
@@ -163,22 +154,8 @@ Status GcnAlign::Fit(const AlignInput& input) {
       text::CooccurrencePretrainer pretrainer;
       auto table = pretrainer.Train(names, tokenizer, pre_cfg);
       if (table.ok()) {
-        Tensor& features = net.features_->value;
-        for (int64_t e = 0; e < total; ++e) {
-          const auto ids = tokenizer.Encode(names[static_cast<size_t>(e)]);
-          if (ids.empty()) continue;
-          float* row = features.data() + e * config_.feature_dim;
-          std::fill(row, row + config_.feature_dim, 0.0f);
-          for (int64_t id : ids) {
-            const float* trow = table->data() + id * config_.feature_dim;
-            for (int64_t j = 0; j < config_.feature_dim; ++j) {
-              row[j] += trow[j];
-            }
-          }
-          const float inv = 1.0f / static_cast<float>(ids.size());
-          for (int64_t j = 0; j < config_.feature_dim; ++j) row[j] *= inv;
-        }
-        tmath::L2NormalizeRowsInPlace(&features);
+        MeanTokenVectors(names, tokenizer, *table, &net.features_->value);
+        tmath::L2NormalizeRowsInPlace(&net.features_->value);
       }
     }
   }
@@ -200,14 +177,6 @@ Status GcnAlign::Fit(const AlignInput& input) {
     return g->L2NormalizeRows(out);
   };
 
-  auto extract = [&](const Tensor& all, Tensor* e1, Tensor* e2) {
-    const int64_t d = all.dim(1);
-    *e1 = Tensor({n1, d});
-    *e2 = Tensor({n2, d});
-    std::copy(all.data(), all.data() + n1 * d, e1->data());
-    std::copy(all.data() + n1 * d, all.data() + total * d, e2->data());
-  };
-
   double best_valid = -1.0;
   Tensor best_e1, best_e2;
   for (int64_t epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -220,7 +189,7 @@ Status GcnAlign::Fit(const AlignInput& input) {
     // Margin loss over train pairs, `negatives` corrupted targets each, in
     // both alignment directions.
     std::vector<int64_t> anchor_ids, pos_ids, neg_ids;
-    for (const auto& [a, b] : input.seeds->train) {
+    for (const auto& [a, b] : input.seeds.train) {
       for (int64_t k = 0; k < config_.negatives; ++k) {
         anchor_ids.push_back(a);
         pos_ids.push_back(n1 + b);
@@ -245,18 +214,16 @@ Status GcnAlign::Fit(const AlignInput& input) {
     if ((epoch + 1) % config_.eval_every == 0 ||
         epoch + 1 == config_.epochs) {
       Graph eg;
-      const Tensor all_v = eg.Value(forward(&eg));
-      Tensor e1, e2;
-      extract(all_v, &e1, &e2);
+      auto [e1, e2] = SplitUnion(eg.Value(forward(&eg)), n1);
       // Validation Hits@1 for best-checkpoint selection.
       const double h1 =
-          input.seeds->valid.empty()
+          input.seeds.valid.empty()
               ? 0.0
-              : eval::EvaluatePairs(e1, e2, input.seeds->valid).hits_at_1;
+              : eval::EvaluatePairs(e1, e2, input.seeds.valid).hits_at_1;
       if (h1 >= best_valid) {
         best_valid = h1;
-        best_e1 = e1;
-        best_e2 = e2;
+        best_e1 = std::move(e1);
+        best_e2 = std::move(e2);
       }
     }
   }

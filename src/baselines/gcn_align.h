@@ -46,13 +46,9 @@ class GcnAlign : public EntityAligner {
 
   std::string name() const override { return config_.display_name; }
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return emb1_; }
-  const Tensor& embeddings2() const override { return emb2_; }
 
  private:
   Config config_;
-  Tensor emb1_;
-  Tensor emb2_;
 };
 
 /// Factory configs for the published flavours.

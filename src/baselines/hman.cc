@@ -58,15 +58,15 @@ class FnnChannel : public sdea::nn::Module {
 Tensor TrainChannel(const Tensor& features, const AlignInput& input,
                     const Hman::Config& cfg, const std::string& name,
                     Rng* rng) {
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
+  const int64_t n1 = input.kg1.num_entities();
+  const int64_t n2 = input.kg2.num_entities();
   FnnChannel channel(name, features.dim(1), cfg.channel_dim, rng);
   sdea::nn::Adam optimizer(channel.Parameters(), cfg.lr);
   for (int64_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     Graph g;
     NodeId all = channel.Forward(&g, g.Input(features));
     std::vector<int64_t> anchor_ids, pos_ids, neg_ids;
-    for (const auto& [a, b] : input.seeds->train) {
+    for (const auto& [a, b] : input.seeds.train) {
       for (int64_t k = 0; k < cfg.negatives; ++k) {
         anchor_ids.push_back(a);
         pos_ids.push_back(n1 + b);
@@ -88,12 +88,8 @@ Tensor TrainChannel(const Tensor& features, const AlignInput& input,
 }  // namespace
 
 Status Hman::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("Hman: null input");
-  }
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
+  const int64_t n1 = input.kg1.num_entities();
+  const int64_t n2 = input.kg2.num_entities();
   const int64_t total = n1 + n2;
 
   // Channel 1: topology via the structure-only GCN.
@@ -103,10 +99,10 @@ Status Hman::Fit(const AlignInput& input) {
   // Channels 2 & 3: relation / attribute count FNNs.
   Rng rng(config_.seed);
   const Tensor rel_emb = TrainChannel(
-      RelationFeatures(*input.kg1, *input.kg2, config_.feature_dim), input,
+      RelationFeatures(input.kg1, input.kg2, config_.feature_dim), input,
       config_, "hman.rel", &rng);
   const Tensor attr_emb = TrainChannel(
-      AttributeNameCounts(*input.kg1, *input.kg2, config_.feature_dim),
+      AttributeNameCounts(input.kg1, input.kg2, config_.feature_dim),
       input, config_, "hman.attr", &rng);
 
   // Concatenate channels (GCN output is per-side, FNNs are union-indexed).

@@ -33,13 +33,9 @@ class Hman : public EntityAligner {
 
   std::string name() const override { return "HMAN"; }
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return emb1_; }
-  const Tensor& embeddings2() const override { return emb2_; }
 
  private:
   Config config_;
-  Tensor emb1_;
-  Tensor emb2_;
 };
 
 }  // namespace sdea::baselines

@@ -1,8 +1,8 @@
 #include "baselines/iptranse.h"
 
 #include <algorithm>
+#include <tuple>
 
-#include "base/check.h"
 #include "base/rng.h"
 #include "baselines/union_graph.h"
 #include "train/trainer.h"
@@ -22,7 +22,7 @@ struct OutEdges {
 class PathTask : public train::TrainTask {
  public:
   PathTask(TransE* model, const std::vector<kg::RelationalTriple>* triples,
-           const std::vector<int32_t>* merge, const OutEdges* out,
+           const std::vector<int64_t>* merge, const OutEdges* out,
            Rng* path_rng, int64_t path_samples, float path_lr)
       : model_(model),
         triples_(triples),
@@ -60,12 +60,12 @@ class PathTask : public train::TrainTask {
 
  private:
   int64_t Resolve(int64_t raw) const {
-    return static_cast<int64_t>((*merge_)[static_cast<size_t>(raw)]);
+    return (*merge_)[static_cast<size_t>(raw)];
   }
 
   TransE* model_;
   const std::vector<kg::RelationalTriple>* triples_;
-  const std::vector<int32_t>* merge_;
+  const std::vector<int64_t>* merge_;
   const OutEdges* out_;
   Rng* path_rng_;
   int64_t path_samples_;
@@ -75,32 +75,19 @@ class PathTask : public train::TrainTask {
 }  // namespace
 
 Status IpTransE::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("IpTransE: null input");
-  }
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
+  const int64_t n1 = input.kg1.num_entities();
+  const int64_t n2 = input.kg2.num_entities();
   const int64_t total = n1 + n2;
   const int64_t relations = std::max<int64_t>(
-      1, input.kg1->num_relations() + input.kg2->num_relations());
-
-  std::vector<int32_t> merge(static_cast<size_t>(total));
-  for (int64_t i = 0; i < total; ++i) {
-    merge[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-  }
-  for (const auto& [a, b] : input.seeds->train) {
-    merge[static_cast<size_t>(n1 + b)] = a;
-  }
+      1, input.kg1.num_relations() + input.kg2.num_relations());
+  const std::vector<int64_t> merge = SeedMerge(n1, n2, input.seeds.train);
 
   // Union triples (KG2 ids offset) and outgoing adjacency on merged ids.
   const std::vector<kg::RelationalTriple> triples =
-      UnionTriples(*input.kg1, *input.kg2);
+      UnionTriples(input.kg1, input.kg2);
   OutEdges out;
   out.edges.resize(static_cast<size_t>(total));
-  auto resolve = [&](int64_t raw) {
-    return static_cast<int64_t>(merge[static_cast<size_t>(raw)]);
-  };
+  auto resolve = [&](int64_t raw) { return merge[static_cast<size_t>(raw)]; };
   for (const kg::RelationalTriple& t : triples) {
     out.edges[static_cast<size_t>(resolve(t.head))].emplace_back(
         t.relation, static_cast<int32_t>(resolve(t.tail)));
@@ -108,15 +95,6 @@ Status IpTransE::Fit(const AlignInput& input) {
 
   TransE model(total, relations, config_.transe);
   Rng rng(config_.transe.seed ^ 0x17abcdULL);
-
-  auto extract = [&](Tensor* e1, Tensor* e2) {
-    const Tensor all = model.EntityEmbeddings(merge);
-    *e1 = Tensor({n1, model.dim()});
-    *e2 = Tensor({n2, model.dim()});
-    std::copy(all.data(), all.data() + n1 * model.dim(), e1->data());
-    std::copy(all.data() + n1 * model.dim(),
-              all.data() + total * model.dim(), e2->data());
-  };
 
   for (int64_t iter = 0; iter < config_.iterations; ++iter) {
     if (config_.path_samples_per_epoch > 0) {
@@ -136,7 +114,7 @@ Status IpTransE::Fit(const AlignInput& input) {
     }
     if (iter + 1 == config_.iterations) break;
     // Iterative soft alignment: pull mutually-nearest confident pairs.
-    extract(&emb1_, &emb2_);
+    std::tie(emb1_, emb2_) = SplitUnion(model.raw_entities(), n1, merge);
     Tensor s1 = emb1_, s2 = emb2_;
     tmath::L2NormalizeRowsInPlace(&s1);
     tmath::L2NormalizeRowsInPlace(&s2);
@@ -152,7 +130,7 @@ Status IpTransE::Fit(const AlignInput& input) {
                          config_.path_lr);
     }
   }
-  extract(&emb1_, &emb2_);
+  std::tie(emb1_, emb2_) = SplitUnion(model.raw_entities(), n1, merge);
   return Status::Ok();
 }
 

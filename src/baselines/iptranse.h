@@ -29,13 +29,9 @@ class IpTransE : public EntityAligner {
 
   std::string name() const override { return "IPTransE"; }
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return emb1_; }
-  const Tensor& embeddings2() const override { return emb2_; }
 
  private:
   Config config_;
-  Tensor emb1_;
-  Tensor emb2_;
 };
 
 }  // namespace sdea::baselines

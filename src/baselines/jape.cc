@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/check.h"
 #include "baselines/union_graph.h"
 #include "text/pretrain.h"
 #include "text/tokenizer.h"
@@ -26,27 +25,6 @@ std::vector<std::string> AttributeNameSentences(const kg::KnowledgeGraph& g) {
   return out;
 }
 
-// Mean attribute-name embedding per entity, L2-normalized.
-Tensor EntityAttributeVectors(const std::vector<std::string>& sentences,
-                              const text::SubwordTokenizer& tokenizer,
-                              const Tensor& table) {
-  const int64_t d = table.dim(1);
-  Tensor out({static_cast<int64_t>(sentences.size()), d});
-  for (size_t i = 0; i < sentences.size(); ++i) {
-    const auto ids = tokenizer.Encode(sentences[i]);
-    if (ids.empty()) continue;
-    float* row = out.data() + static_cast<int64_t>(i) * d;
-    for (int64_t id : ids) {
-      const float* trow = table.data() + id * d;
-      for (int64_t j = 0; j < d; ++j) row[j] += trow[j];
-    }
-    const float inv = 1.0f / static_cast<float>(ids.size());
-    for (int64_t j = 0; j < d; ++j) row[j] *= inv;
-  }
-  tmath::L2NormalizeRowsInPlace(&out);
-  return out;
-}
-
 // Concatenates weighted, L2-normalized structure and attribute blocks.
 Tensor FuseChannels(const Tensor& structure, const Tensor& attributes,
                     float w_struct, float w_attr) {
@@ -67,38 +45,24 @@ Tensor FuseChannels(const Tensor& structure, const Tensor& attributes,
 }  // namespace
 
 Status Jape::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("Jape: null input");
-  }
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
-  const int64_t total = n1 + n2;
+  const int64_t n1 = input.kg1.num_entities();
+  const int64_t n2 = input.kg2.num_entities();
   const int64_t relations = std::max<int64_t>(
-      1, input.kg1->num_relations() + input.kg2->num_relations());
+      1, input.kg1.num_relations() + input.kg2.num_relations());
 
   // Structure channel: seed-sharing TransE (JAPE-Stru).
-  std::vector<int32_t> merge(static_cast<size_t>(total));
-  for (int64_t i = 0; i < total; ++i) {
-    merge[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-  }
-  for (const auto& [a, b] : input.seeds->train) {
-    merge[static_cast<size_t>(n1 + b)] = a;
-  }
-  TransE model(total, relations, config_.transe);
-  model.Train(UnionTriples(*input.kg1, *input.kg2), merge);
-  const Tensor all = model.EntityEmbeddings(merge);
-  Tensor struct1({n1, model.dim()});
-  Tensor struct2({n2, model.dim()});
-  std::copy(all.data(), all.data() + n1 * model.dim(), struct1.data());
-  std::copy(all.data() + n1 * model.dim(), all.data() + total * model.dim(),
-            struct2.data());
+  const std::vector<int64_t> merge = SeedMerge(n1, n2, input.seeds.train);
+  TransE model(n1 + n2, relations, config_.transe);
+  model.Train(UnionTriples(input.kg1, input.kg2), merge);
+  const auto [struct1, struct2] =
+      SplitUnion(model.raw_entities(), n1, merge);
 
-  // Attribute channel: attribute-name correlation embeddings.
+  // Attribute channel: attribute-name correlation embeddings, the mean
+  // attribute-name vector per entity, L2-normalized.
   const std::vector<std::string> sentences1 =
-      AttributeNameSentences(*input.kg1);
+      AttributeNameSentences(input.kg1);
   const std::vector<std::string> sentences2 =
-      AttributeNameSentences(*input.kg2);
+      AttributeNameSentences(input.kg2);
   std::vector<std::string> corpus = sentences1;
   for (const auto& s : sentences2) corpus.push_back(s);
   text::SubwordTokenizer tokenizer;
@@ -114,8 +78,10 @@ Status Jape::Fit(const AlignInput& input) {
     text::CooccurrencePretrainer pretrainer;
     auto table = pretrainer.Train(corpus, tokenizer, pre_cfg);
     if (table.ok()) {
-      attr1 = EntityAttributeVectors(sentences1, tokenizer, *table);
-      attr2 = EntityAttributeVectors(sentences2, tokenizer, *table);
+      MeanTokenVectors(sentences1, tokenizer, *table, &attr1);
+      MeanTokenVectors(sentences2, tokenizer, *table, &attr2);
+      tmath::L2NormalizeRowsInPlace(&attr1);
+      tmath::L2NormalizeRowsInPlace(&attr2);
     }
   }
 

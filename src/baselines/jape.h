@@ -32,13 +32,9 @@ class Jape : public EntityAligner {
 
   std::string name() const override { return "JAPE"; }
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return emb1_; }
-  const Tensor& embeddings2() const override { return emb2_; }
 
  private:
   Config config_;
-  Tensor emb1_;
-  Tensor emb2_;
 };
 
 }  // namespace sdea::baselines

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
-#include "base/check.h"
 #include "baselines/union_graph.h"
 #include "nn/loss.h"
 #include "nn/module.h"
@@ -59,23 +59,19 @@ class GnnHead : public sdea::nn::Module {
 }  // namespace
 
 Status Kecg::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("Kecg: null input");
-  }
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
+  const int64_t n1 = input.kg1.num_entities();
+  const int64_t n2 = input.kg2.num_entities();
   const int64_t total = n1 + n2;
   const int64_t relations = std::max<int64_t>(
-      1, input.kg1->num_relations() + input.kg2->num_relations());
+      1, input.kg1.num_relations() + input.kg2.num_relations());
   const int64_t d = config_.dim;
 
   // Union triples with offset KG2 ids (no seed merging: KECG ties the
   // graphs through the cross-graph loss instead).
   const std::vector<kg::RelationalTriple> triples =
-      UnionTriples(*input.kg1, *input.kg2);
+      UnionTriples(input.kg1, input.kg2);
   const CsrMatrix adjacency =
-      NormalizedAdjacency(total, UnionEdges(*input.kg1, *input.kg2));
+      NormalizedAdjacency(total, UnionEdges(input.kg1, input.kg2));
 
   Rng rng(config_.seed);
   const float s = 1.0f / std::sqrt(static_cast<float>(d));
@@ -102,7 +98,7 @@ Status Kecg::Fit(const AlignInput& input) {
       NodeId hidden = g.L2NormalizeRows(
           g.Matmul(g.SparseMatmul(&adjacency, ent), g.Param(head.w_)));
       std::vector<int64_t> a_ids, p_ids, q_ids;
-      for (const auto& [a, b] : input.seeds->train) {
+      for (const auto& [a, b] : input.seeds.train) {
         for (int64_t k = 0; k < config_.negatives; ++k) {
           a_ids.push_back(a);
           p_ids.push_back(n1 + b);
@@ -121,13 +117,11 @@ Status Kecg::Fit(const AlignInput& input) {
 
   // Final embedding: one GNN pass over the co-trained table.
   Graph g;
-  const Tensor all = g.Value(g.L2NormalizeRows(
-      g.Matmul(g.SparseMatmul(&adjacency, g.Param(&entity_table)),
-               g.Param(head.w_))));
-  emb1_ = Tensor({n1, d});
-  emb2_ = Tensor({n2, d});
-  std::copy(all.data(), all.data() + n1 * d, emb1_.data());
-  std::copy(all.data() + n1 * d, all.data() + total * d, emb2_.data());
+  std::tie(emb1_, emb2_) = SplitUnion(
+      g.Value(g.L2NormalizeRows(
+          g.Matmul(g.SparseMatmul(&adjacency, g.Param(&entity_table)),
+                   g.Param(head.w_)))),
+      n1);
   return Status::Ok();
 }
 

@@ -31,13 +31,9 @@ class Kecg : public EntityAligner {
 
   std::string name() const override { return "KECG"; }
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return emb1_; }
-  const Tensor& embeddings2() const override { return emb2_; }
 
  private:
   Config config_;
-  Tensor emb1_;
-  Tensor emb2_;
 };
 
 }  // namespace sdea::baselines

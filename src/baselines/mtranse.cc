@@ -54,23 +54,18 @@ class MappingTask : public train::TrainTask {
 }  // namespace
 
 Status MTransE::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("MTransE: null input");
-  }
   TransEConfig tc = config_.transe;
   tc.negative_sampling = false;  // Original MTransE has no negatives.
-  TransE model1(input.kg1->num_entities(),
-                std::max<int64_t>(1, input.kg1->num_relations()), tc);
+  TransE model1(input.kg1.num_entities(),
+                std::max<int64_t>(1, input.kg1.num_relations()), tc);
   tc.seed ^= 0x9999;
-  TransE model2(input.kg2->num_entities(),
-                std::max<int64_t>(1, input.kg2->num_relations()), tc);
-  const std::vector<int32_t> identity;
-  model1.Train(RelationalRows(*input.kg1), identity);
-  model2.Train(RelationalRows(*input.kg2), identity);
+  TransE model2(input.kg2.num_entities(),
+                std::max<int64_t>(1, input.kg2.num_relations()), tc);
+  model1.Train(RelationalRows(input.kg1));
+  model2.Train(RelationalRows(input.kg2));
 
-  const Tensor e1 = model1.EntityEmbeddings(identity);
-  const Tensor e2 = model2.EntityEmbeddings(identity);
+  const Tensor& e1 = model1.raw_entities();
+  const Tensor& e2 = model2.raw_entities();
   const int64_t d = config_.transe.dim;
 
   // Learn W minimizing ||W h1 - h2||^2 over the seed pairs by SGD,
@@ -78,12 +73,12 @@ Status MTransE::Fit(const AlignInput& input) {
   Tensor w({d, d});
   for (int64_t i = 0; i < d; ++i) w[i * d + i] = 1.0f;
   Rng rng(config_.seed);
-  if (!input.seeds->train.empty() && config_.mapping_epochs > 0) {
-    MappingTask task(&w, &e1, &e2, &input.seeds->train, &rng,
+  if (!input.seeds.train.empty() && config_.mapping_epochs > 0) {
+    MappingTask task(&w, &e1, &e2, &input.seeds.train, &rng,
                      config_.mapping_lr, d);
     train::TrainerOptions options;
     options.max_epochs = config_.mapping_epochs;
-    options.batch_size = static_cast<int64_t>(input.seeds->train.size());
+    options.batch_size = static_cast<int64_t>(input.seeds.train.size());
     options.shuffle = train::TrainerOptions::Shuffle::kCumulative;
     train::Trainer trainer(&task, options);
     auto stats = trainer.Run();

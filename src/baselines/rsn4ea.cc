@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
-#include "base/check.h"
 #include "baselines/union_graph.h"
 #include "nn/optimizer.h"
 
@@ -22,30 +22,17 @@ struct JointGraph {
 };
 
 JointGraph BuildJointGraph(const AlignInput& input,
-                           std::vector<int32_t>* merge) {
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
-  const int64_t total = n1 + n2;
-  merge->resize(static_cast<size_t>(total));
-  for (int64_t i = 0; i < total; ++i) {
-    (*merge)[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-  }
-  for (const auto& [a, b] : input.seeds->train) {
-    (*merge)[static_cast<size_t>(n1 + b)] = a;
-  }
+                           const std::vector<int64_t>& merge) {
   JointGraph g;
-  g.num_entities = total;
-  g.num_relations =
-      input.kg1->num_relations() + input.kg2->num_relations();
-  g.adjacency.resize(static_cast<size_t>(total));
-  auto resolve = [&](int64_t raw) {
-    return static_cast<int64_t>((*merge)[static_cast<size_t>(raw)]);
-  };
+  g.num_entities = static_cast<int64_t>(merge.size());
+  g.num_relations = input.kg1.num_relations() + input.kg2.num_relations();
+  g.adjacency.resize(merge.size());
+  auto resolve = [&](int64_t raw) { return merge[static_cast<size_t>(raw)]; };
   auto add = [&](int64_t h, int64_t r, int64_t t) {
     g.adjacency[static_cast<size_t>(h)].emplace_back(r, t);
     g.adjacency[static_cast<size_t>(t)].emplace_back(r, h);
   };
-  for (const kg::RelationalTriple& t : UnionTriples(*input.kg1, *input.kg2)) {
+  for (const kg::RelationalTriple& t : UnionTriples(input.kg1, input.kg2)) {
     add(resolve(t.head), t.relation, resolve(t.tail));
   }
   return g;
@@ -54,12 +41,10 @@ JointGraph BuildJointGraph(const AlignInput& input,
 }  // namespace
 
 Status Rsn4Ea::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("Rsn4Ea: null input");
-  }
-  std::vector<int32_t> merge;
-  const JointGraph graph = BuildJointGraph(input, &merge);
+  const int64_t n1 = input.kg1.num_entities();
+  const std::vector<int64_t> merge =
+      SeedMerge(n1, input.kg2.num_entities(), input.seeds.train);
+  const JointGraph graph = BuildJointGraph(input, merge);
   const int64_t vocab = graph.num_entities + graph.num_relations;
   const int64_t d = config_.dim;
 
@@ -167,21 +152,9 @@ Status Rsn4Ea::Fit(const AlignInput& input) {
     }
   }
 
-  // Extract per-side entity embeddings, resolving merged slots.
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
-  emb1_ = Tensor({n1, d});
-  emb2_ = Tensor({n2, d});
-  for (int64_t e = 0; e < n1; ++e) {
-    const int64_t slot = merge[static_cast<size_t>(e)];
-    std::copy(table.value.data() + slot * d,
-              table.value.data() + (slot + 1) * d, emb1_.data() + e * d);
-  }
-  for (int64_t e = 0; e < n2; ++e) {
-    const int64_t slot = merge[static_cast<size_t>(n1 + e)];
-    std::copy(table.value.data() + slot * d,
-              table.value.data() + (slot + 1) * d, emb2_.data() + e * d);
-  }
+  // Per-side entity embeddings, resolving merged slots (the relation rows
+  // after the union entities are not read).
+  std::tie(emb1_, emb2_) = SplitUnion(table.value, n1, merge);
   return Status::Ok();
 }
 

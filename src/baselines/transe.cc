@@ -78,7 +78,7 @@ void TransE::Step(int64_t h, int64_t r, int64_t t, int64_t h_neg,
 class TransE::Task : public train::TrainTask {
  public:
   Task(TransE* model, const std::vector<kg::RelationalTriple>& triples,
-       const std::vector<int32_t>& merge)
+       const std::vector<int64_t>& merge)
       : model_(model),
         triples_(triples),
         sampler_(model->num_entities_, merge) {}
@@ -117,7 +117,7 @@ class TransE::Task : public train::TrainTask {
 };
 
 void TransE::RunTrainer(const std::vector<kg::RelationalTriple>& triples,
-                        const std::vector<int32_t>& merge, int64_t epochs) {
+                        const std::vector<int64_t>& merge, int64_t epochs) {
   if (triples.empty()) {
     // The historical epoch loop still renormalized on empty input.
     if (config_.normalize_entities) {
@@ -137,12 +137,12 @@ void TransE::RunTrainer(const std::vector<kg::RelationalTriple>& triples,
 }
 
 void TransE::TrainEpoch(const std::vector<kg::RelationalTriple>& triples,
-                        const std::vector<int32_t>& merge) {
+                        const std::vector<int64_t>& merge) {
   RunTrainer(triples, merge, /*epochs=*/1);
 }
 
 void TransE::Train(const std::vector<kg::RelationalTriple>& triples,
-                   const std::vector<int32_t>& merge) {
+                   const std::vector<int64_t>& merge) {
   RunTrainer(triples, merge, config_.epochs);
 }
 
@@ -174,19 +174,6 @@ void TransE::PullEntities(int64_t a, int64_t b, float lr) {
     ae[k] -= lr * g;
     be[k] += lr * g;
   }
-}
-
-Tensor TransE::EntityEmbeddings(const std::vector<int32_t>& merge) const {
-  const Tensor& entities = net_.entities->value;
-  Tensor out({num_entities_, config_.dim});
-  for (int64_t i = 0; i < num_entities_; ++i) {
-    const int64_t slot =
-        merge.empty() ? i : merge[static_cast<size_t>(i)];
-    std::copy(entities.data() + slot * config_.dim,
-              entities.data() + (slot + 1) * config_.dim,
-              out.data() + i * config_.dim);
-  }
-  return out;
 }
 
 }  // namespace sdea::baselines

@@ -33,17 +33,14 @@ class TransE {
          const TransEConfig& config);
 
   /// Trains on the triples; `merge` optionally maps entity ids to shared
-  /// slots (parameter sharing of seed-aligned entities across KGs). Pass an
-  /// empty vector for the identity mapping.
+  /// slots (parameter sharing of seed-aligned entities across KGs, see
+  /// SeedMerge). Empty is the identity mapping.
   void Train(const std::vector<kg::RelationalTriple>& triples,
-             const std::vector<int32_t>& merge);
+             const std::vector<int64_t>& merge = {});
 
   /// One extra epoch of training (used by BootEA's bootstrap rounds).
   void TrainEpoch(const std::vector<kg::RelationalTriple>& triples,
-                  const std::vector<int32_t>& merge);
-
-  /// Entity embeddings [num_entities, dim], resolving merged slots.
-  Tensor EntityEmbeddings(const std::vector<int32_t>& merge) const;
+                  const std::vector<int64_t>& merge);
 
   /// One SGD step pulling h + r1 + r2 toward t — the PTransE path
   /// composition used by IPTransE.
@@ -52,8 +49,9 @@ class TransE {
   /// One SGD step pulling entity a toward entity b (soft alignment).
   void PullEntities(int64_t a, int64_t b, float lr);
 
+  /// The entity table [num_entities, dim], one row per slot; SplitUnion
+  /// resolves merged slots.
   const Tensor& raw_entities() const { return net_.entities->value; }
-  int64_t dim() const { return config_.dim; }
 
   /// The embedding tables as a checkpointable module ("transe.entity" /
   /// "transe.relation").
@@ -72,7 +70,7 @@ class TransE {
 
   void Step(int64_t h, int64_t r, int64_t t, int64_t h_neg, int64_t t_neg);
   void RunTrainer(const std::vector<kg::RelationalTriple>& triples,
-                  const std::vector<int32_t>& merge, int64_t epochs);
+                  const std::vector<int64_t>& merge, int64_t epochs);
 
   TransEConfig config_;
   int64_t num_entities_;

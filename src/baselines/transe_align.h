@@ -28,16 +28,12 @@ class TransEAlign : public EntityAligner {
 
   std::string name() const override { return config_.display_name; }
   Status Fit(const AlignInput& input) override;
-  const Tensor& embeddings1() const override { return emb1_; }
-  const Tensor& embeddings2() const override { return emb2_; }
 
   /// Number of pseudo-seeds added by bootstrapping (for reporting).
   int64_t bootstrapped_pairs() const { return bootstrapped_pairs_; }
 
  private:
   Config config_;
-  Tensor emb1_;
-  Tensor emb2_;
   int64_t bootstrapped_pairs_ = 0;
 };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
-#include "base/check.h"
 #include "base/rng.h"
 #include "baselines/union_graph.h"
 #include "nn/loss.h"
@@ -113,29 +113,19 @@ class TransEdgeTask : public sdea::train::TrainTask {
 }  // namespace
 
 Status TransEdge::Fit(const AlignInput& input) {
-  if (input.kg1 == nullptr || input.kg2 == nullptr ||
-      input.seeds == nullptr) {
-    return Status::InvalidArgument("TransEdge: null input");
-  }
-  const int64_t n1 = input.kg1->num_entities();
-  const int64_t n2 = input.kg2->num_entities();
+  const int64_t n1 = input.kg1.num_entities();
+  const int64_t n2 = input.kg2.num_entities();
   const int64_t total = n1 + n2;
   const int64_t relations = std::max<int64_t>(
-      1, input.kg1->num_relations() + input.kg2->num_relations());
+      1, input.kg1.num_relations() + input.kg2.num_relations());
   const int64_t d = config_.dim;
 
   // Seed-sharing merge (as in the other joint-space baselines).
-  std::vector<int64_t> merge(static_cast<size_t>(total));
-  for (int64_t i = 0; i < total; ++i) merge[static_cast<size_t>(i)] = i;
-  for (const auto& [a, b] : input.seeds->train) {
-    merge[static_cast<size_t>(n1 + b)] = a;
-  }
+  const std::vector<int64_t> merge = SeedMerge(n1, n2, input.seeds.train);
   std::vector<Triple> triples;
-  auto resolve = [&](int64_t raw) {
-    return merge[static_cast<size_t>(raw)];
-  };
-  for (const kg::RelationalTriple& t : UnionTriples(*input.kg1, *input.kg2)) {
-    triples.push_back({resolve(t.head), t.relation, resolve(t.tail)});
+  for (const kg::RelationalTriple& t : UnionTriples(input.kg1, input.kg2)) {
+    triples.push_back({merge[static_cast<size_t>(t.head)], t.relation,
+                       merge[static_cast<size_t>(t.tail)]});
   }
   if (triples.empty()) {
     return Status::InvalidArgument("TransEdge: no relational triples");
@@ -156,19 +146,7 @@ Status TransEdge::Fit(const AlignInput& input) {
   auto stats = trainer.Run();
   if (!stats.ok()) return stats.status();
 
-  emb1_ = Tensor({n1, d});
-  emb2_ = Tensor({n2, d});
-  const Tensor& table = net.entity_->value;
-  for (int64_t e = 0; e < n1; ++e) {
-    const int64_t slot = merge[static_cast<size_t>(e)];
-    std::copy(table.data() + slot * d, table.data() + (slot + 1) * d,
-              emb1_.data() + e * d);
-  }
-  for (int64_t e = 0; e < n2; ++e) {
-    const int64_t slot = merge[static_cast<size_t>(n1 + e)];
-    std::copy(table.data() + slot * d, table.data() + (slot + 1) * d,
-              emb2_.data() + e * d);
-  }
+  std::tie(emb1_, emb2_) = SplitUnion(net.entity_->value, n1, merge);
   return Status::Ok();
 }
 

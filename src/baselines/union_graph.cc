@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <string>
+
+#include "base/check.h"
 
 namespace sdea::baselines {
 namespace {
@@ -22,6 +25,60 @@ void AppendRows(const kg::KnowledgeGraph& graph, int32_t entity_offset,
 }
 
 }  // namespace
+
+std::vector<int64_t> SeedMerge(
+    int64_t n1, int64_t n2,
+    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& train) {
+  std::vector<int64_t> merge(static_cast<size_t>(n1 + n2));
+  std::iota(merge.begin(), merge.end(), int64_t{0});
+  for (const auto& [a, b] : train) merge[static_cast<size_t>(n1 + b)] = a;
+  return merge;
+}
+
+std::pair<Tensor, Tensor> SplitUnion(const Tensor& table, int64_t n1,
+                                     const std::vector<int64_t>& merge) {
+  const int64_t total =
+      merge.empty() ? table.dim(0) : static_cast<int64_t>(merge.size());
+  SDEA_CHECK(n1 >= 0 && n1 <= total);
+  const int64_t d = table.dim(1);
+  std::pair<Tensor, Tensor> out{Tensor({n1, d}), Tensor({total - n1, d})};
+  for (int64_t i = 0; i < total; ++i) {
+    const int64_t slot = merge.empty() ? i : merge[static_cast<size_t>(i)];
+    float* dst = i < n1 ? out.first.data() + i * d
+                        : out.second.data() + (i - n1) * d;
+    std::copy(table.data() + slot * d, table.data() + (slot + 1) * d, dst);
+  }
+  return out;
+}
+
+std::vector<std::string> EntityNames(const kg::KnowledgeGraph& graph) {
+  std::vector<std::string> out;
+  out.reserve(static_cast<size_t>(graph.num_entities()));
+  for (kg::EntityId e = 0; e < graph.num_entities(); ++e) {
+    out.push_back(graph.entity_name(e));
+  }
+  return out;
+}
+
+void MeanTokenVectors(const std::vector<std::string>& texts,
+                      const text::SubwordTokenizer& tokenizer,
+                      const Tensor& table, Tensor* rows) {
+  const int64_t d = table.dim(1);
+  SDEA_CHECK_EQ(rows->dim(1), d);
+  SDEA_CHECK_GE(rows->dim(0), static_cast<int64_t>(texts.size()));
+  for (size_t i = 0; i < texts.size(); ++i) {
+    const std::vector<int64_t> ids = tokenizer.Encode(texts[i]);
+    if (ids.empty()) continue;
+    float* row = rows->data() + static_cast<int64_t>(i) * d;
+    std::fill(row, row + d, 0.0f);
+    for (int64_t id : ids) {
+      const float* trow = table.data() + id * d;
+      for (int64_t j = 0; j < d; ++j) row[j] += trow[j];
+    }
+    const float inv = 1.0f / static_cast<float>(ids.size());
+    for (int64_t j = 0; j < d; ++j) row[j] *= inv;
+  }
+}
 
 std::vector<kg::RelationalTriple> RelationalRows(
     const kg::KnowledgeGraph& graph) {

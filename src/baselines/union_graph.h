@@ -2,19 +2,47 @@
 #define SDEA_BASELINES_UNION_GRAPH_H_
 
 #include <cstdint>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "kg/knowledge_graph.h"
 #include "tensor/sparse.h"
 #include "tensor/tensor.h"
+#include "text/tokenizer.h"
 
 namespace sdea::baselines {
 
-// The graph inputs the structural baselines share. Each one pins a
-// snapshot per KG and scans it in row order, so rows come out in
-// insertion order. The union entity space is KG1's ids [0, |E1|) followed
-// by KG2's ids offset by |E1|.
+// The union-space pieces the baselines share. The union entity space is
+// KG1's ids [0, |E1|) followed by KG2's ids offset by |E1|. The graph
+// readers pin a snapshot per KG and scan it in row order, so rows come
+// out in insertion order.
+
+/// The seed-sharing merge of the union space: merge[i] = i, except that
+/// each train pair (a, b) sends KG2's union id n1 + b to KG1's slot a, so
+/// both entities of a seed pair train one parameter row.
+std::vector<int64_t> SeedMerge(
+    int64_t n1, int64_t n2,
+    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& train);
+
+/// Splits a union-indexed table into KG1's rows [0, n1) and KG2's rows
+/// after them. Union entity i reads `table` row merge[i]; an empty `merge`
+/// is the identity over the table's rows. Extra rows past the union (a
+/// joint entity + relation vocabulary) are ignored when `merge` is given.
+std::pair<Tensor, Tensor> SplitUnion(const Tensor& table, int64_t n1,
+                                     const std::vector<int64_t>& merge = {});
+
+/// `graph`'s entity names in id order.
+std::vector<std::string> EntityNames(const kg::KnowledgeGraph& graph);
+
+/// For each text with at least one token, overwrites that row of `rows`
+/// with the mean of the text's token vectors in `table` (summed in token
+/// order, then scaled by 1/count). Rows of token-less texts keep their
+/// values. `rows` needs texts.size() rows of table.dim(1) columns.
+void MeanTokenVectors(const std::vector<std::string>& texts,
+                      const text::SubwordTokenizer& tokenizer,
+                      const Tensor& table, Tensor* rows);
 
 /// `graph`'s relational triples as a row list (TransE training input).
 std::vector<kg::RelationalTriple> RelationalRows(

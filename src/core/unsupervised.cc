@@ -7,6 +7,29 @@
 
 namespace sdea::core {
 
+std::vector<std::pair<int64_t, int64_t>> MutualNearestPairs(
+    const Tensor& scores) {
+  const int64_t n1 = scores.dim(0), n2 = scores.dim(1);
+  std::vector<std::pair<int64_t, int64_t>> out;
+  if (n1 == 0 || n2 == 0) return out;
+  std::vector<int64_t> best_for_tgt(static_cast<size_t>(n2), 0);
+  for (int64_t j = 0; j < n2; ++j) {
+    int64_t& arg = best_for_tgt[static_cast<size_t>(j)];
+    for (int64_t i = 1; i < n1; ++i) {
+      if (scores[i * n2 + j] > scores[arg * n2 + j]) arg = i;
+    }
+  }
+  for (int64_t i = 0; i < n1; ++i) {
+    const float* row = scores.data() + i * n2;
+    int64_t arg = 0;
+    for (int64_t j = 1; j < n2; ++j) {
+      if (row[j] > row[arg]) arg = j;
+    }
+    if (best_for_tgt[static_cast<size_t>(arg)] == i) out.emplace_back(i, arg);
+  }
+  return out;
+}
+
 Result<PseudoSeeds> MinePseudoSeeds(
     const kg::KnowledgeGraph& kg1, const kg::KnowledgeGraph& kg2,
     const AttributeModuleConfig& attr_config,
@@ -23,33 +46,13 @@ Result<PseudoSeeds> MinePseudoSeeds(
   const Tensor scores = tmath::MatmulTransposeB(e1, e2);
   const int64_t n1 = scores.dim(0), n2 = scores.dim(1);
 
-  // Mutual nearest neighbors above the similarity floor.
-  std::vector<int64_t> best_for_src(static_cast<size_t>(n1));
-  for (int64_t i = 0; i < n1; ++i) {
-    const float* row = scores.data() + i * n2;
-    int64_t arg = 0;
-    for (int64_t j = 1; j < n2; ++j) {
-      if (row[j] > row[arg]) arg = j;
-    }
-    best_for_src[static_cast<size_t>(i)] = arg;
-  }
-  std::vector<int64_t> best_for_tgt(static_cast<size_t>(n2));
-  for (int64_t j = 0; j < n2; ++j) {
-    int64_t arg = 0;
-    for (int64_t i = 1; i < n1; ++i) {
-      if (scores[i * n2 + j] > scores[arg * n2 + j]) arg = i;
-    }
-    best_for_tgt[static_cast<size_t>(j)] = arg;
-  }
-
   PseudoSeeds out;
   out.candidates_considered = n1;
-  // Collect (similarity, pair), most confident first.
+  // Mutual nearest neighbors above the similarity floor, collected as
+  // (similarity, pair) and sorted most confident first.
   std::vector<std::pair<float, std::pair<kg::EntityId, kg::EntityId>>>
       accepted;
-  for (int64_t i = 0; i < n1; ++i) {
-    const int64_t j = best_for_src[static_cast<size_t>(i)];
-    if (best_for_tgt[static_cast<size_t>(j)] != i) continue;
+  for (const auto& [i, j] : MutualNearestPairs(scores)) {
     const float sim = scores[i * n2 + j];
     if (sim < options.min_similarity) continue;
     accepted.emplace_back(sim,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -29,6 +30,13 @@ struct PseudoSeeds {
   int64_t candidates_considered = 0;
   int64_t accepted = 0;
 };
+
+/// Mutually nearest (row, column) pairs of a score matrix [n1, n2]: j is
+/// the first maximum of row i and i is the first maximum of column j.
+/// Pairs come in ascending row order; each row and column is in at most
+/// one pair. Empty when either side is empty.
+std::vector<std::pair<int64_t, int64_t>> MutualNearestPairs(
+    const Tensor& scores);
 
 /// Unsupervised entity alignment — the direction the paper's related-work
 /// section points to ("completely unsupervised solutions"). No alignment

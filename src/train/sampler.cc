@@ -4,27 +4,12 @@
 
 namespace sdea::train {
 
-NegativeSampler::NegativeSampler(int64_t num_entities)
-    : num_entities_(num_entities) {
-  SDEA_CHECK_GT(num_entities, 0);
-}
-
 NegativeSampler::NegativeSampler(int64_t num_entities,
                                  std::vector<int64_t> merge)
     : num_entities_(num_entities), merge_(std::move(merge)) {
   SDEA_CHECK_GT(num_entities, 0);
   SDEA_CHECK(merge_.empty() ||
              merge_.size() == static_cast<size_t>(num_entities));
-}
-
-NegativeSampler::NegativeSampler(int64_t num_entities,
-                                 const std::vector<int32_t>& merge)
-    : num_entities_(num_entities) {
-  SDEA_CHECK_GT(num_entities, 0);
-  SDEA_CHECK(merge.empty() ||
-             merge.size() == static_cast<size_t>(num_entities));
-  merge_.reserve(merge.size());
-  for (int32_t slot : merge) merge_.push_back(slot);
 }
 
 NegativeSampler::CorruptedPair NegativeSampler::CorruptHeadOrTail(

@@ -20,15 +20,11 @@ namespace sdea::train {
 /// bitwise-reproducible against their pre-refactor selves.
 class NegativeSampler {
  public:
-  /// Identity resolution over `num_entities` raw ids.
-  explicit NegativeSampler(int64_t num_entities);
-
-  /// `merge[raw]` = shared slot of raw id (seed-sharing). `merge` must be
-  /// empty (identity) or have exactly `num_entities` entries.
-  NegativeSampler(int64_t num_entities, std::vector<int64_t> merge);
-
-  /// As above for the int32 merge vectors used by the TransE baseline.
-  NegativeSampler(int64_t num_entities, const std::vector<int32_t>& merge);
+  /// Draws over `num_entities` raw ids. `merge[raw]` = shared slot of raw
+  /// id (seed-sharing); `merge` must be empty (identity) or have exactly
+  /// `num_entities` entries.
+  explicit NegativeSampler(int64_t num_entities,
+                           std::vector<int64_t> merge = {});
 
   /// Resolves a raw id through the merge map.
   int64_t Resolve(int64_t raw) const {

@@ -12,6 +12,7 @@
 #include "baselines/transe_align.h"
 #include "baselines/union_graph.h"
 #include "datagen/generator.h"
+#include "text/tokenizer.h"
 
 namespace sdea::baselines {
 namespace {
@@ -20,7 +21,7 @@ struct Fixture {
   datagen::GeneratedBenchmark bench;
   kg::AlignmentSeeds seeds;
   AlignInput input() const {
-    return AlignInput{&bench.kg1, &bench.kg2, &seeds};
+    return AlignInput{bench.kg1, bench.kg2, seeds};
   }
 };
 
@@ -54,12 +55,11 @@ TEST(TransETest, TrainingReducesTripleDistance) {
   c.dim = 16;
   c.epochs = 30;
   TransE model(f.bench.kg1.num_entities(), f.bench.kg1.num_relations(), c);
-  const std::vector<int32_t> identity;
   const std::vector<kg::RelationalTriple> triples =
       RelationalRows(f.bench.kg1);
   // Average ||h + r - t|| over triples, before vs after training.
   auto avg_distance = [&]() {
-    const Tensor e = model.EntityEmbeddings(identity);
+    const Tensor& e = model.raw_entities();
     double sum = 0.0;
     for (const auto& t : triples) {
       const Tensor h = e.Row(t.head);
@@ -69,7 +69,7 @@ TEST(TransETest, TrainingReducesTripleDistance) {
     return sum / triples.size();
   };
   const double before = avg_distance();
-  model.Train(triples, identity);
+  model.Train(triples);
   // Embeddings must have moved (head/tail of linked triples get related).
   const double after = avg_distance();
   EXPECT_NE(before, after);
@@ -180,6 +180,48 @@ TEST(BertIntLiteTest, CollapsesOnOpaqueIds) {
   EXPECT_LT(metrics.hits_at_1, 10.0);
 }
 
+TEST(UnionGraphTest, SeedMergeSharesSlotsAndSplitUnionResolvesThem) {
+  // KG1 has 3 entities, KG2 has 2; the seed (1, 0) gives KG2 entity 0
+  // (union id 3) KG1 entity 1's slot.
+  const std::vector<int64_t> merge = SeedMerge(3, 2, {{1, 0}});
+  EXPECT_EQ(merge, (std::vector<int64_t>{0, 1, 2, 1, 4}));
+  // Six rows: the five union slots and one trailing non-entity row.
+  Tensor table({6, 2});
+  for (int64_t i = 0; i < table.size(); ++i) table[i] = static_cast<float>(i);
+  const auto [m1, m2] = SplitUnion(table, 3, merge);
+  ASSERT_EQ(m1.dim(0), 3);
+  ASSERT_EQ(m2.dim(0), 2);
+  EXPECT_EQ(m1[2 * 2], table[2 * 2]);
+  EXPECT_EQ(m2[0], table[1 * 2]);      // Merged onto slot 1.
+  EXPECT_EQ(m2[2 + 1], table[4 * 2 + 1]);
+  // Identity: every table row belongs to the union.
+  const auto [i1, i2] = SplitUnion(table, 4);
+  ASSERT_EQ(i1.dim(0), 4);
+  ASSERT_EQ(i2.dim(0), 2);
+  EXPECT_EQ(i2[0], table[4 * 2]);
+}
+
+TEST(UnionGraphTest, MeanTokenVectorsSkipsTokenlessTexts) {
+  text::SubwordTokenizer tokenizer;
+  text::TokenizerConfig config;
+  config.num_merges = 8;
+  ASSERT_TRUE(tokenizer.Train({"alpha beta", "beta gamma"}, config).ok());
+  Tensor table({tokenizer.vocab().size(), 2});
+  for (int64_t i = 0; i < table.size(); ++i) {
+    table[i] = 0.25f * static_cast<float>(i % 7);
+  }
+  Tensor rows({2, 2}, 9.0f);
+  MeanTokenVectors({"alpha gamma", ""}, tokenizer, table, &rows);
+  const std::vector<int64_t> ids = tokenizer.Encode("alpha gamma");
+  ASSERT_FALSE(ids.empty());
+  for (int64_t j = 0; j < 2; ++j) {
+    float sum = 0.0f;
+    for (int64_t id : ids) sum += table[id * 2 + j];
+    EXPECT_EQ(rows[j], sum * (1.0f / static_cast<float>(ids.size())));
+    EXPECT_EQ(rows[2 + j], 9.0f);  // No tokens: the row keeps its value.
+  }
+}
+
 TEST(CeaTest, FusedScoresAndStableMatching) {
   Fixture f = MakeFixture();
   Cea::Config c;
@@ -194,20 +236,6 @@ TEST(CeaTest, FusedScoresAndStableMatching) {
   EXPECT_GT(emb_metrics.hits_at_1, 50.0);
   // Stable matching must not collapse relative to greedy ranking.
   EXPECT_GE(stable_h1, emb_metrics.hits_at_1 - 10.0);
-}
-
-TEST(BaselinesTest, NullInputRejected) {
-  AlignInput bad;
-  MTransE mt({});
-  EXPECT_FALSE(mt.Fit(bad).ok());
-  TransEAlign ta({});
-  EXPECT_FALSE(ta.Fit(bad).ok());
-  GcnAlign ga(GcnConfig());
-  EXPECT_FALSE(ga.Fit(bad).ok());
-  BertIntLite bi({});
-  EXPECT_FALSE(bi.Fit(bad).ok());
-  Cea cea({});
-  EXPECT_FALSE(cea.Fit(bad).ok());
 }
 
 }  // namespace

@@ -18,6 +18,18 @@ AttributeModuleConfig TinyAttrConfig() {
   return c;
 }
 
+TEST(MutualNearestPairsTest, KeepsFirstMaximaThatPointAtEachOther) {
+  // Row 0 ties columns 0 and 2 and keeps the first; column 0 ties rows 0
+  // and 1 and keeps the first. Row 2's best column (1) prefers row 1.
+  const Tensor scores({3, 3}, std::vector<float>{0.9f, 0.1f, 0.9f,  //
+                                                 0.9f, 0.8f, 0.2f,  //
+                                                 0.0f, 0.5f, 0.4f});
+  const auto pairs = MutualNearestPairs(scores);
+  EXPECT_EQ(pairs, (std::vector<std::pair<int64_t, int64_t>>{{0, 0}}));
+  EXPECT_TRUE(MutualNearestPairs(Tensor({2, 0})).empty());
+  EXPECT_TRUE(MutualNearestPairs(Tensor({0, 3})).empty());
+}
+
 TEST(UnsupervisedTest, MinesHighPrecisionSeedsOnSharedNames) {
   datagen::GeneratorConfig g;
   g.seed = 91;

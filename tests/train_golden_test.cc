@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 
+#include "baselines/bert_int_lite.h"
+#include "baselines/cea.h"
 #include "baselines/gcn_align.h"
 #include "baselines/hman.h"
 #include "baselines/iptranse.h"
@@ -27,6 +29,7 @@
 #include "baselines/transedge.h"
 #include "baselines/union_graph.h"
 #include "core/sdea.h"
+#include "core/unsupervised.h"
 #include "datagen/generator.h"
 #include "datagen/streaming.h"
 #include "incr/update_log.h"
@@ -59,11 +62,27 @@ uint64_t HashString(const std::string& s) {
   return HashBytes(s.data(), s.size());
 }
 
+uint64_t HashPairs(
+    const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs) {
+  std::vector<int64_t> flat;
+  for (const auto& [a, b] : pairs) {
+    flat.push_back(a);
+    flat.push_back(b);
+  }
+  return HashBytes(flat.data(), flat.size() * sizeof(int64_t));
+}
+
+uint64_t HashMetrics(const eval::RankingMetrics& m) {
+  const double values[] = {m.hits_at_1, m.hits_at_10, m.mrr,
+                           static_cast<double>(m.num_queries)};
+  return HashBytes(values, sizeof(values));
+}
+
 struct Fixture {
   datagen::GeneratedBenchmark bench;
   kg::AlignmentSeeds seeds;
   baselines::AlignInput input() {
-    return baselines::AlignInput{&bench.kg1, &bench.kg2, &seeds};
+    return baselines::AlignInput{bench.kg1, bench.kg2, seeds};
   }
 };
 
@@ -89,10 +108,8 @@ TEST(TrainGoldenTest, TransEMatchesLegacyLoop) {
   c.epochs = 10;
   baselines::TransE model(f.bench.kg1.num_entities(),
                           f.bench.kg1.num_relations(), c);
-  const std::vector<int32_t> identity;
-  model.Train(baselines::RelationalRows(f.bench.kg1), identity);
-  EXPECT_EQ(HashTensor(model.EntityEmbeddings(identity)),
-            0x455b7a550e696ef8ULL);
+  model.Train(baselines::RelationalRows(f.bench.kg1));
+  EXPECT_EQ(HashTensor(model.raw_entities()), 0x455b7a550e696ef8ULL);
 }
 
 TEST(TrainGoldenTest, MTransEMatchesLegacyLoop) {
@@ -304,6 +321,84 @@ TEST(TrainGoldenTest, StreamingPresetMatchesGolden) {
                       stream.base_truth.size() *
                           sizeof(stream.base_truth[0])),
             0x2e78b10c5656a843ULL);
+}
+
+// The cases below were captured at commit a6218b8, before the baselines
+// moved onto one union-space scaffold (shared seed merge, union split,
+// entity names and mean token vectors, one mutual-nearest scan), by
+// running them against that tree. They pin the name-feature paths
+// (CEA's fused scores, RDGCN-lite's name-initialized features, the
+// BERT-INT name encoder) and the pseudo-seed miner's mutual-nearest pairs.
+
+TEST(TrainGoldenTest, CeaMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::Cea::Config c;
+  c.gcn.feature_dim = 16;
+  c.gcn.hidden_dim = 16;
+  c.gcn.out_dim = 16;
+  c.gcn.epochs = 10;
+  c.gcn.eval_every = 5;
+  c.semantic_dim = 16;
+  baselines::Cea m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0xbba91b23954d79d6ULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0xb0ec29b74f1cc5dbULL);
+  EXPECT_EQ(HashTensor(m.fused_scores()), 0x392d51d13d658935ULL);
+  EXPECT_EQ(HashMetrics(m.Evaluate(f.bench.ground_truth)), 0x68ac918b3ccfbacaULL);
+  const double stable = m.StableHits1(f.bench.ground_truth);
+  EXPECT_EQ(HashBytes(&stable, sizeof(stable)), 0x48ef977eb05bbf02ULL);
+}
+
+TEST(TrainGoldenTest, RdgcnLiteMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::GcnAlign::Config c = baselines::RdgcnLiteConfig();
+  c.feature_dim = 16;
+  c.hidden_dim = 16;
+  c.out_dim = 16;
+  c.epochs = 10;
+  c.eval_every = 5;
+  baselines::GcnAlign m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0xeb34d62c4ad1cf0aULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0x9ef2bc02bc9410c8ULL);
+}
+
+TEST(TrainGoldenTest, BertIntLiteMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  baselines::BertIntLite::Config c;
+  c.text.encoder.dim = 16;
+  c.text.encoder.ff_dim = 32;
+  c.text.encoder.num_layers = 1;
+  c.text.encoder.max_len = 16;
+  c.text.out_dim = 16;
+  c.text.max_epochs = 3;
+  c.text.patience = 2;
+  c.text.negatives_per_pair = 2;
+  c.text.ssl_epochs = 1;
+  c.text.pretrain.epochs = 3;
+  baselines::BertIntLite m(c);
+  ASSERT_TRUE(m.Fit(f.input()).ok());
+  EXPECT_EQ(HashTensor(m.embeddings1()), 0xdb0ce78f59997cadULL);
+  EXPECT_EQ(HashTensor(m.embeddings2()), 0x4316b36c5c6e7d20ULL);
+}
+
+TEST(TrainGoldenTest, MinePseudoSeedsMatchesGolden) {
+  Fixture f = MakeBaselineFixture();
+  core::AttributeModuleConfig attr;
+  attr.text.encoder.dim = 16;
+  attr.text.encoder.num_layers = 1;
+  attr.text.encoder.ff_dim = 32;
+  attr.text.encoder.max_len = 24;
+  attr.text.out_dim = 16;
+  attr.text.pretrain.epochs = 3;
+  core::UnsupervisedOptions opt;
+  opt.min_similarity = 0.5f;
+  auto pseudo = core::MinePseudoSeeds(f.bench.kg1, f.bench.kg2, attr, opt,
+                                      f.bench.pretrain_corpus);
+  ASSERT_TRUE(pseudo.ok()) << pseudo.status().ToString();
+  EXPECT_EQ(pseudo->accepted, 94);
+  EXPECT_EQ(HashPairs(pseudo->seeds.train), 0x4cf9c58962bbabc7ULL);
+  EXPECT_EQ(HashPairs(pseudo->seeds.valid), 0x5b136a4e785c5d2cULL);
 }
 
 }  // namespace

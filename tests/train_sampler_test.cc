@@ -86,17 +86,6 @@ TEST(NegativeSamplerTest, ResolvesMergedSlots) {
   }
 }
 
-TEST(NegativeSamplerTest, Int32MergeMatchesInt64Merge) {
-  std::vector<int64_t> merge64 = {2, 2, 2, 3, 4};
-  std::vector<int32_t> merge32 = {2, 2, 2, 3, 4};
-  NegativeSampler a(5, merge64);
-  NegativeSampler b(5, merge32);
-  Rng ra(99), rb(99);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(a.SampleEntity(&ra), b.SampleEntity(&rb));
-  }
-}
-
 TEST(NegativeSamplerTest, IdentityIsUnbiasedUniform) {
   // Chi-square-ish sanity: 20k draws over 8 entities; every bucket within
   // 15% of the expected 2500.
