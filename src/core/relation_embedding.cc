@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "base/threadpool.h"
 #include "core/margin_alignment.h"
+#include "obs/trace.h"
+#include "tensor/kernels.h"
 
 namespace sdea::core {
 namespace {
@@ -138,28 +141,109 @@ int64_t RelationEmbeddingModule::entity_embedding_dim() const {
 Tensor RelationEmbeddingModule::ComputeEntityEmbeddings(
     int side, const Tensor& ha_side) const {
   SDEA_CHECK(initialized_);
+  SDEA_CHECK(side == 1 || side == 2);
+  obs::TraceSpan span("relation/embed_all");
   const int64_t n = static_cast<int64_t>(
       neighbors_[static_cast<size_t>(side - 1)].size());
   SDEA_CHECK_EQ(ha_side.dim(0), n);
+  SDEA_CHECK_EQ(ha_side.dim(1), attr_dim_);
   Tensor out({n, entity_embedding_dim()});
-  for (kg::EntityId e = 0; e < n; ++e) {
-    Graph g;
-    NodeId hr, hm;
-    ForwardEntity(&g, side, e, ha_side, &hr, &hm);
-    const Tensor& hr_v = g.Value(hr);
-    const Tensor& hm_v = g.Value(hm);
-    // Ha block L2-normalized like the others (Eq. 17 concatenation).
-    Tensor ha_row({1, attr_dim_});
-    ha_row.SetRow(0, ha_side.Row(e));
-    tmath::L2NormalizeRowsInPlace(&ha_row);
-    float* row = out.data() + e * entity_embedding_dim();
-    std::copy(hr_v.data(), hr_v.data() + config_.hidden_dim, row);
-    std::copy(ha_row.data(), ha_row.data() + attr_dim_,
-              row + config_.hidden_dim);
-    std::copy(hm_v.data(), hm_v.data() + config_.joint_dim,
-              row + config_.hidden_dim + attr_dim_);
-  }
+  base::ParallelFor(n, kEmbedChunk, [&](int64_t begin, int64_t end) {
+    EmbedChunk(side, ha_side, begin, end, &out);
+  });
   return out;
+}
+
+void RelationEmbeddingModule::EmbedChunk(int side, const Tensor& ha_side,
+                                         int64_t begin, int64_t end,
+                                         Tensor* out) const {
+  // ForwardEntity for entities [begin, end) at once, off the tape. Every
+  // op below keeps rows independent, so each entity's rows round as in
+  // its own graph.
+  const int64_t count = end - begin, hid = config_.hidden_dim;
+  const int64_t width = entity_embedding_dim();
+  // The entities' neighbour sequences back to back.
+  std::vector<int64_t> offsets{0};
+  for (kg::EntityId e = begin; e < end; ++e) {
+    offsets.push_back(offsets.back() +
+                      static_cast<int64_t>(neighbor_list(side, e).size()));
+  }
+  Tensor x({offsets.back(), attr_dim_});
+  for (kg::EntityId e = begin; e < end; ++e) {
+    int64_t row = offsets[static_cast<size_t>(e - begin)];
+    for (kg::EntityId nb : neighbor_list(side, e)) {
+      std::copy(ha_side.data() + nb * attr_dim_,
+                ha_side.data() + (nb + 1) * attr_dim_,
+                x.data() + row++ * attr_dim_);
+    }
+  }
+
+  Tensor hidden;  // [rows, hid]
+  if (config_.aggregation == NeighborAggregation::kBiGruAttention) {
+    hidden = bigru_->InferPacked(x, offsets);
+  } else {
+    hidden = projection_->Infer(x);
+    tmath::TanhInPlace(hidden.data(), hidden.size());
+  }
+
+  Tensor hr({count, hid});
+  if (config_.aggregation == NeighborAggregation::kMeanPooling) {
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t seg = offsets[static_cast<size_t>(i)];
+      tmath::MeanRows(hidden.data() + seg * hid,
+                      offsets[static_cast<size_t>(i) + 1] - seg, hid,
+                      hr.data() + i * hid);
+    }
+  } else {
+    // Eq. 12 for every entity at once, from its last hidden state.
+    Tensor last({count, hid});
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t row = offsets[static_cast<size_t>(i) + 1] - 1;
+      std::copy(hidden.data() + row * hid, hidden.data() + (row + 1) * hid,
+                last.data() + i * hid);
+    }
+    const Tensor h_hat = attention_mlp_->Infer(last);
+    // Eqs. 13-15 per entity segment: exact dots, softmax over the
+    // entity's own neighbours, exact weighted sum.
+    std::vector<float> alpha;
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t seg = offsets[static_cast<size_t>(i)];
+      const int64_t t_len = offsets[static_cast<size_t>(i) + 1] - seg;
+      const float* states = hidden.data() + seg * hid;
+      alpha.resize(static_cast<size_t>(t_len));
+      for (int64_t t = 0; t < t_len; ++t) {
+        alpha[static_cast<size_t>(t)] = tmath::kernels::ScoreDot(
+            h_hat.data() + i * hid, states + t * hid, hid);
+      }
+      tmath::SoftmaxRowInPlace(alpha.data(), t_len);
+      tmath::kernels::MatmulRows(alpha.data(), states, hr.data() + i * hid,
+                                 t_len, hid, 0, 1);
+    }
+  }
+
+  // Eq. 16 on [Ha; Hr] with Hr normalized, and the Ha block of Eq. 17.
+  Tensor joint_in({count, attr_dim_ + hid});
+  Tensor ha_block({count, attr_dim_});
+  for (int64_t i = 0; i < count; ++i) {
+    float* row = out->data() + (begin + i) * width;
+    tmath::L2NormalizeRow(hr.data() + i * hid, hid, tmath::kL2NormalizeEps,
+                          row);
+    const float* ha = ha_side.data() + (begin + i) * attr_dim_;
+    float* joint_row = joint_in.data() + i * (attr_dim_ + hid);
+    std::copy(ha, ha + attr_dim_, joint_row);
+    std::copy(row, row + hid, joint_row + attr_dim_);
+    std::copy(ha, ha + attr_dim_, ha_block.data() + i * attr_dim_);
+  }
+  tmath::L2NormalizeRowsInPlace(&ha_block);
+  const Tensor hm = joint_mlp_->Infer(joint_in);
+  const int64_t jd = config_.joint_dim;
+  for (int64_t i = 0; i < count; ++i) {
+    float* row = out->data() + (begin + i) * width;
+    std::copy(ha_block.data() + i * attr_dim_,
+              ha_block.data() + (i + 1) * attr_dim_, row + hid);
+    tmath::L2NormalizeRow(hm.data() + i * jd, jd, tmath::kL2NormalizeEps,
+                          row + hid + attr_dim_);
+  }
 }
 
 Result<TrainReport> RelationEmbeddingModule::Train(

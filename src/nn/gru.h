@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "nn/module.h"
 
@@ -20,6 +21,11 @@ class GruCell : public Module {
 
   /// One step: x [1, input_dim], h_prev [1, hidden_dim] -> [1, hidden_dim].
   NodeId Step(Graph* g, NodeId x, NodeId h_prev) const;
+
+  /// No-grad Step over a batch of rows: x [b, input_dim], h_prev
+  /// [b, hidden_dim] -> [b, hidden_dim], op for op as Step, so each row has
+  /// the bits Step gives that row alone.
+  Tensor InferStep(const Tensor& x, const Tensor& h_prev) const;
 
   int64_t input_dim() const { return input_dim_; }
   int64_t hidden_dim() const { return hidden_dim_; }
@@ -49,6 +55,15 @@ class Gru : public Module {
   /// output rows are returned in the original order.
   NodeId Forward(Graph* g, NodeId x, bool reverse = false) const;
 
+  /// No-grad Forward over many sequences at once, packed by length: `x`
+  /// holds the sequences back to back, sequence i at rows [offsets[i],
+  /// offsets[i + 1]) (each non-empty), and its states land in the same
+  /// rows of the result. Step s runs one InferStep over the sequences
+  /// longer than s, so every row has the bits Forward gives its sequence
+  /// alone.
+  Tensor InferPacked(const Tensor& x, const std::vector<int64_t>& offsets,
+                     bool reverse) const;
+
   int64_t hidden_dim() const { return cell_->hidden_dim(); }
 
  private:
@@ -64,6 +79,10 @@ class BiGru : public Module {
 
   /// x: [T, input_dim] -> [T, hidden_dim].
   NodeId Forward(Graph* g, NodeId x) const;
+
+  /// No-grad Forward over packed sequences (see Gru::InferPacked).
+  Tensor InferPacked(const Tensor& x,
+                     const std::vector<int64_t>& offsets) const;
 
   int64_t hidden_dim() const { return forward_->hidden_dim(); }
 

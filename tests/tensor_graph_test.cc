@@ -28,6 +28,32 @@ TEST(GraphTest, ParamGradientAccumulates) {
   EXPECT_EQ(p.grad[0], 2.0f);
 }
 
+TEST(GraphTest, ParamReadsParameterInPlace) {
+  Parameter p("p", Tensor({2, 2}, {0.1f, -0.7f, 1.3f, 0.45f}));
+  Graph g;
+  const NodeId w = g.Param(&p);
+  // The leaf is the parameter's own tensor, not a copy of it.
+  EXPECT_EQ(&g.Value(w), &p.value);
+  p.value[0] = 0.2f;
+  EXPECT_EQ(g.Value(w)[0], 0.2f);
+}
+
+TEST(GraphTest, TwoUsesOfOneParameterAccumulate) {
+  // One parameter behind two leaves, one leaf read by two ops: the
+  // gradient sums all three paths into p.grad. The expected bits were
+  // captured when every Param leaf still copied the parameter's value.
+  Parameter p("p", Tensor({2, 2}, {0.1f, -0.7f, 1.3f, 0.45f}));
+  Graph g;
+  const NodeId x = g.Input(Tensor({1, 2}, {0.3f, -1.1f}));
+  const NodeId w1 = g.Param(&p);
+  const NodeId w2 = g.Param(&p);
+  const NodeId y = g.Mul(g.Tanh(g.Matmul(x, w1)), g.Matmul(x, w2));
+  g.Backward(g.Add(g.SumAll(y), g.SumAll(g.Mul(w1, w1))));
+  const float want[4] = {-0x1.404928p-3f, -0x1.b737dap+0f, 0x1.f410c4p+1f,
+                         0x1.075ddcp+1f};
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(p.grad[i], want[i]) << i;
+}
+
 TEST(GraphTest, MatmulForwardBackward) {
   Parameter a("a", Tensor({1, 2}, {1, 2}));
   Parameter b("b", Tensor({2, 1}, {3, 4}));

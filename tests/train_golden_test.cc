@@ -11,6 +11,10 @@
 // KnowledgeGraph's row mirrors onto KgSnapshot scans, by running this
 // file against that tree. They pin the triple order each KG read feeds
 // into training and into the generated stream.
+//
+// SdeaTwoLayerCls and the two Relation* cases were captured at 8db3502,
+// before the embed-all paths moved off the autograd tape onto the batched
+// no-grad forward, by running this file against that tree.
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
@@ -202,6 +206,86 @@ TEST(TrainGoldenTest, SdeaCoreMatchesLegacyLoops) {
     EXPECT_EQ(HashTensor(model.embeddings1()), 0x4d106aae1ae04bf5ULL);
     EXPECT_EQ(HashTensor(model.embeddings2()), 0xbb5e7549daebfda1ULL);
   }
+}
+
+// align_batch's own encoder shape: two transformer blocks and [CLS]
+// pooling, which the case above (one block, mean pooling) never runs.
+TEST(TrainGoldenTest, SdeaTwoLayerClsMatchesGolden) {
+  datagen::GeneratorConfig g;
+  g.seed = 78;
+  g.num_matched = 80;
+  g.kg1_lang_seed = 1;
+  g.kg2_lang_seed = 1;
+  g.kg2_name_mode = datagen::NameMode::kShared;
+  g.pretrain_sentences = 200;
+  datagen::GeneratedBenchmark bench = datagen::BenchmarkGenerator().Generate(g);
+  kg::AlignmentSeeds seeds = kg::AlignmentSeeds::Split(bench.ground_truth, 6);
+
+  core::SdeaConfig c;
+  c.attribute.text.encoder.dim = 16;
+  c.attribute.text.encoder.ff_dim = 32;
+  c.attribute.text.encoder.num_layers = 2;
+  c.attribute.text.encoder.max_len = 24;
+  c.attribute.text.out_dim = 16;
+  c.attribute.text.pooling = core::SequencePooling::kCls;
+  c.attribute.text.max_epochs = 3;
+  c.attribute.text.patience = 2;
+  c.attribute.text.ssl_epochs = 1;
+  c.attribute.text.pretrain.epochs = 4;
+  c.relation.hidden_dim = 12;
+  c.relation.joint_dim = 12;
+  c.relation.max_neighbors = 4;
+  c.relation.max_epochs = 3;
+  c.relation.patience = 2;
+  core::SdeaModel model;
+  auto report =
+      model.Fit(bench.kg1, bench.kg2, seeds, c, bench.pretrain_corpus);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(HashTensor(model.attribute_embeddings1()),
+            0x1f04dac11a9e62aaULL);
+  EXPECT_EQ(HashTensor(model.attribute_embeddings2()),
+            0x463915d15047fc50ULL);
+  EXPECT_EQ(HashTensor(model.embeddings1()), 0x986fff247722d1d2ULL);
+  EXPECT_EQ(HashTensor(model.embeddings2()), 0x5d4d03c7f5a49cbbULL);
+}
+
+// The relation module's two ablation aggregations (SDEA's own default,
+// BiGRU + attention, is pinned above): trained a few epochs on random
+// frozen attribute embeddings, then embedded on both sides. max_neighbors
+// caps the fixture's hubs.
+void ExpectRelationGolden(core::NeighborAggregation aggregation,
+                          uint64_t hash1, uint64_t hash2) {
+  Fixture f = MakeBaselineFixture();
+  Rng rng(21);
+  Tensor ha1 = Tensor::RandomNormal({f.bench.kg1.num_entities(), 10}, 1.0f,
+                                    &rng);
+  Tensor ha2 = Tensor::RandomNormal({f.bench.kg2.num_entities(), 10}, 1.0f,
+                                    &rng);
+  tmath::L2NormalizeRowsInPlace(&ha1);
+  tmath::L2NormalizeRowsInPlace(&ha2);
+  core::RelationModuleConfig c;
+  c.hidden_dim = 8;
+  c.joint_dim = 8;
+  c.max_neighbors = 3;
+  c.aggregation = aggregation;
+  c.max_epochs = 3;
+  c.patience = 3;
+  c.batch_size = 8;
+  core::RelationEmbeddingModule m;
+  ASSERT_TRUE(m.Init(f.bench.kg1, f.bench.kg2, 10, c).ok());
+  ASSERT_TRUE(m.Train(ha1, ha2, f.seeds).ok());
+  EXPECT_EQ(HashTensor(m.ComputeEntityEmbeddings(1, ha1)), hash1);
+  EXPECT_EQ(HashTensor(m.ComputeEntityEmbeddings(2, ha2)), hash2);
+}
+
+TEST(TrainGoldenTest, RelationMeanPoolingMatchesGolden) {
+  ExpectRelationGolden(core::NeighborAggregation::kMeanPooling,
+                       0x14b59b4e6354cea8ULL, 0xd573473fc5039a99ULL);
+}
+
+TEST(TrainGoldenTest, RelationAttentionOnlyMatchesGolden) {
+  ExpectRelationGolden(core::NeighborAggregation::kAttentionOnly,
+                       0xf839021b7f298b7cULL, 0x42591a331ac04749ULL);
 }
 
 // The remaining baselines pin the KG read each one performs: the
