@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the sdea::store quantized snapshot
-// layer: codebook encoding, the ADC scan kernels (the int8 scan at both
-// SIMD levels), snapshot open latency (the O(ms) mmap claim), the end-to-end
+// layer: codebook encoding, the int8 ADC scan at both SIMD levels,
+// snapshot open latency (the O(ms) mmap claim), the end-to-end
 // quantized query against the full-precision baseline, and a
 // recall@10-vs-latency row per retrieval configuration. Memory footprints
 // are emitted as counters so the JSON records the compression ratios next
@@ -70,21 +70,6 @@ void BM_Int8Encode(benchmark::State& state) {
 }
 BENCHMARK(BM_Int8Encode)->Arg(4096)->Arg(32768);
 
-void BM_PqEncode(benchmark::State& state) {
-  const int64_t n = state.range(0), d = 128;
-  const Tensor rows = RandomRows(n, d, 2);
-  store::PqOptions options;
-  options.num_subspaces = 16;
-  auto cb = store::Codebook::TrainPq(rows, options);
-  SDEA_CHECK(cb.ok());
-  for (auto _ : state) {
-    auto codes = cb->EncodeRows(rows.data(), n);
-    benchmark::DoNotOptimize(codes.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_PqEncode)->Arg(4096);
-
 void BM_AdcScanInt8(benchmark::State& state, SimdLevel level) {
   if (SkipUnsupported(state, level)) return;
   sdea::testing::ScopedSimdLevel pin_level(level);
@@ -106,28 +91,6 @@ BENCHMARK_CAPTURE(BM_AdcScanInt8, exact_scalar, SimdLevel::kScalar)
     ->Arg(65536);
 BENCHMARK_CAPTURE(BM_AdcScanInt8, exact_avx2, SimdLevel::kAvx2)
     ->Arg(65536);
-
-void BM_AdcScanPq(benchmark::State& state) {
-  const int64_t n = state.range(0), d = 128;
-  const Tensor rows = RandomRows(n, d, 5);
-  store::PqOptions options;
-  options.num_subspaces = 16;
-  auto cb = store::Codebook::TrainPq(rows, options);
-  SDEA_CHECK(cb.ok());
-  const std::vector<uint8_t> codes = cb->EncodeRows(rows.data(), n);
-  const Tensor q = RandomRows(1, d, 6);
-  std::vector<float> lut(
-      static_cast<size_t>(cb->pq_subspaces() * cb->pq_centroids()));
-  store::PqBuildLut(q.data(), *cb, lut.data());
-  std::vector<float> scores(static_cast<size_t>(n));
-  for (auto _ : state) {
-    store::AdcScanPq(codes.data(), n, cb->pq_subspaces(),
-                     cb->pq_centroids(), lut.data(), scores.data());
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * cb->pq_subspaces());
-}
-BENCHMARK(BM_AdcScanPq)->Arg(65536);
 
 void BM_StoreOpen(benchmark::State& state) {
   // The open-latency claim: only the manifest and the shard header pages
@@ -212,14 +175,11 @@ void BM_StoreOpen1M(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreOpen1M)->Unit(benchmark::kMillisecond);
 
-void BM_QuantizedSearch(benchmark::State& state, store::Quantization kind) {
+void BM_QuantizedSearch(benchmark::State& state) {
   const int64_t n = state.range(0), d = 64;
-  const std::string dir = TempStoreDir(
-      "sdea_bench_search_" + std::string(store::QuantizationName(kind)));
-  store::StoreWriteOptions options;
-  options.quantization = kind;
-  SDEA_CHECK_OK(store::QuantizedStore::Write(dir, Names(n),
-                                             RandomRows(n, d, 8), options));
+  const std::string dir = TempStoreDir("sdea_bench_search_int8");
+  SDEA_CHECK_OK(
+      store::QuantizedStore::Write(dir, Names(n), RandomRows(n, d, 8)));
   auto opened = store::QuantizedStore::Open(dir);
   SDEA_CHECK(opened.ok());
   const Tensor q = RandomRows(1, d, 9);
@@ -231,10 +191,7 @@ void BM_QuantizedSearch(benchmark::State& state, store::Quantization kind) {
       benchmark::Counter(static_cast<double>(opened->compressed_bytes()));
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK_CAPTURE(BM_QuantizedSearch, int8, store::Quantization::kInt8)
-    ->Arg(100000);
-BENCHMARK_CAPTURE(BM_QuantizedSearch, pq, store::Quantization::kPq)
-    ->Arg(100000);
+BENCHMARK(BM_QuantizedSearch)->Arg(100000);
 
 void BM_FullPrecisionSearch(benchmark::State& state) {
   // The baseline the quantized rows compare against: the in-RAM
@@ -253,16 +210,16 @@ BENCHMARK(BM_FullPrecisionSearch)->Arg(100000);
 
 // The recall@10-vs-latency table: one row per retrieval configuration
 // over one seeded table and query set, each reporting its per-query
-// latency and its recall@10 against the exact scan. All three run through
-// core::VectorIndex — exact, and int8 / PQ ADC with the exact rerank at
-// the default pool.
-enum class Retrieval { kExact, kInt8, kPq };
+// latency and its recall@10 against the exact scan. Both run through
+// core::VectorIndex — exact, and the int8 ADC scan with the exact rerank
+// of its max(4k, k + 16) best rows.
+enum class Retrieval { kExact, kInt8 };
 
 struct RetrievalFixture {
   static constexpr int64_t kRows = 50000, kDim = 64, kQueries = 64;
 
   core::EmbeddingStore exact;
-  store::QuantizedStore int8, pq;
+  store::QuantizedStore int8;
   Tensor queries = RandomRows(kQueries, kDim, 15);
   std::vector<std::vector<core::EmbeddingStore::Neighbor>> truth;
 
@@ -278,8 +235,6 @@ struct RetrievalFixture {
         return exact.NearestNeighbors(q, 10);
       case Retrieval::kInt8:
         return int8.NearestNeighbors(q, 10);
-      case Retrieval::kPq:
-        return pq.NearestNeighbors(q, 10);
     }
     return {};
   }
@@ -288,21 +243,15 @@ struct RetrievalFixture {
   RetrievalFixture() {
     const Tensor table = RandomRows(kRows, kDim, 14);
     exact = core::EmbeddingStore::Create(Names(kRows), table).value();
-    int8 = Open(table, store::Quantization::kInt8);
-    pq = Open(table, store::Quantization::kPq);
+    int8 = Open(table);
     for (int64_t i = 0; i < kQueries; ++i) {
       truth.push_back(exact.NearestNeighbors(queries.Row(i), 10));
     }
   }
 
-  static store::QuantizedStore Open(const Tensor& table,
-                                    store::Quantization kind) {
-    const std::string dir = TempStoreDir(
-        "sdea_bench_retrieval_" + std::string(store::QuantizationName(kind)));
-    store::StoreWriteOptions options;
-    options.quantization = kind;
-    SDEA_CHECK_OK(
-        store::QuantizedStore::Write(dir, Names(kRows), table, options));
+  static store::QuantizedStore Open(const Tensor& table) {
+    const std::string dir = TempStoreDir("sdea_bench_retrieval_int8");
+    SDEA_CHECK_OK(store::QuantizedStore::Write(dir, Names(kRows), table));
     auto opened = store::QuantizedStore::Open(dir);
     SDEA_CHECK(opened.ok());
     return std::move(opened).value();
@@ -331,8 +280,6 @@ void BM_Retrieval(benchmark::State& state, Retrieval config) {
 BENCHMARK_CAPTURE(BM_Retrieval, exact, Retrieval::kExact)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_Retrieval, int8_rerank, Retrieval::kInt8)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_Retrieval, pq_rerank, Retrieval::kPq)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -42,40 +42,26 @@ int main() {
   std::printf("entity table: %lld entities x %lld dims (%s preset @ 1%%)\n",
               (long long)n, (long long)dim, spec.id.c_str());
 
-  // ---- Write sharded quantized snapshots: int8 and PQ. --------------------
+  // ---- Write a sharded int8 snapshot. ------------------------------------
   const std::string int8_dir = "/tmp/sdea_example_store_int8";
-  const std::string pq_dir = "/tmp/sdea_example_store_pq";
   store::StoreWriteOptions int8_opts;
   int8_opts.rows_per_shard = 4096;  // Several shards even at example scale.
   SDEA_CHECK_OK(
       store::QuantizedStore::Write(int8_dir, names, embeddings, int8_opts));
-  store::StoreWriteOptions pq_opts = int8_opts;
-  pq_opts.quantization = store::Quantization::kPq;
-  pq_opts.pq.num_subspaces = 16;
-  SDEA_CHECK_OK(
-      store::QuantizedStore::Write(pq_dir, names, embeddings, pq_opts));
 
   // ---- Reopen: O(ms), only manifest + shard headers touched. --------------
   const auto t0 = Clock::now();
   auto int8_store = store::QuantizedStore::Open(int8_dir);
   SDEA_CHECK(int8_store.ok());
-  auto pq_store = store::QuantizedStore::Open(pq_dir);
-  SDEA_CHECK(pq_store.ok());
   const double open_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  const double full_mb =
-      static_cast<double>(int8_store->full_precision_bytes()) / (1 << 20);
-  std::printf("reopened both snapshots (mmap) in %.2f ms\n", open_ms);
+  std::printf("reopened the snapshot (mmap) in %.2f ms\n", open_ms);
   std::printf("  int8: %.1f MB codes vs %.1f MB fp32  (%.1fx)\n",
               static_cast<double>(int8_store->compressed_bytes()) / (1 << 20),
-              full_mb,
+              static_cast<double>(int8_store->full_precision_bytes()) /
+                  (1 << 20),
               static_cast<double>(int8_store->full_precision_bytes()) /
                   static_cast<double>(int8_store->compressed_bytes()));
-  std::printf("  pq:   %.2f MB codes vs %.1f MB fp32  (%.0fx)\n",
-              static_cast<double>(pq_store->compressed_bytes()) / (1 << 20),
-              full_mb,
-              static_cast<double>(pq_store->full_precision_bytes()) /
-                  static_cast<double>(pq_store->compressed_bytes()));
 
   // ---- Compressed candidates + exact rerank == full-precision answers. ----
   auto reference = core::EmbeddingStore::Create(names, embeddings);

@@ -1,6 +1,8 @@
 #include "baselines/hman.h"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 
 #include "base/check.h"
 #include "baselines/union_graph.h"
@@ -85,12 +87,26 @@ Tensor TrainChannel(const Tensor& features, const AlignInput& input,
   return g.Value(channel.Forward(&g, g.Input(features)));
 }
 
+// Row i of the result is row i of every part, side by side in order.
+Tensor ConcatColumns(std::initializer_list<const Tensor*> parts) {
+  const int64_t n = (*parts.begin())->dim(0);
+  int64_t d = 0;
+  for (const Tensor* part : parts) d += part->dim(1);
+  Tensor out({n, d});
+  for (int64_t i = 0; i < n; ++i) {
+    float* row = out.data() + i * d;
+    for (const Tensor* part : parts) {
+      const int64_t w = part->dim(1);
+      row = std::copy_n(part->data() + i * w, w, row);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Status Hman::Fit(const AlignInput& input) {
   const int64_t n1 = input.kg1.num_entities();
-  const int64_t n2 = input.kg2.num_entities();
-  const int64_t total = n1 + n2;
 
   // Channel 1: topology via the structure-only GCN.
   GcnAlign gcn(config_.gcn);
@@ -105,25 +121,12 @@ Status Hman::Fit(const AlignInput& input) {
       AttributeNameCounts(input.kg1, input.kg2, config_.feature_dim),
       input, config_, "hman.attr", &rng);
 
-  // Concatenate channels (GCN output is per-side, FNNs are union-indexed).
-  const int64_t d_gcn = gcn.embeddings1().dim(1);
-  const int64_t d = d_gcn + 2 * config_.channel_dim;
-  emb1_ = Tensor({n1, d});
-  emb2_ = Tensor({n2, d});
-  for (int64_t e = 0; e < total; ++e) {
-    const bool first = e < n1;
-    float* row = first ? emb1_.data() + e * d
-                       : emb2_.data() + (e - n1) * d;
-    const Tensor& gemb = first ? gcn.embeddings1() : gcn.embeddings2();
-    const int64_t local = first ? e : e - n1;
-    std::copy(gemb.data() + local * d_gcn,
-              gemb.data() + (local + 1) * d_gcn, row);
-    std::copy(rel_emb.data() + e * config_.channel_dim,
-              rel_emb.data() + (e + 1) * config_.channel_dim, row + d_gcn);
-    std::copy(attr_emb.data() + e * config_.channel_dim,
-              attr_emb.data() + (e + 1) * config_.channel_dim,
-              row + d_gcn + config_.channel_dim);
-  }
+  // Concatenate channels per side: the GCN output is per-side already,
+  // the FNN outputs are union-indexed.
+  const auto [rel1, rel2] = SplitUnion(rel_emb, n1);
+  const auto [attr1, attr2] = SplitUnion(attr_emb, n1);
+  emb1_ = ConcatColumns({&gcn.embeddings1(), &rel1, &attr1});
+  emb2_ = ConcatColumns({&gcn.embeddings2(), &rel2, &attr2});
   return Status::Ok();
 }
 

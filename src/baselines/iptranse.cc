@@ -121,10 +121,7 @@ Status IpTransE::Fit(const AlignInput& input) {
     const Tensor scores = tmath::MatmulTransposeB(s1, s2);
     for (int64_t i = 0; i < n1; ++i) {
       const float* row = scores.data() + i * n2;
-      int64_t arg = 0;
-      for (int64_t j = 1; j < n2; ++j) {
-        if (row[j] > row[arg]) arg = j;
-      }
+      const int64_t arg = tmath::ArgMaxRow(row, n2);
       if (row[arg] < config_.align_threshold) continue;
       model.PullEntities(resolve(i), resolve(n1 + arg),
                          config_.path_lr);

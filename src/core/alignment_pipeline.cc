@@ -44,12 +44,8 @@ Result<AlignmentResult> AlignmentPipeline::Run(
     match = StableMatch(scores);
   } else {
     for (int64_t i = 0; i < n1; ++i) {
-      const float* row = scores.data() + i * n2;
-      int64_t arg = 0;
-      for (int64_t j = 1; j < n2; ++j) {
-        if (row[j] > row[arg]) arg = j;
-      }
-      match[static_cast<size_t>(i)] = arg;
+      match[static_cast<size_t>(i)] =
+          tmath::ArgMaxRow(scores.data() + i * n2, n2);
     }
   }
 

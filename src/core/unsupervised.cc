@@ -20,11 +20,7 @@ std::vector<std::pair<int64_t, int64_t>> MutualNearestPairs(
     }
   }
   for (int64_t i = 0; i < n1; ++i) {
-    const float* row = scores.data() + i * n2;
-    int64_t arg = 0;
-    for (int64_t j = 1; j < n2; ++j) {
-      if (row[j] > row[arg]) arg = j;
-    }
+    const int64_t arg = tmath::ArgMaxRow(scores.data() + i * n2, n2);
     if (best_for_tgt[static_cast<size_t>(arg)] == i) out.emplace_back(i, arg);
   }
   return out;

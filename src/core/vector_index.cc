@@ -13,18 +13,12 @@ namespace sdea::core {
 VectorIndex::VectorIndex(const float* rows, int64_t size, int64_t dim)
     : size_(size), dim_(dim), rows_(rows) {}
 
-VectorIndex::VectorIndex(int64_t size, int64_t dim, ScanFn scan, RowFn row,
-                         int64_t pool)
-    : size_(size),
-      dim_(dim),
-      row_(std::move(row)),
-      scan_(std::move(scan)),
-      pool_(pool) {}
+VectorIndex::VectorIndex(int64_t size, int64_t dim, ScanFn scan, RowFn row)
+    : size_(size), dim_(dim), row_(std::move(row)), scan_(std::move(scan)) {}
 
 int64_t VectorIndex::RerankPool(int64_t k) const {
   if (!scan_ || !row_) return 0;
-  return std::min(size_,
-                  pool_ > 0 ? pool_ : std::max<int64_t>(4 * k, k + 16));
+  return std::min(size_, std::max<int64_t>(4 * k, k + 16));
 }
 
 std::vector<VectorIndex::Hit> VectorIndex::Search(const float* query,

@@ -15,9 +15,9 @@ namespace sdea::core {
 /// ranks one of two ways, fixed by the constructor:
 ///
 ///   - exact: kernels::Gemv scores every fp32 row;
-///   - scan and rerank: an approximate scan (int8/PQ ADC) scores every
-///     row, and the best max(4k, k + 16) rows — or `pool` — are rescored
-///     exactly with kernels::ScoreDot on the fp32 rows.
+///   - scan and rerank: an approximate scan (the int8 ADC scan) scores
+///     every row, and the best max(4k, k + 16) rows are rescored exactly
+///     with kernels::ScoreDot on the fp32 rows.
 ///
 /// Either way the answer is ranked by tmath's top-k: score descending,
 /// ties by ascending row id.
@@ -48,12 +48,10 @@ class VectorIndex {
   /// Scan-and-rerank search over `size` rows of `dim` floats: `scan`
   /// scores every row and the RerankPool(k) best are rescored exactly on
   /// `row`. Without `row` the index answers with the scan's scores.
-  /// `pool` <= 0 picks max(4k, k + 16).
-  VectorIndex(int64_t size, int64_t dim, ScanFn scan, RowFn row,
-              int64_t pool = 0);
+  VectorIndex(int64_t size, int64_t dim, ScanFn scan, RowFn row);
 
-  /// How many scan survivors a k-query rescores exactly (0 for exact
-  /// indexes and for scan-only answers).
+  /// How many scan survivors a k-query rescores exactly: max(4k, k + 16),
+  /// at most the table (0 for exact indexes and for scan-only answers).
   int64_t RerankPool(int64_t k) const;
 
   /// The top-k rows for `query` (dim() floats, any norm), best first. k
@@ -74,7 +72,6 @@ class VectorIndex {
   const float* rows_ = nullptr;  // Borrowed exact rows, or null.
   RowFn row_;                    // A scan's rerank rows, or empty.
   ScanFn scan_;                  // Approximate scan, or empty.
-  int64_t pool_ = 0;
 };
 
 }  // namespace sdea::core

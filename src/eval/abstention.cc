@@ -99,10 +99,7 @@ AbstainThreshold CalibrateAbstainThreshold(const Tensor& dev_scores,
     const int64_t g = dev_gold[static_cast<size_t>(i)];
     if (g == kGoldSkip || g >= m) continue;  // Skip / degenerate gold.
     const float* row = dev_scores.data() + i * m;
-    int64_t arg = 0;
-    for (int64_t j = 1; j < m; ++j) {
-      if (row[j] > row[arg]) arg = j;
-    }
+    const int64_t arg = tmath::ArgMaxRow(row, m);
     float top2 = -std::numeric_limits<float>::infinity();
     for (int64_t j = 0; j < m; ++j) {
       if (j != arg && row[j] > top2) top2 = row[j];

@@ -44,7 +44,7 @@ std::string EncodeManifest(const Manifest& manifest) {
   w.U64(1);  // Format version.
   w.U64(static_cast<uint64_t>(manifest.dim));
   w.U64(static_cast<uint64_t>(manifest.total_rows));
-  w.U64(static_cast<uint64_t>(manifest.quantization));
+  w.U64(kInt8Kind);
   w.U64(manifest.store_full_precision ? 1 : 0);
   w.Str64(manifest.codebook.Encode());
   w.U64(manifest.shards.size());
@@ -68,8 +68,7 @@ Result<Manifest> DecodeManifest(std::string_view in) {
   if (version != 1) {
     return Status::InvalidArgument("unsupported store manifest version");
   }
-  if (kind != static_cast<uint64_t>(Quantization::kInt8) &&
-      kind != static_cast<uint64_t>(Quantization::kPq)) {
+  if (kind != kInt8Kind) {
     return Status::InvalidArgument("unknown store quantization kind");
   }
   if (sfp > 1) {
@@ -78,10 +77,8 @@ Result<Manifest> DecodeManifest(std::string_view in) {
   std::string_view codebook;
   SDEA_RETURN_IF_ERROR(r.Str64(&codebook));
   SDEA_ASSIGN_OR_RETURN(manifest.codebook, Codebook::Decode(codebook));
-  manifest.quantization = static_cast<Quantization>(kind);
   manifest.store_full_precision = sfp == 1;
-  if (manifest.codebook.kind() != manifest.quantization ||
-      manifest.codebook.dim() != manifest.dim) {
+  if (manifest.codebook.dim() != manifest.dim) {
     return Status::InvalidArgument(
         "store manifest codebook disagrees with manifest header");
   }
@@ -124,7 +121,6 @@ std::string EncodeShard(const Codebook& codebook, const uint8_t* codes,
   ShardHeader h;
   h.rows = rows;
   h.dim = static_cast<int64_t>(dim);
-  h.quantization = static_cast<uint64_t>(codebook.kind());
   h.code_bytes_per_row = static_cast<int64_t>(cbpr);
   h.codes_offset = static_cast<uint64_t>(kShardHeaderBytes);
   const uint64_t codes_end = h.codes_offset + urows * cbpr;
@@ -147,7 +143,7 @@ std::string EncodeShard(const Codebook& codebook, const uint8_t* codes,
   w.Bytes(kShardMagic);
   w.U64(static_cast<uint64_t>(h.rows));
   w.U64(static_cast<uint64_t>(h.dim));
-  w.U64(h.quantization);
+  w.U64(kInt8Kind);
   w.U64(static_cast<uint64_t>(h.code_bytes_per_row));
   w.U64(h.codes_offset);
   w.U64(h.fp32_offset);
@@ -194,8 +190,7 @@ Result<ShardHeader> DecodeShardHeader(std::string_view image) {
   if (file_bytes != usize) {
     return Status::InvalidArgument("store shard size mismatch");
   }
-  if (kind != static_cast<uint64_t>(Quantization::kInt8) &&
-      kind != static_cast<uint64_t>(Quantization::kPq)) {
+  if (kind != kInt8Kind) {
     return Status::InvalidArgument("unknown store shard quantization kind");
   }
   const uint64_t header = static_cast<uint64_t>(kShardHeaderBytes);
@@ -251,7 +246,6 @@ Result<ShardHeader> DecodeShardHeader(std::string_view image) {
   ShardHeader h;
   h.rows = static_cast<int64_t>(rows);
   h.dim = static_cast<int64_t>(dim);
-  h.quantization = kind;
   h.code_bytes_per_row = static_cast<int64_t>(cbpr);
   h.codes_offset = codes_off;
   h.fp32_offset = fp32_off;

@@ -37,7 +37,6 @@ struct ShardInfo {
 struct Manifest {
   int64_t dim = 0;
   int64_t total_rows = 0;
-  Quantization quantization = Quantization::kInt8;
   bool store_full_precision = true;
   Codebook codebook;
   std::vector<ShardInfo> shards;
@@ -52,7 +51,6 @@ Result<Manifest> DecodeManifest(std::string_view blob);
 struct ShardHeader {
   int64_t rows = 0;
   int64_t dim = 0;
-  uint64_t quantization = 0;
   int64_t code_bytes_per_row = 0;
   uint64_t codes_offset = 0;
   uint64_t fp32_offset = 0;

@@ -20,7 +20,6 @@ namespace {
 /// lock-free (the obs discipline). Latency buckets span 1us..~4s.
 struct StoreMetrics {
   obs::Counter* opens;
-  obs::Counter* queries;
   obs::Gauge* open_ms;
   obs::HistogramCell* adc_us;
   obs::HistogramCell* rerank_us;
@@ -33,7 +32,6 @@ struct StoreMetrics {
           obs::Histogram::Exponential(1.0, 2.0, 22).upper_bounds();
       auto* out = new StoreMetrics;
       out->opens = reg->GetCounter("store.opens");
-      out->queries = reg->GetCounter("store.queries");
       out->open_ms = reg->GetGauge("store.open_ms");
       out->adc_us = reg->GetHistogram("store.adc_us", us);
       out->rerank_us = reg->GetHistogram("store.rerank_us", us);
@@ -81,14 +79,8 @@ Status QuantizedStore::Write(const std::string& dir,
   Manifest manifest;
   manifest.dim = d;
   manifest.total_rows = n;
-  manifest.quantization = options.quantization;
   manifest.store_full_precision = options.store_full_precision;
-  if (options.quantization == Quantization::kInt8) {
-    manifest.codebook = Codebook::TrainInt8(norm);
-  } else {
-    SDEA_ASSIGN_OR_RETURN(manifest.codebook,
-                          Codebook::TrainPq(norm, options.pq));
-  }
+  manifest.codebook = Codebook::TrainInt8(norm);
 
   // Shards first, manifest last: the snapshot becomes visible only once
   // everything it references is durably in place.
@@ -139,12 +131,10 @@ Result<QuantizedStore> QuantizedStore::Open(const std::string& dir) {
     }
     shard.header = *header;
     // The shard must be the one the manifest promised: same geometry,
-    // same quantization, same codebook stride.
+    // same codebook stride.
     if (shard.header.rows != info.rows ||
         shard.header.file_bytes != static_cast<uint64_t>(info.file_bytes) ||
         shard.header.dim != out.manifest_.dim ||
-        shard.header.quantization !=
-            static_cast<uint64_t>(out.manifest_.quantization) ||
         shard.header.code_bytes_per_row !=
             out.manifest_.codebook.code_bytes() ||
         (out.manifest_.store_full_precision ==
@@ -206,34 +196,36 @@ std::string QuantizedStore::name(int64_t id) const {
 }
 
 std::vector<QuantizedStore::Neighbor> QuantizedStore::NearestNeighbors(
-    const Tensor& query, int64_t k,
-    const StoreQueryOptions& options) const {
+    const Tensor& query, int64_t k) const {
   // Same guard order as EmbeddingStore::NearestNeighbors: the dim
   // contract holds even for empty stores and k <= 0.
   if (dim() > 0) SDEA_CHECK_EQ(query.size(), dim());
   if (total_rows_ == 0 || k <= 0) return {};
   const StoreMetrics& metrics = StoreMetrics::Get();
-  metrics.queries->Increment();
 
-  // The index owns the ranking; the store hands it the per-shard ADC scan
-  // and, when the snapshot kept them, the mmap'd fp32 rows to rerank on.
-  // store.adc_us times the scan; store.rerank_us everything after it (the
-  // survivor pool, the exact rescoring and the final order).
+  // The index owns the ranking; the store hands it the int8 ADC scan of
+  // every shard and, when the snapshot kept them, the mmap'd fp32 rows to
+  // rerank on. The scan folds the scales into the query once, then scores
+  // each shard's codes. store.adc_us times the scan (one record per
+  // query); store.rerank_us everything after it (the survivor pool, the
+  // exact rescoring and the final order).
   auto scan_end = std::chrono::steady_clock::now();
   const auto scan = [&](const float* q, float* scores) {
     const auto start = std::chrono::steady_clock::now();
+    std::vector<float> q_scaled(static_cast<size_t>(dim()));
+    Int8PrepareQuery(q, manifest_.codebook.scales().data(), dim(),
+                     q_scaled.data());
     for (const Shard& shard : shards_) {
-      AdcScan(manifest_.codebook, q,
-              shard.map.data() + shard.header.codes_offset,
-              shard.header.rows, scores + shard.row_begin);
+      AdcScanInt8(shard.map.data() + shard.header.codes_offset,
+                  shard.header.rows, dim(), q_scaled.data(),
+                  scores + shard.row_begin);
     }
     metrics.adc_us->Record(ElapsedUs(start));
     scan_end = std::chrono::steady_clock::now();
   };
   core::VectorIndex::RowFn rows;
   if (has_full_precision()) rows = [this](int64_t id) { return row(id); };
-  const core::VectorIndex index(total_rows_, dim(), scan, std::move(rows),
-                                options.rerank_pool);
+  const core::VectorIndex index(total_rows_, dim(), scan, std::move(rows));
   const std::vector<core::VectorIndex::Hit> hits =
       index.Search(query.data(), k);
   if (const int64_t pool = index.RerankPool(k); pool > 0) {

@@ -16,8 +16,6 @@ namespace sdea::store {
 
 /// Write-time knobs for a sharded SDEASTOR1 snapshot.
 struct StoreWriteOptions {
-  Quantization quantization = Quantization::kInt8;
-  PqOptions pq;  ///< Used when quantization == kPq.
   /// Rows per shard file. 256K rows keeps a dim-64 int8 shard around
   /// 16 MiB of codes — big enough that the scan is sequential, small
   /// enough that shard writes stay comfortably inside one atomic temp
@@ -29,15 +27,6 @@ struct StoreWriteOptions {
   bool store_full_precision = true;
 };
 
-/// Query-time knobs.
-struct StoreQueryOptions {
-  /// ADC survivor pool fed to the exact rerank; 0 picks
-  /// max(4k, k + 16). Bigger pools cost more fp32 page reads and buy
-  /// recall; the pool where full-precision top-1 is reproduced exactly on
-  /// the benchmark pairs is recorded in EXPERIMENTS.md.
-  int64_t rerank_pool = 0;
-};
-
 /// A memory-mapped quantized embedding snapshot: the serving counterpart
 /// of core::EmbeddingStore for stores too large to slurp into RAM.
 /// Open() reads only the manifest and the shard header/name-index pages —
@@ -45,9 +34,9 @@ struct StoreQueryOptions {
 /// regions they scan plus the fp32 rows they rerank.
 ///
 /// Queries rank through core::VectorIndex, the same search behind
-/// EmbeddingStore::NearestNeighbors: the store hands it the per-shard ADC
-/// scan over every row (int8 or PQ codes) and the mmap'd fp32 rows, and
-/// the index keeps the survivor pool and reranks it with
+/// EmbeddingStore::NearestNeighbors: the store hands it the int8 ADC scan
+/// over every row of every shard and the mmap'd fp32 rows, and the index
+/// keeps the max(4k, k + 16) best scan survivors and reranks them with
 /// kernels::ScoreDot under the same total order — so whenever the true
 /// top-1 survives the pool (measured, not assumed), the top-1 answer is
 /// bit-identical to the full-precision store's.
@@ -80,7 +69,6 @@ class QuantizedStore {
 
   int64_t size() const { return total_rows_; }
   int64_t dim() const { return manifest_.dim; }
-  Quantization quantization() const { return manifest_.quantization; }
   const Codebook& codebook() const { return manifest_.codebook; }
   bool has_full_precision() const { return manifest_.store_full_precision; }
 
@@ -102,9 +90,8 @@ class QuantizedStore {
   /// rerank. Same edge contract as EmbeddingStore::NearestNeighbors:
   /// wrong dim aborts even when empty or k <= 0; k <= 0 or an empty
   /// store yields {}; k clamps to size().
-  std::vector<Neighbor> NearestNeighbors(
-      const Tensor& query, int64_t k,
-      const StoreQueryOptions& options = {}) const;
+  std::vector<Neighbor> NearestNeighbors(const Tensor& query,
+                                         int64_t k) const;
 
  private:
   struct Shard {

@@ -206,6 +206,17 @@ inline constexpr float kL2NormalizeEps = 1e-8f;
 /// two may differ in the last bit.
 float L2NormalizeRow(const float* x, int64_t n, float eps, float* out);
 
+/// The position of the first maximum of row[0, n), n >= 1: a scan from
+/// position 0 that moves only to a strictly greater element, so ties keep
+/// the lowest position and a NaN never wins (a NaN at position 0 is kept).
+inline int64_t ArgMaxRow(const float* row, int64_t n) {
+  int64_t arg = 0;
+  for (int64_t j = 1; j < n; ++j) {
+    if (row[j] > row[arg]) arg = j;
+  }
+  return arg;
+}
+
 /// 2-D transpose.
 Tensor Transpose(const Tensor& a);
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/candidate_generator.h"
+#include "tensor/kernels.h"
 
 namespace sdea::core {
 namespace {
@@ -81,9 +82,10 @@ TEST(VectorIndexTest, Deterministic) {
 }
 
 TEST(VectorIndexScanTest, RerankOverEveryRowMatchesExactSearch) {
-  // A pool covering the whole table rescores every row exactly, so the
-  // answer equals the exact index's whatever order the scan proposed.
-  const int64_t n = 60, d = 8;
+  // A table no larger than the pool (k + 16 rows for k = 5) rescores every
+  // row exactly, so the answer equals the exact index's whatever order the
+  // scan proposed.
+  const int64_t n = 5 + 16, d = 8;
   Rng rng(11);
   Tensor rows = Tensor::RandomNormal({n, d}, 1.0f, &rng);
   tmath::L2NormalizeRowsInPlace(&rows);
@@ -93,7 +95,7 @@ TEST(VectorIndexScanTest, RerankOverEveryRowMatchesExactSearch) {
       [n](const float*, float* scores) {
         for (int64_t i = 0; i < n; ++i) scores[i] = -static_cast<float>(i);
       },
-      [&](int64_t id) { return rows.data() + id * d; }, /*pool=*/n);
+      [&](int64_t id) { return rows.data() + id * d; });
   EXPECT_EQ(reranked.RerankPool(5), n);
   const Tensor queries = Tensor::RandomNormal({10, d}, 1.0f, &rng);
   for (int64_t i = 0; i < queries.dim(0); ++i) {
@@ -103,6 +105,44 @@ TEST(VectorIndexScanTest, RerankOverEveryRowMatchesExactSearch) {
     for (size_t j = 0; j < got.size(); ++j) {
       EXPECT_EQ(got[j].id, want[j].id);
       EXPECT_EQ(got[j].score, want[j].score);
+    }
+  }
+}
+
+TEST(VectorIndexScanTest, RerankKeepsOnlyTheScansBestPool) {
+  // The scan ranks rows against their exact order (it scores each row with
+  // minus its exact score), over a table larger than the pool. The answer
+  // must be the best exact rows among the scan's top max(4k, k + 16), and
+  // the row just outside that pool, which beats every row inside it
+  // exactly, must never appear.
+  const int64_t n = 200, d = 8, k = 5;
+  Rng rng(12);
+  Tensor rows = Tensor::RandomNormal({n, d}, 1.0f, &rng);
+  tmath::L2NormalizeRowsInPlace(&rows);
+  const VectorIndex exact(rows.data(), n, d);
+  const VectorIndex reranked(
+      n, d,
+      [&](const float* query, float* scores) {
+        tmath::kernels::Gemv(rows.data(), n, d, query, scores);
+        for (int64_t i = 0; i < n; ++i) scores[i] = -scores[i];
+      },
+      [&](int64_t id) { return rows.data() + id * d; });
+  const int64_t pool = reranked.RerankPool(k);
+  ASSERT_EQ(pool, k + 16);
+  const Tensor queries = Tensor::RandomNormal({20, d}, 1.0f, &rng);
+  for (int64_t i = 0; i < queries.dim(0); ++i) {
+    const float* query = queries.data() + i * d;
+    // Every row, best first: the scan's pool is the last `pool` of them.
+    const auto order = exact.Search(query, n);
+    ASSERT_EQ(static_cast<int64_t>(order.size()), n);
+    const int64_t outside = order[static_cast<size_t>(n - pool - 1)].id;
+    const auto got = reranked.Search(query, k);
+    ASSERT_EQ(static_cast<int64_t>(got.size()), k);
+    for (int64_t j = 0; j < k; ++j) {
+      const VectorIndex::Hit& want = order[static_cast<size_t>(n - pool + j)];
+      EXPECT_EQ(got[static_cast<size_t>(j)].id, want.id) << "query " << i;
+      EXPECT_EQ(got[static_cast<size_t>(j)].score, want.score);
+      EXPECT_NE(got[static_cast<size_t>(j)].id, outside) << "query " << i;
     }
   }
 }
@@ -134,7 +174,6 @@ TEST(VectorIndexScanTest, DefaultPoolIsMaxOf4kAndKPlus16) {
   const VectorIndex large(1000, 4, scan, row);
   EXPECT_EQ(large.RerankPool(1), 17);
   EXPECT_EQ(large.RerankPool(10), 40);
-  EXPECT_EQ(VectorIndex(1000, 4, scan, row, 64).RerankPool(10), 64);
   // The pool never exceeds the table.
   EXPECT_EQ(VectorIndex(20, 4, scan, row).RerankPool(10), 20);
   // An exact index rescores rows directly, with no scan pool.

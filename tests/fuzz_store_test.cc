@@ -1,15 +1,14 @@
-// Fuzz regression suite for the SDEASTOR1 decoders: codebook blobs (int8
-// and PQ), the manifest, and shard images all obey the DESIGN.md §8
-// contract — arbitrary bytes either decode ok() or reject with
-// InvalidArgument, never crash, hang, or allocate unboundedly. Run under
-// ASan+UBSan in CI via the `fuzz` ctest label.
+// Fuzz regression suite for the SDEASTOR1 decoders: the codebook blob,
+// the manifest, and shard images all obey the DESIGN.md §8 contract —
+// arbitrary bytes either decode ok() or reject with InvalidArgument, never
+// crash, hang, or allocate unboundedly. Run under ASan+UBSan in CI via the
+// `fuzz` ctest label.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "base/check.h"
 #include "base/rng.h"
 #include "store/format.h"
 #include "store/quantizer.h"
@@ -33,20 +32,10 @@ std::string Int8CodebookBlob() {
   return Codebook::TrainInt8(RandomRows(60, 16, 1)).Encode();
 }
 
-std::string PqCodebookBlob() {
-  PqOptions options;
-  options.num_subspaces = 4;
-  options.num_centroids = 16;
-  auto cb = Codebook::TrainPq(RandomRows(60, 16, 2), options);
-  SDEA_CHECK(cb.ok());
-  return cb->Encode();
-}
-
 std::string ManifestBlob() {
   Manifest manifest;
   manifest.dim = 16;
   manifest.total_rows = 60;
-  manifest.quantization = Quantization::kInt8;
   manifest.store_full_precision = true;
   manifest.codebook = Codebook::TrainInt8(RandomRows(60, 16, 3));
   manifest.shards = {ShardInfo{40, 12288}, ShardInfo{20, 8192}};
@@ -83,32 +72,27 @@ sdea::testing::DecodeFn ShardDecoder() {
 
 TEST(StoreFuzzTest, ValidBlobsDecode) {
   EXPECT_TRUE(Codebook::Decode(Int8CodebookBlob()).ok());
-  EXPECT_TRUE(Codebook::Decode(PqCodebookBlob()).ok());
   EXPECT_TRUE(DecodeManifest(ManifestBlob()).ok());
   EXPECT_TRUE(DecodeShardHeader(ShardBlob()).ok());
 }
 
 TEST(StoreFuzzTest, CodebookTruncationAtEveryOffset) {
-  for (const std::string& blob : {Int8CodebookBlob(), PqCodebookBlob()}) {
-    sdea::testing::FuzzStats stats;
-    const Status verdict = sdea::testing::CheckTruncationRobustness(
-        blob, CodebookDecoder(), &stats);
-    EXPECT_TRUE(verdict.ok()) << verdict.ToString();
-    EXPECT_EQ(stats.rejected, stats.cases);
-  }
+  sdea::testing::FuzzStats stats;
+  const Status verdict = sdea::testing::CheckTruncationRobustness(
+      Int8CodebookBlob(), CodebookDecoder(), &stats);
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+  EXPECT_EQ(stats.rejected, stats.cases);
 }
 
 TEST(StoreFuzzTest, CodebookSeededMutations) {
   sdea::testing::FuzzOptions options;
   options.iterations = 5000;
-  for (const std::string& blob : {Int8CodebookBlob(), PqCodebookBlob()}) {
-    sdea::testing::FuzzStats stats;
-    const Status verdict = sdea::testing::CheckMutationRobustness(
-        blob, CodebookDecoder(), options, &stats);
-    EXPECT_TRUE(verdict.ok()) << verdict.ToString();
-    EXPECT_EQ(stats.cases, options.iterations);
-    EXPECT_GT(stats.rejected, 0);
-  }
+  sdea::testing::FuzzStats stats;
+  const Status verdict = sdea::testing::CheckMutationRobustness(
+      Int8CodebookBlob(), CodebookDecoder(), options, &stats);
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+  EXPECT_EQ(stats.cases, options.iterations);
+  EXPECT_GT(stats.rejected, 0);
 }
 
 TEST(StoreFuzzTest, ManifestTruncationAtEveryOffset) {
@@ -167,6 +151,7 @@ TEST(StoreFuzzTest, EvilShardHeadersRejectInConstantTime) {
       {8, ~0ull},                  // rows: would wrap rows+1.
       {8, (1ull << 62)},           // rows: names index bound overflow.
       {16, ~0ull},                 // dim: huge.
+      {24, 1},                     // kind: product quantization's.
       {24, 7},                     // kind: unknown.
       {32, ~0ull},                 // code_bytes_per_row: codes bound wrap.
       {40, ~0ull},                 // codes_offset: out of file.

@@ -3,8 +3,9 @@
 // table with no near-duplicate rows, under the exact kernel contract. The
 // pinned hashes were captured at commit e47a377, before the five top-k
 // paths were folded into core::VectorIndex, by running this file unchanged
-// against that tree. A change to query normalization, the rerank pool,
-// the exact rescoring or the tie order moves one of these hashes.
+// against that tree. A change to query normalization, the exact
+// rescoring or the tie order moves one of these hashes; the rerank pool
+// is pinned by core_vector_index_test.
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -90,24 +91,14 @@ std::string TempDir(const std::string& name) {
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
 
-template <typename Store, typename... Options>
-uint64_t HashStoreAnswers(const Store& store, const Options&... options) {
+template <typename Store>
+uint64_t HashStoreAnswers(const Store& store) {
   const Tensor queries = Queries(2);
   std::vector<std::vector<core::EmbeddingStore::Neighbor>> answers;
   for (int64_t i = 0; i < kQueries; ++i) {
-    answers.push_back(
-        store.NearestNeighbors(queries.Row(i), kTopK, options...));
+    answers.push_back(store.NearestNeighbors(queries.Row(i), kTopK));
   }
   return HashNeighbors(answers);
-}
-
-/// A deliberately lossy PQ codebook, so the rerank pool decides which
-/// rows make the answer and the hash pins the pool.
-store::PqOptions CoarsePq() {
-  store::PqOptions pq;
-  pq.num_subspaces = 4;
-  pq.num_centroids = 16;
-  return pq;
 }
 
 core::EmbeddingStore MakeStore() {
@@ -116,12 +107,9 @@ core::EmbeddingStore MakeStore() {
   return std::move(store).value();
 }
 
-store::QuantizedStore MakeQuantizedStore(const std::string& name,
-                                         store::Quantization quantization) {
+store::QuantizedStore MakeQuantizedStore(const std::string& name) {
   const std::string dir = TempDir(name);
   store::StoreWriteOptions options;
-  options.quantization = quantization;
-  options.pq = CoarsePq();
   options.rows_per_shard = 150;  // Three shards.
   SDEA_CHECK(store::QuantizedStore::Write(dir, Names(), Table(1), options)
                  .ok());
@@ -138,21 +126,8 @@ TEST(RetrievalGoldenTest, EmbeddingStoreExact) {
 }
 
 TEST(RetrievalGoldenTest, QuantizedStoreInt8) {
-  const store::QuantizedStore qstore =
-      MakeQuantizedStore("sdea_golden_int8", store::Quantization::kInt8);
+  const store::QuantizedStore qstore = MakeQuantizedStore("sdea_golden_int8");
   EXPECT_GOLDEN(HashStoreAnswers(qstore), 0x6556930eb9e77a87ULL);
-  store::StoreQueryOptions wide;
-  wide.rerank_pool = 64;
-  EXPECT_GOLDEN(HashStoreAnswers(qstore, wide), 0x6556930eb9e77a87ULL);
-}
-
-TEST(RetrievalGoldenTest, QuantizedStorePq) {
-  const store::QuantizedStore qstore =
-      MakeQuantizedStore("sdea_golden_pq", store::Quantization::kPq);
-  EXPECT_GOLDEN(HashStoreAnswers(qstore), 0xffc08e95c96dab3bULL);
-  store::StoreQueryOptions wide;
-  wide.rerank_pool = 64;
-  EXPECT_GOLDEN(HashStoreAnswers(qstore, wide), 0x4fb7dcb9ee881ca8ULL);
 }
 
 TEST(RetrievalGoldenTest, QuantizedStoreAdcOnly) {

@@ -100,7 +100,6 @@ TEST(StoreFormatTest, ManifestRoundTrips) {
   Manifest manifest;
   manifest.dim = 8;
   manifest.total_rows = 20;
-  manifest.quantization = Quantization::kInt8;
   manifest.store_full_precision = true;
   manifest.codebook = Codebook::TrainInt8(rows);
   manifest.shards = {ShardInfo{12, 8192}, ShardInfo{8, 8192}};
@@ -109,7 +108,6 @@ TEST(StoreFormatTest, ManifestRoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().message();
   EXPECT_EQ(decoded->dim, 8);
   EXPECT_EQ(decoded->total_rows, 20);
-  EXPECT_EQ(decoded->quantization, Quantization::kInt8);
   EXPECT_TRUE(decoded->store_full_precision);
   ASSERT_EQ(decoded->shards.size(), 2u);
   EXPECT_EQ(decoded->shards[0].rows, 12);
@@ -121,7 +119,6 @@ TEST(StoreFormatTest, ManifestRejectsInconsistency) {
   Manifest manifest;
   manifest.dim = 8;
   manifest.total_rows = 20;
-  manifest.quantization = Quantization::kInt8;
   manifest.codebook = Codebook::TrainInt8(rows);
   manifest.shards = {ShardInfo{12, 8192}, ShardInfo{8, 8192}};
 
@@ -135,10 +132,14 @@ TEST(StoreFormatTest, ManifestRejectsInconsistency) {
   bad_dim.dim = 16;
   EXPECT_FALSE(DecodeManifest(EncodeManifest(bad_dim)).ok());
 
-  // Codebook kind disagreeing with the manifest kind.
-  Manifest bad_kind = manifest;
-  bad_kind.quantization = Quantization::kPq;
-  EXPECT_FALSE(DecodeManifest(EncodeManifest(bad_kind)).ok());
+  // Kind 1 (product quantization, no longer a format) in place of int8's
+  // 0. The u64 kind follows the 9-byte magic, version, dim and total_rows.
+  std::string bad_kind = EncodeManifest(manifest);
+  const size_t kind_offset = 9 + 3 * 8;
+  ASSERT_EQ(bad_kind[kind_offset], 0);
+  bad_kind[kind_offset] = 1;
+  EXPECT_EQ(DecodeManifest(bad_kind).status().code(),
+            StatusCode::kInvalidArgument);
 
   EXPECT_FALSE(DecodeManifest("").ok());
   EXPECT_FALSE(DecodeManifest("SDEASTOR1").ok());

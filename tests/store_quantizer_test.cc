@@ -163,67 +163,28 @@ TEST(QuantizerTest, Int8AdcAvx2MatchesScalarOnRandomShapesAndSpecialValues) {
   EXPECT_GT(partial_block, 0);
 }
 
-TEST(QuantizerTest, PqAdcScoreTracksExactDot) {
-  const int64_t n = 300, d = 64;
-  const Tensor rows = RandomRows(n, d, 21);
-  PqOptions options;
-  options.num_subspaces = 8;
-  options.num_centroids = 64;
-  auto cb = Codebook::TrainPq(rows, options);
-  ASSERT_TRUE(cb.ok());
-  ASSERT_EQ(cb->code_bytes(), 8);
-  const std::vector<uint8_t> codes = cb->EncodeRows(rows.data(), n);
-
-  const Tensor q = RandomRows(1, d, 5);
-  std::vector<float> lut(
-      static_cast<size_t>(cb->pq_subspaces() * cb->pq_centroids()));
-  PqBuildLut(q.data(), *cb, lut.data());
-  std::vector<float> adc(static_cast<size_t>(n));
-  AdcScanPq(codes.data(), n, cb->pq_subspaces(), cb->pq_centroids(),
-            lut.data(), adc.data());
-
-  // PQ is lossier than int8; this pins a loose absolute bound and, more
-  // importantly, that ADC == dot(q, reconstructed row) almost exactly.
-  std::vector<float> dequant(static_cast<size_t>(d));
-  for (int64_t i = 0; i < n; ++i) {
-    cb->DecodeRow(codes.data() + i * cb->code_bytes(), dequant.data());
-    const float recon =
-        tmath::kernels::ScoreDot(q.data(), dequant.data(), d);
-    EXPECT_NEAR(adc[static_cast<size_t>(i)], recon, 1e-4f) << "row " << i;
-    const float exact =
-        tmath::kernels::ScoreDot(q.data(), rows.data() + i * d, d);
-    EXPECT_NEAR(adc[static_cast<size_t>(i)], exact, 0.5f) << "row " << i;
-  }
-}
-
 TEST(QuantizerTest, CodebookBytesIdenticalAcrossThreadCounts) {
-  // The satellite determinism contract: training and encoding shard rows
-  // across threads but every tie breaks structurally, so the codebook
-  // blob and the codes are byte-identical for any pool size. FNV-1a over
-  // the bytes makes a drift show up as one number.
-  const Tensor rows = RandomRows(500, 32, 33);
-  PqOptions options;
-  options.num_subspaces = 4;
-  options.num_centroids = 32;
+  // The determinism contract: training and encoding shard rows across
+  // threads, but the max-abs merge is order-free and each row writes only
+  // its own codes, so the codebook blob and the codes are byte-identical
+  // for any pool size. 4000 rows of 32 dims span several shards of both
+  // passes. FNV-1a over the bytes makes a drift show up as one number.
+  const int64_t n = 4000;
+  const Tensor rows = RandomRows(n, 32, 33);
 
-  uint64_t int8_hash = 0, pq_hash = 0, codes_hash = 0;
+  uint64_t codebook_hash = 0, codes_hash = 0;
   for (int threads : {1, 2, 8}) {
     base::ThreadPool::SetGlobalNumThreads(threads);
-    const Codebook int8 = Codebook::TrainInt8(rows);
-    auto pq = Codebook::TrainPq(rows, options);
-    ASSERT_TRUE(pq.ok());
-    const std::vector<uint8_t> codes = pq->EncodeRows(rows.data(), 500);
-    const uint64_t h1 = Fnv1a(int8.Encode());
-    const uint64_t h2 = Fnv1a(pq->Encode());
-    const uint64_t h3 = Fnv1a(std::string(codes.begin(), codes.end()));
+    const Codebook cb = Codebook::TrainInt8(rows);
+    const std::vector<uint8_t> codes = cb.EncodeRows(rows.data(), n);
+    const uint64_t h1 = Fnv1a(cb.Encode());
+    const uint64_t h2 = Fnv1a(std::string(codes.begin(), codes.end()));
     if (threads == 1) {
-      int8_hash = h1;
-      pq_hash = h2;
-      codes_hash = h3;
+      codebook_hash = h1;
+      codes_hash = h2;
     } else {
-      EXPECT_EQ(h1, int8_hash) << threads << " threads";
-      EXPECT_EQ(h2, pq_hash) << threads << " threads";
-      EXPECT_EQ(h3, codes_hash) << threads << " threads";
+      EXPECT_EQ(h1, codebook_hash) << threads << " threads";
+      EXPECT_EQ(h2, codes_hash) << threads << " threads";
     }
   }
   base::ThreadPool::SetGlobalNumThreads(base::ThreadPool::DefaultNumThreads());
@@ -235,51 +196,20 @@ TEST(QuantizerTest, CodebookBlobRoundTripsBitwise) {
   auto decoded = Codebook::Decode(int8.Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->Encode(), int8.Encode());
-  EXPECT_EQ(decoded->kind(), Quantization::kInt8);
   EXPECT_EQ(decoded->dim(), 16);
-
-  PqOptions options;
-  options.num_subspaces = 4;
-  options.num_centroids = 16;
-  auto pq = Codebook::TrainPq(rows, options);
-  ASSERT_TRUE(pq.ok());
-  auto pq_decoded = Codebook::Decode(pq->Encode());
-  ASSERT_TRUE(pq_decoded.ok());
-  EXPECT_EQ(pq_decoded->Encode(), pq->Encode());
-  EXPECT_EQ(pq_decoded->pq_subspaces(), 4);
-  EXPECT_EQ(pq_decoded->pq_centroids(), 16);
-}
-
-TEST(QuantizerTest, TrainPqRejectsBadGeometry) {
-  const Tensor rows = RandomRows(10, 12, 1);
-  PqOptions options;
-  options.num_subspaces = 5;  // 12 % 5 != 0.
-  EXPECT_FALSE(Codebook::TrainPq(rows, options).ok());
-  options.num_subspaces = 4;
-  options.num_centroids = 300;  // Codes are u8.
-  EXPECT_FALSE(Codebook::TrainPq(rows, options).ok());
-  options.num_centroids = 16;
-  EXPECT_FALSE(Codebook::TrainPq(Tensor({0, 12}), options).ok());
-}
-
-TEST(QuantizerTest, CentroidCountClampsToSample) {
-  // 10 rows but 64 requested centroids: k clamps to the sample size and
-  // the codes stay within it.
-  const Tensor rows = RandomRows(10, 8, 2);
-  PqOptions options;
-  options.num_subspaces = 2;
-  options.num_centroids = 64;
-  auto cb = Codebook::TrainPq(rows, options);
-  ASSERT_TRUE(cb.ok());
-  EXPECT_EQ(cb->pq_centroids(), 10);
-  const std::vector<uint8_t> codes = cb->EncodeRows(rows.data(), 10);
-  for (uint8_t c : codes) EXPECT_LT(c, 10);
 }
 
 TEST(QuantizerTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(Codebook::Decode("").ok());
   EXPECT_FALSE(Codebook::Decode("SDEACBK1").ok());
   EXPECT_FALSE(Codebook::Decode(std::string(64, '\xff')).ok());
+  // Kind 1 (product quantization, no longer a format) in place of int8's
+  // 0. The u64 kind follows the 8-byte magic.
+  std::string pq_kind = Codebook::TrainInt8(RandomRows(4, 8, 5)).Encode();
+  ASSERT_EQ(pq_kind[8], 0);
+  pq_kind[8] = 1;
+  EXPECT_EQ(Codebook::Decode(pq_kind).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "store/quantizer.h"
 #include "tensor/tensor.h"
 #include "testing/kernel_config.h"
 
@@ -227,31 +226,6 @@ TEST(KernelsTest, ExactAvx2MatchesScalarOnRandomShapesAndSpecialValues) {
   EXPECT_GT(narrow, 0);
   EXPECT_GT(ragged, 0);
   EXPECT_GT(empty_k, 0);
-}
-
-TEST(KernelsTest, KMeansAssignmentIdenticalAcrossSimdLevels) {
-  // k-means scores rows against centroids through the MatmulTransposeB row
-  // kernel, so its assignment pass must pick the same centroids at every
-  // level.
-  if (!tmath::Avx2Supported()) GTEST_SKIP() << "AVX2+FMA not supported";
-  Rng rng(29);
-  for (int trial = 0; trial < 40; ++trial) {
-    const int64_t m = 1 + static_cast<int64_t>(rng.UniformInt(300));
-    const int64_t d = 1 + static_cast<int64_t>(rng.UniformInt(40));
-    const int64_t k = 1 + static_cast<int64_t>(rng.UniformInt(40));
-    const Tensor rows = Tensor::RandomNormal({m, d}, 1.0f, &rng);
-    store::KMeansOptions options;
-    options.seed = static_cast<uint64_t>(trial);
-    store::KMeansResult result[2];
-    for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-      ScopedSimdLevel simd(level);
-      result[static_cast<int>(level)] =
-          store::KMeansRows(rows.data(), m, d, k, options);
-    }
-    EXPECT_EQ(result[0].assignment, result[1].assignment)
-        << "m=" << m << " d=" << d << " k=" << k;
-    ExpectBitwiseEqual(result[0].centroids, result[1].centroids);
-  }
 }
 
 TEST(KernelsTest, DispatchReportsAndPinsLevels) {

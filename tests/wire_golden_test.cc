@@ -122,7 +122,6 @@ store::Manifest SampleManifest() {
   store::Manifest manifest;
   manifest.dim = 8;
   manifest.total_rows = 20;
-  manifest.quantization = store::Quantization::kInt8;
   manifest.store_full_precision = true;
   manifest.codebook = store::Codebook::TrainInt8(RandomRows(20, 8, 28));
   manifest.shards = {store::ShardInfo{12, 8192}, store::ShardInfo{8, 8192}};
