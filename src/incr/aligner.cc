@@ -10,6 +10,7 @@
 #include "obs/obs.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "tensor/kernels.h"
 #include "train/trainer.h"
 
 namespace sdea::incr {
@@ -28,6 +29,15 @@ void NormalizeRow(float* p, int64_t d) {
   if (norm > 1e-12f) {
     for (int64_t k = 0; k < d; ++k) p[k] /= norm;
   }
+}
+
+/// Unit-row copy of a side's embeddings for the cosine scans of repair and
+/// bootstrap. Made per pass and dropped after it, so the aligner keeps no
+/// second copy of its tables between increments.
+Tensor UnitRows(const Tensor& emb) {
+  Tensor unit = emb;
+  tmath::L2NormalizeRowsInPlace(&unit);
+  return unit;
 }
 
 /// Registry handles for the incr.* metrics. Same static-handle idiom as
@@ -173,8 +183,9 @@ Status IncrementalAligner::FitBase(
   rel2_train_.assign(static_cast<size_t>(nr2_), 1);
 
   obs::TraceSpan span("incr/fit_base");
+  // Every row is trainable here, so the affected triples are all of them.
   SDEA_RETURN_IF_ERROR(
-      RunTraining(CollectAllTriples(), opts_.base_epochs));
+      RunTraining(CollectAffectedTriples(), opts_.base_epochs));
   MaterializeEmbeddings();
   last_epoch1_ = snap1_.epoch();
   last_epoch2_ = snap2_.epoch();
@@ -184,28 +195,34 @@ Status IncrementalAligner::FitBase(
 
 // ---- SGD core ---------------------------------------------------------------
 
-IncrementalAligner::Slot IncrementalAligner::EntSlot(int8_t side,
-                                                     int32_t id) {
-  const int64_t d = opts_.dim;
+IncrementalAligner::EntRow IncrementalAligner::Resolve(int8_t side,
+                                                       int32_t id) const {
   if (side == 2) {
     const int32_t merged = resolve2_[static_cast<size_t>(id)];
-    if (merged < 0) {
-      return Slot{net_->ent2->value.data() + static_cast<int64_t>(id) * d,
-                  ent2_train_[static_cast<size_t>(id)] != 0};
-    }
-    id = merged;
+    if (merged >= 0) return EntRow{1, merged};
   }
-  return Slot{net_->ent1->value.data() + static_cast<int64_t>(id) * d,
-              ent1_train_[static_cast<size_t>(id)] != 0};
+  return EntRow{side, id};
+}
+
+float* IncrementalAligner::RowData(EntRow r) const {
+  return (r.side == 1 ? net_->ent1 : net_->ent2)->value.data() +
+         static_cast<int64_t>(r.row) * opts_.dim;
+}
+
+uint8_t& IncrementalAligner::TrainFlag(EntRow r) {
+  return (r.side == 1 ? ent1_train_ : ent2_train_)[static_cast<size_t>(r.row)];
+}
+
+IncrementalAligner::Slot IncrementalAligner::EntSlot(int8_t side,
+                                                     int32_t id) {
+  const EntRow r = Resolve(side, id);
+  return Slot{RowData(r), TrainFlag(r) != 0};
 }
 
 bool IncrementalAligner::RowTrainable(int8_t side, int32_t id) const {
-  if (side == 2) {
-    const int32_t merged = resolve2_[static_cast<size_t>(id)];
-    if (merged < 0) return ent2_train_[static_cast<size_t>(id)] != 0;
-    id = merged;
-  }
-  return ent1_train_[static_cast<size_t>(id)] != 0;
+  const EntRow r = Resolve(side, id);
+  return (r.side == 1 ? ent1_train_
+                      : ent2_train_)[static_cast<size_t>(r.row)] != 0;
 }
 
 void IncrementalAligner::TrainTriple(const UnionTriple& tr) {
@@ -304,22 +321,6 @@ Status IncrementalAligner::RunTraining(
 }
 
 // ---- Triple selection -------------------------------------------------------
-
-std::vector<IncrementalAligner::UnionTriple>
-IncrementalAligner::CollectAllTriples() const {
-  std::vector<UnionTriple> out;
-  out.reserve(static_cast<size_t>(snap1_.num_relational_triples() +
-                                  snap2_.num_relational_triples()));
-  snap1_.ForEachRelational(
-      [&](int64_t, kg::EntityId h, kg::RelationId r, kg::EntityId t) {
-        out.push_back(UnionTriple{h, r, t, 1});
-      });
-  snap2_.ForEachRelational(
-      [&](int64_t, kg::EntityId h, kg::RelationId r, kg::EntityId t) {
-        out.push_back(UnionTriple{h, r, t, 2});
-      });
-  return out;
-}
 
 std::vector<IncrementalAligner::UnionTriple>
 IncrementalAligner::CollectAffectedTriples() const {
@@ -438,10 +439,13 @@ std::vector<kg::EntityId> IncrementalAligner::ExpandNeighborhood(
 
 namespace {
 
-float Dot(const float* a, const float* b, int64_t d) {
-  float s = 0.0f;
-  for (int64_t k = 0; k < d; ++k) s += a[k] * b[k];
-  return s;
+/// True when some position other than `skip` scores strictly above
+/// `score`: a tie never usurps.
+bool AnyAbove(const std::vector<float>& scores, int64_t skip, float score) {
+  for (size_t i = 0; i < scores.size(); ++i) {
+    if (static_cast<int64_t>(i) != skip && scores[i] > score) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -450,32 +454,31 @@ int64_t IncrementalAligner::RepairPromoted(
     std::vector<kg::EntityId>* demoted1, std::vector<kg::EntityId>* demoted2) {
   if (promoted_.empty()) return 0;
   obs::TraceSpan span("incr/repair");
-  Tensor s1 = emb1_;
-  Tensor s2 = emb2_;
-  tmath::L2NormalizeRowsInPlace(&s1);
-  tmath::L2NormalizeRowsInPlace(&s2);
-  const float* p1 = s1.data();
-  const float* p2 = s2.data();
+  const Tensor s1 = UnitRows(emb1_);
+  const Tensor s2 = UnitRows(emb2_);
   const int64_t n1 = s1.dim(0);
   const int64_t n2 = s2.dim(0);
   const int64_t d = opts_.dim;
+  std::vector<float> to2(static_cast<size_t>(n2));  // a against every KG2 row.
+  std::vector<float> to1(static_cast<size_t>(n1));  // b against every KG1 row.
 
   std::vector<std::pair<kg::EntityId, kg::EntityId>> kept;
   kept.reserve(promoted_.size());
   for (const auto& [a, b] : promoted_) {
-    const float* va = p1 + static_cast<int64_t>(a) * d;
-    const float* vb = p2 + static_cast<int64_t>(b) * d;
-    const float score = Dot(va, vb, d);
     // Mutual-nearest check against *all* entities — a promoted pair whose
     // endpoints drifted toward someone else has lost its evidence. Scored
-    // per pair (|promoted| row/column scans, early exit on the first
-    // usurper) rather than via a full n1 x n2 similarity matrix.
-    bool healthy = score >= opts_.repair_threshold;
-    for (int64_t j = 0; healthy && j < n2; ++j) {
-      if (j != b && Dot(va, p2 + j * d, d) > score) healthy = false;
-    }
-    for (int64_t i = 0; healthy && i < n1; ++i) {
-      if (i != a && Dot(p1 + i * d, vb, d) > score) healthy = false;
+    // per pair (one row and one column scan) rather than via a full
+    // n1 x n2 similarity matrix; the column scan is skipped once the row
+    // scan has condemned the pair.
+    tmath::kernels::Gemv(s2.data(), n2, d,
+                         s1.data() + static_cast<int64_t>(a) * d, to2.data());
+    const float score = to2[static_cast<size_t>(b)];
+    bool healthy = score >= opts_.repair_threshold && !AnyAbove(to2, b, score);
+    if (healthy) {
+      tmath::kernels::Gemv(s1.data(), n1, d,
+                           s2.data() + static_cast<int64_t>(b) * d,
+                           to1.data());
+      healthy = !AnyAbove(to1, a, score);
     }
     if (healthy) {
       kept.push_back({a, b});
@@ -494,13 +497,11 @@ int64_t IncrementalAligner::RepairPromoted(
 int64_t IncrementalAligner::BootstrapPromote(
     const std::vector<kg::EntityId>& candidates1) {
   obs::TraceSpan span("incr/bootstrap");
-  Tensor s1 = emb1_;
-  Tensor s2 = emb2_;
-  tmath::L2NormalizeRowsInPlace(&s1);
-  tmath::L2NormalizeRowsInPlace(&s2);
-  const float* p1 = s1.data();
-  const float* p2 = s2.data();
+  const Tensor s1 = UnitRows(emb1_);
+  const Tensor s2 = UnitRows(emb2_);
   const int64_t d = opts_.dim;
+  std::vector<float> to2(static_cast<size_t>(n2_));  // a against every KG2 row.
+  std::vector<float> to1(static_cast<size_t>(n1_));  // b against every KG1 row.
 
   // Eligibility excludes gold-merged and already-promoted entities; the
   // argmaxes are restricted to eligible rows/columns so a hard-merged
@@ -527,13 +528,14 @@ int64_t IncrementalAligner::BootstrapPromote(
   std::vector<Candidate> candidates;
   for (kg::EntityId a : candidates1) {
     if (!eligible1(a)) continue;
-    const float* va = p1 + static_cast<int64_t>(a) * d;
+    tmath::kernels::Gemv(s2.data(), n2_, d,
+                         s1.data() + static_cast<int64_t>(a) * d, to2.data());
     int64_t best = -1;
     float best_score = -2.0f;  // Below any cosine.
     float second = -2.0f;
     for (int64_t j = 0; j < n2_; ++j) {
       if (!eligible2(j)) continue;
-      const float sj = Dot(va, p2 + j * d, d);
+      const float sj = to2[static_cast<size_t>(j)];
       if (best < 0 || sj > best_score) {
         second = std::max(second, best_score);
         best = j;
@@ -545,10 +547,10 @@ int64_t IncrementalAligner::BootstrapPromote(
     if (best < 0) continue;
     if (best_score < opts_.bootstrap_threshold) continue;
     if (best_score - second < opts_.bootstrap_margin) continue;
-    const float* vb = p2 + best * d;
+    tmath::kernels::Gemv(s1.data(), n1_, d, s2.data() + best * d, to1.data());
     bool mutual = true;
     for (int64_t i = 0; mutual && i < n1_; ++i) {
-      if (i != a && eligible1(i) && Dot(p1 + i * d, vb, d) > best_score) {
+      if (i != a && eligible1(i) && to1[static_cast<size_t>(i)] > best_score) {
         mutual = false;
       }
     }
@@ -631,15 +633,12 @@ Result<IncrementReport> IncrementalAligner::ProcessIncrement() {
 
   // Trainable masks: only the affected neighborhood moves. A gold-merged
   // affected KG2 entity shares its KG1 partner's row, so that row unfreezes
-  // too. Relations stay frozen except rows this increment introduced.
+  // in its place. Relations stay frozen except rows this increment
+  // introduced.
   ent1_train_.assign(static_cast<size_t>(n1_), 0);
   ent2_train_.assign(static_cast<size_t>(n2_), 0);
   for (kg::EntityId e : affected1) ent1_train_[static_cast<size_t>(e)] = 1;
-  for (kg::EntityId e : affected2) {
-    ent2_train_[static_cast<size_t>(e)] = 1;
-    const int32_t merged = resolve2_[static_cast<size_t>(e)];
-    if (merged >= 0) ent1_train_[static_cast<size_t>(merged)] = 1;
-  }
+  for (kg::EntityId e : affected2) TrainFlag(Resolve(2, e)) = 1;
   rel1_train_.assign(static_cast<size_t>(nr1_), 0);
   rel2_train_.assign(static_cast<size_t>(nr2_), 0);
   for (int64_t r = diff1.relation_begin; r < diff1.relation_end; ++r) {
@@ -690,12 +689,8 @@ void IncrementalAligner::MaterializeEmbeddings() {
   const int64_t d = opts_.dim;
   emb1_ = net_->ent1->value;
   emb2_ = Tensor({n2_, d});
-  const float* e1 = net_->ent1->value.data();
-  const float* e2 = net_->ent2->value.data();
   for (int64_t b = 0; b < n2_; ++b) {
-    const int32_t merged = resolve2_[static_cast<size_t>(b)];
-    const float* src =
-        merged >= 0 ? e1 + static_cast<int64_t>(merged) * d : e2 + b * d;
+    const float* src = RowData(Resolve(2, static_cast<int32_t>(b)));
     std::copy(src, src + d, emb2_.data() + b * d);
   }
 }

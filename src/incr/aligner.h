@@ -165,6 +165,18 @@ class IncrementalAligner {
   class Task;
   friend class Task;
 
+  /// A row of one side's entity table (side 1 or 2).
+  struct EntRow {
+    int8_t side;
+    int32_t row;
+  };
+  /// The seed merge's one rule: a gold-seeded KG2 entity trains and
+  /// scores through its KG1 partner's row, every other entity through its
+  /// own side's row.
+  EntRow Resolve(int8_t side, int32_t id) const;
+  float* RowData(EntRow r) const;
+  uint8_t& TrainFlag(EntRow r);  ///< The row's trainable mask entry.
+
   /// The embedding row backing (side, id) after seed-merge resolution.
   struct Slot {
     float* p;
@@ -177,7 +189,6 @@ class IncrementalAligner {
   void PullPromoted();
   void NormalizeTrainable();
   Status RunTraining(const std::vector<UnionTriple>& triples, int64_t epochs);
-  std::vector<UnionTriple> CollectAllTriples() const;
   std::vector<UnionTriple> CollectAffectedTriples() const;
   void GrowTables(const kg::KgSnapshot& snap1, const kg::KgSnapshot& snap2);
   Tensor GrownTable(const Tensor& old, int64_t new_rows);

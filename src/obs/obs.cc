@@ -20,11 +20,7 @@ std::atomic<bool> g_enabled{EnabledFromEnv()};
 }  // namespace internal
 
 void SetEnabled(bool on) {
-  if constexpr (kCompiledIn) {
-    internal::g_enabled.store(on, std::memory_order_relaxed);
-  } else {
-    (void)on;
-  }
+  internal::g_enabled.store(on, std::memory_order_relaxed);
 }
 
 }  // namespace sdea::obs

@@ -7,25 +7,15 @@
 /// (obs/registry.h), mergeable histograms (obs/histogram.h), scoped trace
 /// spans (obs/trace.h), and exporters (obs/export.h).
 ///
-/// Two kill switches:
-///   * Compile time: configure with -DSDEA_OBS=OFF (defines
-///     SDEA_OBS_DISABLED) and Enabled() becomes a constant false the
-///     compiler folds away, so spans cost nothing at all.
-///   * Run time: the SDEA_OBS_ENABLED environment variable ("0", "false",
-///     "off", "no" disable; anything else — including unset — enables),
-///     overridable with SetEnabled(). The disabled fast path is one
-///     inlined relaxed atomic load per instrumentation site.
+/// One kill switch, at run time: the SDEA_OBS_ENABLED environment
+/// variable ("0", "false", "off", "no" disable; anything else — including
+/// unset — enables), overridable with SetEnabled(). The disabled fast path
+/// is one inlined relaxed atomic load per instrumentation site.
 ///
 /// Metric *recording* through registry handles is not gated: those are the
 /// same relaxed-atomic increments the serving stats always paid, and
 /// monitoring counters must stay correct while tracing is off.
 namespace sdea::obs {
-
-#ifdef SDEA_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 namespace internal {
 extern std::atomic<bool> g_enabled;
@@ -34,12 +24,11 @@ extern std::atomic<bool> g_enabled;
 /// True when trace instrumentation should record. Inlined so disabled
 /// call sites pay a single relaxed load.
 inline bool Enabled() {
-  if constexpr (!kCompiledIn) return false;
   return internal::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Flips the runtime switch (no-op when compiled out). Spans already open
-/// when the flag flips complete with the setting they observed at entry.
+/// Flips the runtime switch. Spans already open when the flag flips
+/// complete with the setting they observed at entry.
 void SetEnabled(bool on);
 
 }  // namespace sdea::obs

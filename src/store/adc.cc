@@ -11,13 +11,13 @@ void Int8PrepareQuery(const float* q, const float* scales, int64_t d,
 
 void AdcScanInt8(const uint8_t* codes, int64_t n, int64_t d,
                  const float* q_scaled, float* out) {
+  int64_t i = 0;
 #ifdef SDEA_HAVE_AVX2_TU
   if (tmath::ActiveSimdLevel() == tmath::SimdLevel::kAvx2) {
-    internal::AdcScanInt8Avx2(codes, n, d, q_scaled, out);
-    return;
+    i = internal::AdcScanInt8Avx2(codes, n, d, q_scaled, out);
   }
 #endif
-  for (int64_t i = 0; i < n; ++i) {
+  for (; i < n; ++i) {
     const uint8_t* code = codes + i * d;
     double acc = 0.0;
     for (int64_t j = 0; j < d; ++j) {

@@ -33,9 +33,12 @@ void AdcScanInt8(const uint8_t* codes, int64_t n, int64_t d,
 namespace internal {
 
 /// AVX2 TU entry point (store/adc_avx2.cc); only called when runtime
-/// dispatch confirmed AVX2+FMA support. Same contract as AdcScanInt8.
-void AdcScanInt8Avx2(const uint8_t* codes, int64_t n, int64_t d,
-                     const float* q_scaled, float* out);
+/// dispatch confirmed AVX2+FMA support. Same contract as AdcScanInt8, over
+/// the whole 16-row blocks of [0, n) only: returns how many rows it scored
+/// (n rounded down to a multiple of 16), and AdcScanInt8 scores the rest
+/// with its scalar loop.
+int64_t AdcScanInt8Avx2(const uint8_t* codes, int64_t n, int64_t d,
+                        const float* q_scaled, float* out);
 
 }  // namespace internal
 

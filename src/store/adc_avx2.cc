@@ -14,7 +14,6 @@
 // kernels, NaN payloads are not pinned, only NaN positions.
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -105,22 +104,17 @@ void ScanBlock(const uint8_t* codes, int64_t d, const double* q,
 
 }  // namespace
 
-void AdcScanInt8Avx2(const uint8_t* codes, int64_t n, int64_t d,
-                     const float* q_scaled, float* out) {
-  const std::vector<double> q(q_scaled, q_scaled + d);
+int64_t AdcScanInt8Avx2(const uint8_t* codes, int64_t n, int64_t d,
+                        const float* q_scaled, float* out) {
+  // The query widened to double once per call, into per-thread scratch
+  // that only ever grows, so a scan allocates nothing in steady state.
+  thread_local std::vector<double> q;
+  q.assign(q_scaled, q_scaled + d);
   int64_t i = 0;
   for (; i + kBlockRows <= n; i += kBlockRows) {
     ScanBlock(codes + i * d, d, q.data(), out + i);
   }
-  if (i == n) return;
-  // The last partial block runs on a zero-padded copy; the padding rows'
-  // scores are dropped.
-  const int64_t rest = n - i;
-  std::vector<uint8_t> padded(static_cast<size_t>(kBlockRows * d), 0);
-  std::copy_n(codes + i * d, rest * d, padded.begin());
-  float scores[kBlockRows];
-  ScanBlock(padded.data(), d, q.data(), scores);
-  std::copy_n(scores, rest, out + i);
+  return i;
 }
 
 }  // namespace sdea::store::internal

@@ -12,15 +12,6 @@
 namespace sdea::obs {
 namespace {
 
-// When the library is compiled with -DSDEA_OBS=OFF every span is a no-op;
-// the recording tests below cannot observe anything, so they skip.
-#define SKIP_IF_COMPILED_OUT()                                 \
-  do {                                                         \
-    if (!kCompiledIn) {                                        \
-      GTEST_SKIP() << "obs compiled out (SDEA_OBS_DISABLED)";  \
-    }                                                          \
-  } while (0)
-
 // Tests force the runtime switch on/off explicitly so they are
 // independent of the SDEA_OBS_ENABLED environment; this fixture restores
 // the entry state afterwards.
@@ -35,7 +26,6 @@ class ObsTraceTest : public ::testing::Test {
 };
 
 TEST_F(ObsTraceTest, SpanRecordsIntoGivenBuffer) {
-  SKIP_IF_COMPILED_OUT();
   TraceBuffer buffer(16);
   { TraceSpan span("unit/outer", &buffer); }
   std::vector<TraceEvent> events = buffer.Events();
@@ -48,7 +38,6 @@ TEST_F(ObsTraceTest, SpanRecordsIntoGivenBuffer) {
 }
 
 TEST_F(ObsTraceTest, NestedSpansRecordDepthAndCompleteInnerFirst) {
-  SKIP_IF_COMPILED_OUT();
   TraceBuffer buffer(16);
   {
     TraceSpan outer("unit/outer", &buffer);
@@ -76,7 +65,6 @@ TEST_F(ObsTraceTest, NestedSpansRecordDepthAndCompleteInnerFirst) {
 }
 
 TEST_F(ObsTraceTest, DisabledSpanRecordsNothing) {
-  SKIP_IF_COMPILED_OUT();
   TraceBuffer buffer(16);
   SetEnabled(false);
   { TraceSpan span("unit/ghost", &buffer); }
@@ -87,7 +75,6 @@ TEST_F(ObsTraceTest, DisabledSpanRecordsNothing) {
 }
 
 TEST_F(ObsTraceTest, BufferBoundsAndCountsDrops) {
-  SKIP_IF_COMPILED_OUT();
   TraceBuffer buffer(4);
   for (int i = 0; i < 10; ++i) {
     TraceSpan span("unit/span", &buffer);
@@ -101,7 +88,6 @@ TEST_F(ObsTraceTest, BufferBoundsAndCountsDrops) {
 }
 
 TEST_F(ObsTraceTest, SpansFromDifferentThreadsGetDistinctTids) {
-  SKIP_IF_COMPILED_OUT();
   TraceBuffer buffer(16);
   { TraceSpan span("unit/main", &buffer); }
   std::thread other([&buffer] { TraceSpan span("unit/other", &buffer); });
@@ -112,7 +98,6 @@ TEST_F(ObsTraceTest, SpansFromDifferentThreadsGetDistinctTids) {
 }
 
 TEST_F(ObsTraceTest, ConcurrentSpansAllLand) {
-  SKIP_IF_COMPILED_OUT();
   TraceBuffer buffer(4096);
   constexpr int kThreads = 4, kPerThread = 200;
   std::vector<std::thread> threads;

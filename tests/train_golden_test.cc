@@ -15,7 +15,9 @@
 // SdeaTwoLayerCls and the two Relation* cases were captured at 8db3502,
 // before the embed-all paths moved off the autograd tape onto the batched
 // no-grad forward, by running this file against that tree.
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
 
@@ -36,6 +38,7 @@
 #include "core/unsupervised.h"
 #include "datagen/generator.h"
 #include "datagen/streaming.h"
+#include "incr/aligner.h"
 #include "incr/update_log.h"
 #include "kg/binary_io.h"
 #include "testing/kernel_config.h"
@@ -483,6 +486,50 @@ TEST(TrainGoldenTest, MinePseudoSeedsMatchesGolden) {
   EXPECT_EQ(pseudo->accepted, 94);
   EXPECT_EQ(HashPairs(pseudo->seeds.train), 0x4cf9c58962bbabc7ULL);
   EXPECT_EQ(HashPairs(pseudo->seeds.valid), 0x5b136a4e785c5d2cULL);
+}
+
+// Captured at commit a654bcc, before the incremental aligner's repair and
+// bootstrap passes moved from their own float dot product onto
+// kernels::Gemv, by running this case against that tree. The run both
+// promotes and demotes pairs, so a flipped repair or bootstrap decision
+// changes the promoted set and every embedding trained after it.
+TEST(TrainGoldenTest, IncrementalAlignerMatchesGolden) {
+  datagen::StreamingConfig config = datagen::StreamingPreset().config;
+  config.base.num_matched = 300;
+  config.num_increments = 10;
+  datagen::StreamingBenchmark stream = datagen::GenerateStreaming(config);
+  const size_t n = stream.base_truth.size();
+  const std::vector<std::pair<kg::EntityId, kg::EntityId>> seeds(
+      stream.base_truth.begin(),
+      stream.base_truth.begin() + static_cast<std::ptrdiff_t>(n * 3 / 10));
+
+  // The repository benchmark's stream_incr settings at fewer base epochs.
+  incr::IncrementalAlignerOptions opts;
+  opts.dim = 48;
+  opts.base_epochs = 60;
+  opts.incr_epochs = 15;
+  opts.affected_frac_cap = 0.10;
+  opts.pull_lr = 0.01f;
+  opts.k_hops = 2;
+  incr::IncrementalAligner aligner(&stream.kg1, &stream.kg2, opts);
+  ASSERT_TRUE(aligner.FitBase(seeds).ok());
+  int64_t promoted = 0;
+  int64_t demoted = 0;
+  for (const incr::UpdateBatch& batch : stream.increments) {
+    incr::ApplyUpdate(batch.kg1, &stream.kg1);
+    incr::ApplyUpdate(batch.kg2, &stream.kg2);
+    auto rep = aligner.ProcessIncrement();
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    promoted += rep->promoted;
+    demoted += rep->demoted;
+  }
+  auto pairs = aligner.promoted_pairs();
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(promoted, 42);
+  EXPECT_EQ(demoted, 27);
+  EXPECT_EQ(HashTensor(aligner.embeddings1()), 0x986b7d255a72688aULL);
+  EXPECT_EQ(HashTensor(aligner.embeddings2()), 0x4c1a3c015d9180e3ULL);
+  EXPECT_EQ(HashPairs(pairs), 0xd5756b5d87179162ULL);
 }
 
 }  // namespace
