@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "base/check.h"
+#include "tensor/kernels.h"
 #include "train/sampler.h"
 #include "train/trainer.h"
 
@@ -36,12 +37,6 @@ void TransE::Step(int64_t h, int64_t r, int64_t t, int64_t h_neg,
   float* te = entities + t * d;
   float* re = net_.relations->value.data() + r * d;
 
-  float d_pos = 0.0f;
-  for (int64_t k = 0; k < d; ++k) {
-    const float diff = he[k] + re[k] - te[k];
-    d_pos += diff * diff;
-  }
-
   if (!config_.negative_sampling) {
     // MTransE-style: pull h + r toward t with no contrastive term.
     for (int64_t k = 0; k < d; ++k) {
@@ -52,24 +47,9 @@ void TransE::Step(int64_t h, int64_t r, int64_t t, int64_t h_neg,
     }
     return;
   }
-
-  float* hn = entities + h_neg * d;
-  float* tn = entities + t_neg * d;
-  float d_neg = 0.0f;
-  for (int64_t k = 0; k < d; ++k) {
-    const float diff = hn[k] + re[k] - tn[k];
-    d_neg += diff * diff;
-  }
-  if (config_.margin + d_pos - d_neg <= 0.0f) return;  // Hinge inactive.
-  for (int64_t k = 0; k < d; ++k) {
-    const float gp = 2.0f * (he[k] + re[k] - te[k]);
-    const float gn = 2.0f * (hn[k] + re[k] - tn[k]);
-    he[k] -= config_.lr * gp;
-    te[k] += config_.lr * gp;
-    hn[k] += config_.lr * gn;
-    tn[k] -= config_.lr * gn;
-    re[k] -= config_.lr * (gp - gn);
-  }
+  tmath::kernels::TransEStep({he, te, entities + h_neg * d,
+                              entities + t_neg * d, re},
+                             d, config_.margin, config_.lr);
 }
 
 /// Adapts one (triples, merge) training call to the Trainer: corruption

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
 #include "base/check.h"
 #include "nn/module.h"
@@ -162,6 +163,7 @@ Status IncrementalAligner::FitBase(
     seed_used1_[static_cast<size_t>(a)] = 1;
   }
   promoted_.clear();
+  repaired_ = 0;
   promoted1_used_.assign(static_cast<size_t>(n1_), 0);
   promoted2_used_.assign(static_cast<size_t>(n2_), 0);
 
@@ -254,28 +256,12 @@ void IncrementalAligner::TrainTriple(const UnionTriple& tr) {
   }
   if (hn.p == h.p && tn.p == t.p) return;  // Corruption resolved to itself.
 
-  float d_pos = 0.0f;
-  float d_neg = 0.0f;
-  for (int64_t k = 0; k < d; ++k) {
-    const float dp = h.p[k] + rel[k] - t.p[k];
-    const float dn = hn.p[k] + rel[k] - tn.p[k];
-    d_pos += dp * dp;
-    d_neg += dn * dn;
-  }
-  if (opts_.margin + d_pos - d_neg <= 0.0f) return;  // Hinge inactive.
-
-  const float lr = opts_.lr;
-  for (int64_t k = 0; k < d; ++k) {
-    const float gp = 2.0f * (h.p[k] + rel[k] - t.p[k]);
-    const float gn = 2.0f * (hn.p[k] + rel[k] - tn.p[k]);
-    // Every write is gated on the row's trainable mask — frozen rows
-    // contribute to distances but come out of an increment bitwise-intact.
-    if (h.trainable) h.p[k] -= lr * gp;
-    if (t.trainable) t.p[k] += lr * gp;
-    if (hn.trainable) hn.p[k] += lr * gn;
-    if (tn.trainable) tn.p[k] -= lr * gn;
-    if (rel_train) rel[k] -= lr * (gp - gn);
-  }
+  // Every write is gated on the row's trainable mask — frozen rows
+  // contribute to distances but come out of an increment bitwise-intact.
+  tmath::kernels::TransEStep({h.p, t.p, hn.p, tn.p, rel, h.trainable,
+                              t.trainable, hn.trainable, tn.trainable,
+                              rel_train},
+                             d, opts_.margin, opts_.lr);
 }
 
 void IncrementalAligner::PullPromoted() {
@@ -439,13 +425,111 @@ std::vector<kg::EntityId> IncrementalAligner::ExpandNeighborhood(
 
 namespace {
 
-/// True when some position other than `skip` scores strictly above
-/// `score`: a tie never usurps.
-bool AnyAbove(const std::vector<float>& scores, int64_t skip, float score) {
-  for (size_t i = 0; i < scores.size(); ++i) {
-    if (static_cast<int64_t>(i) != skip && scores[i] > score) return true;
+/// Query rows scored per MatmulTransposeBRows call by the repair and
+/// bootstrap scans: the scored side is packed once per block instead of
+/// once per query, and the transient score buffer holds at most
+/// kBlock x n floats.
+constexpr size_t kBlock = 64;
+
+/// Rows `ids` of `table`, stacked in order.
+Tensor GatherRows(const Tensor& table, const std::vector<kg::EntityId>& ids) {
+  const int64_t d = table.dim(1);
+  Tensor out({static_cast<int64_t>(ids.size()), d});
+  for (size_t r = 0; r < ids.size(); ++r) {
+    const float* src = table.data() + static_cast<int64_t>(ids[r]) * d;
+    std::copy(src, src + d, out.data() + static_cast<int64_t>(r) * d);
+  }
+  return out;
+}
+
+/// (*out)[r * n + j] = the cosine of unit row `ids[r]` of `queries` with
+/// unit row j of the n-row `side`, for ids.size() <= kBlock, in one
+/// MatmulTransposeBRows call. Under the exact contract every score has the
+/// bits of the one-query Gemv it replaces, so blocking changes no decision.
+void ScoreBlock(const Tensor& queries, const std::vector<kg::EntityId>& ids,
+                const Tensor& side, std::vector<float>* out) {
+  const Tensor block = GatherRows(queries, ids);
+  const int64_t n = side.dim(0);
+  out->resize(ids.size() * static_cast<size_t>(n));
+  tmath::kernels::MatmulTransposeBRows(block.data(), side.data(), out->data(),
+                                       block.dim(1), n, 0, block.dim(0));
+}
+
+/// True when the row of some entity in `ids` other than `skip` scores
+/// strictly above `score` (scores[i] is the score of ids[i]): a tie never
+/// usurps.
+bool AnyAbove(const float* scores, const std::vector<kg::EntityId>& ids,
+              kg::EntityId skip, float score) {
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (scores[i] > score && ids[i] != skip) return true;
   }
   return false;
+}
+
+/// Rows [0, n) in order.
+std::vector<kg::EntityId> AllRows(int64_t n) {
+  std::vector<kg::EntityId> ids(static_cast<size_t>(n));
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}
+
+/// Marks healthy each promoted pair (a, b) listed in `check` whose cosine
+/// reaches `threshold` while no KG2 row among `ids2` other than b, and no
+/// KG1 row among `ids1` other than a, scores strictly above it. s1 and s2
+/// are the unit tables. Checks kBlock pairs at a time; a pair the KG2 scan
+/// condemns skips the KG1 scan.
+void CheckPairs(const std::vector<std::pair<kg::EntityId, kg::EntityId>>& pairs,
+                const std::vector<size_t>& check, const Tensor& s1,
+                const Tensor& s2, const std::vector<kg::EntityId>& ids1,
+                const std::vector<kg::EntityId>& ids2, float threshold,
+                std::vector<uint8_t>* healthy) {
+  const Tensor rows1 = GatherRows(s1, ids1);
+  const Tensor rows2 = GatherRows(s2, ids2);
+  const int64_t d = s1.dim(1);
+  std::vector<size_t> open;
+  std::vector<float> open_score;
+  std::vector<kg::EntityId> queries;
+  std::vector<float> scores;
+  for (size_t begin = 0; begin < check.size(); begin += kBlock) {
+    const size_t end = std::min(check.size(), begin + kBlock);
+    open.clear();
+    open_score.clear();
+    for (size_t q = begin; q < end; ++q) {
+      const auto& [a, b] = pairs[check[q]];
+      const float score = tmath::kernels::ScoreDot(
+          s1.data() + static_cast<int64_t>(a) * d,
+          s2.data() + static_cast<int64_t>(b) * d, d);
+      if (score >= threshold) {
+        open.push_back(check[q]);
+        open_score.push_back(score);
+      }
+    }
+    // Scan KG2 with each a, then KG1 with each b still standing; the
+    // pair's own row on the scanned side never usurps it.
+    for (const int scanned : {2, 1}) {
+      if (open.empty()) break;
+      const std::vector<kg::EntityId>& ids = scanned == 2 ? ids2 : ids1;
+      queries.clear();
+      for (size_t p : open) {
+        queries.push_back(scanned == 2 ? pairs[p].first : pairs[p].second);
+      }
+      ScoreBlock(scanned == 2 ? s1 : s2, queries,
+                 scanned == 2 ? rows2 : rows1, &scores);
+      size_t kept = 0;
+      for (size_t r = 0; r < open.size(); ++r) {
+        const auto& [a, b] = pairs[open[r]];
+        if (!AnyAbove(scores.data() + r * ids.size(), ids,
+                      scanned == 2 ? b : a, open_score[r])) {
+          open[kept] = open[r];
+          open_score[kept] = open_score[r];
+          ++kept;
+        }
+      }
+      open.resize(kept);
+      open_score.resize(kept);
+    }
+    for (size_t p : open) (*healthy)[p] = 1;
+  }
 }
 
 }  // namespace
@@ -458,29 +542,48 @@ int64_t IncrementalAligner::RepairPromoted(
   const Tensor s2 = UnitRows(emb2_);
   const int64_t n1 = s1.dim(0);
   const int64_t n2 = s2.dim(0);
-  const int64_t d = opts_.dim;
-  std::vector<float> to2(static_cast<size_t>(n2));  // a against every KG2 row.
-  std::vector<float> to1(static_cast<size_t>(n1));  // b against every KG1 row.
+
+  // The rows that can have moved since the last repair: the rows the last
+  // re-embed could write (its trainable masks, kept through any no-op
+  // increment since, which moved nothing) and the rows appended since.
+  // Every other row's unit copy has the bits the last repair scored.
+  std::vector<kg::EntityId> moved1;
+  std::vector<kg::EntityId> moved2;
+  for (kg::EntityId i = 0; i < n1; ++i) {
+    if (i >= repaired_rows1_ || RowTrainable(1, i)) moved1.push_back(i);
+  }
+  for (kg::EntityId j = 0; j < n2; ++j) {
+    if (j >= repaired_rows2_ || RowTrainable(2, j)) moved2.push_back(j);
+  }
+
+  // Mutual-nearest check against *all* entities — a promoted pair whose
+  // endpoints drifted toward someone else has lost its evidence: it stays
+  // when its cosine reaches the threshold and no other row of either side
+  // scores strictly above it. A pair that passed the last repair with
+  // neither endpoint moved still has that cosine, and every unmoved row
+  // still scores at or below it, so only a moved row can usurp it: it is
+  // checked against the moved rows alone. Every other pair (bootstrapped
+  // since, or with a moved endpoint) is checked against every row.
+  std::vector<size_t> full;
+  std::vector<size_t> partial;
+  for (size_t p = 0; p < promoted_.size(); ++p) {
+    const auto& [a, b] = promoted_[p];
+    const bool unmoved =
+        !std::binary_search(moved1.begin(), moved1.end(), a) &&
+        !std::binary_search(moved2.begin(), moved2.end(), b);
+    (p < repaired_ && unmoved ? partial : full).push_back(p);
+  }
+  std::vector<uint8_t> healthy(promoted_.size(), 0);
+  const float threshold = opts_.repair_threshold;
+  CheckPairs(promoted_, full, s1, s2, AllRows(n1), AllRows(n2), threshold,
+             &healthy);
+  CheckPairs(promoted_, partial, s1, s2, moved1, moved2, threshold, &healthy);
 
   std::vector<std::pair<kg::EntityId, kg::EntityId>> kept;
   kept.reserve(promoted_.size());
-  for (const auto& [a, b] : promoted_) {
-    // Mutual-nearest check against *all* entities — a promoted pair whose
-    // endpoints drifted toward someone else has lost its evidence. Scored
-    // per pair (one row and one column scan) rather than via a full
-    // n1 x n2 similarity matrix; the column scan is skipped once the row
-    // scan has condemned the pair.
-    tmath::kernels::Gemv(s2.data(), n2, d,
-                         s1.data() + static_cast<int64_t>(a) * d, to2.data());
-    const float score = to2[static_cast<size_t>(b)];
-    bool healthy = score >= opts_.repair_threshold && !AnyAbove(to2, b, score);
-    if (healthy) {
-      tmath::kernels::Gemv(s1.data(), n1, d,
-                           s2.data() + static_cast<int64_t>(b) * d,
-                           to1.data());
-      healthy = !AnyAbove(to1, a, score);
-    }
-    if (healthy) {
+  for (size_t p = 0; p < promoted_.size(); ++p) {
+    const auto& [a, b] = promoted_[p];
+    if (healthy[p] != 0) {
       kept.push_back({a, b});
     } else {
       promoted1_used_[static_cast<size_t>(a)] = 0;
@@ -491,6 +594,9 @@ int64_t IncrementalAligner::RepairPromoted(
   }
   const auto demoted = static_cast<int64_t>(promoted_.size() - kept.size());
   promoted_ = std::move(kept);
+  repaired_ = promoted_.size();
+  repaired_rows1_ = n1;
+  repaired_rows2_ = n2;
   return demoted;
 }
 
@@ -499,64 +605,80 @@ int64_t IncrementalAligner::BootstrapPromote(
   obs::TraceSpan span("incr/bootstrap");
   const Tensor s1 = UnitRows(emb1_);
   const Tensor s2 = UnitRows(emb2_);
-  const int64_t d = opts_.dim;
-  std::vector<float> to2(static_cast<size_t>(n2_));  // a against every KG2 row.
-  std::vector<float> to1(static_cast<size_t>(n1_));  // b against every KG1 row.
 
   // Eligibility excludes gold-merged and already-promoted entities; the
   // argmaxes are restricted to eligible rows/columns so a hard-merged
   // pair's trivially perfect score cannot shadow a genuine candidate.
-  auto eligible1 = [&](int64_t a) {
-    return seed_used1_[static_cast<size_t>(a)] == 0 &&
-           promoted1_used_[static_cast<size_t>(a)] == 0;
-  };
-  auto eligible2 = [&](int64_t b) {
-    return resolve2_[static_cast<size_t>(b)] < 0 &&
-           promoted2_used_[static_cast<size_t>(b)] == 0;
-  };
+  std::vector<uint8_t> eligible1(static_cast<size_t>(n1_));
+  std::vector<uint8_t> eligible2(static_cast<size_t>(n2_));
+  for (size_t i = 0; i < eligible1.size(); ++i) {
+    eligible1[i] = seed_used1_[i] == 0 && promoted1_used_[i] == 0;
+  }
+  for (size_t j = 0; j < eligible2.size(); ++j) {
+    eligible2[j] = resolve2_[j] < 0 && promoted2_used_[j] == 0;
+  }
 
   // Only `candidates1` (the entities whose embeddings this fit actually
   // moved) can open new promotions — frozen rows scored the same last
   // increment, so re-scanning them cannot surface new evidence. This keeps
   // the pass O(|affected| * n) instead of O(n1 * n2). The mutual check
   // still runs against *all* of KG1: b must prefer a globally.
+  std::vector<kg::EntityId> queries;
+  for (kg::EntityId a : candidates1) {
+    if (eligible1[static_cast<size_t>(a)] != 0) queries.push_back(a);
+  }
   struct Candidate {
     float score;
     kg::EntityId a;
     kg::EntityId b;
   };
   std::vector<Candidate> candidates;
-  for (kg::EntityId a : candidates1) {
-    if (!eligible1(a)) continue;
-    tmath::kernels::Gemv(s2.data(), n2_, d,
-                         s1.data() + static_cast<int64_t>(a) * d, to2.data());
-    int64_t best = -1;
-    float best_score = -2.0f;  // Below any cosine.
-    float second = -2.0f;
-    for (int64_t j = 0; j < n2_; ++j) {
-      if (!eligible2(j)) continue;
-      const float sj = to2[static_cast<size_t>(j)];
-      if (best < 0 || sj > best_score) {
-        second = std::max(second, best_score);
-        best = j;
-        best_score = sj;
-      } else {
-        second = std::max(second, sj);
+  std::vector<Candidate> open;
+  std::vector<float> scores;
+  std::vector<kg::EntityId> rows;
+  for (size_t begin = 0; begin < queries.size(); begin += kBlock) {
+    const size_t end = std::min(queries.size(), begin + kBlock);
+    rows.assign(queries.begin() + static_cast<std::ptrdiff_t>(begin),
+                queries.begin() + static_cast<std::ptrdiff_t>(end));
+    ScoreBlock(s1, rows, s2, &scores);
+    open.clear();
+    for (size_t q = begin; q < end; ++q) {
+      const float* row = scores.data() + (q - begin) * static_cast<size_t>(n2_);
+      int64_t best = -1;
+      float best_score = -2.0f;  // Below any cosine.
+      float second = -2.0f;
+      for (int64_t j = 0; j < n2_; ++j) {
+        if (eligible2[static_cast<size_t>(j)] == 0) continue;
+        const float sj = row[j];
+        if (best < 0 || sj > best_score) {
+          second = std::max(second, best_score);
+          best = j;
+          best_score = sj;
+        } else {
+          second = std::max(second, sj);
+        }
       }
+      if (best < 0) continue;
+      if (best_score < opts_.bootstrap_threshold) continue;
+      if (best_score - second < opts_.bootstrap_margin) continue;
+      open.push_back(
+          Candidate{best_score, queries[q], static_cast<kg::EntityId>(best)});
     }
-    if (best < 0) continue;
-    if (best_score < opts_.bootstrap_threshold) continue;
-    if (best_score - second < opts_.bootstrap_margin) continue;
-    tmath::kernels::Gemv(s1.data(), n1_, d, s2.data() + best * d, to1.data());
-    bool mutual = true;
-    for (int64_t i = 0; mutual && i < n1_; ++i) {
-      if (i != a && eligible1(i) && to1[static_cast<size_t>(i)] > best_score) {
-        mutual = false;
+    if (open.empty()) continue;
+    rows.clear();
+    for (const Candidate& c : open) rows.push_back(c.b);
+    ScoreBlock(s2, rows, s1, &scores);
+    for (size_t r = 0; r < open.size(); ++r) {
+      const float* col = scores.data() + r * static_cast<size_t>(n1_);
+      bool mutual = true;
+      for (int64_t i = 0; mutual && i < n1_; ++i) {
+        if (i != open[r].a && eligible1[static_cast<size_t>(i)] != 0 &&
+            col[i] > open[r].score) {
+          mutual = false;
+        }
       }
+      if (mutual) candidates.push_back(open[r]);
     }
-    if (!mutual) continue;
-    candidates.push_back(Candidate{best_score, a,
-                                   static_cast<kg::EntityId>(best)});
   }
 
   std::sort(candidates.begin(), candidates.end(),

@@ -224,6 +224,12 @@ class IncrementalAligner {
   std::vector<std::pair<kg::EntityId, kg::EntityId>> promoted_;
   std::vector<uint8_t> promoted1_used_;
   std::vector<uint8_t> promoted2_used_;
+  /// promoted_[0, repaired_) passed the last repair, which scored tables
+  /// of repaired_rows1_ and repaired_rows2_ rows; pairs bootstrap appended
+  /// since follow them.
+  size_t repaired_ = 0;
+  int64_t repaired_rows1_ = 0;
+  int64_t repaired_rows2_ = 0;
 
   /// Per-row trainable masks (all 1 during FitBase; affected-only during
   /// increments).

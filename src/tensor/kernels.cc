@@ -83,6 +83,29 @@ int64_t FilterGeScalar(const float* scores, int64_t m, float threshold,
   return w;
 }
 
+bool TransEStepScalar(const kernels::TransERows& w, int64_t d, float margin,
+                      float lr) {
+  float d_pos = 0.0f;
+  float d_neg = 0.0f;
+  for (int64_t k = 0; k < d; ++k) {
+    const float dp = w.h[k] + w.r[k] - w.t[k];
+    const float dn = w.hn[k] + w.r[k] - w.tn[k];
+    d_pos += dp * dp;
+    d_neg += dn * dn;
+  }
+  if (margin + d_pos - d_neg <= 0.0f) return false;  // Hinge inactive.
+  for (int64_t k = 0; k < d; ++k) {
+    const float gp = 2.0f * (w.h[k] + w.r[k] - w.t[k]);
+    const float gn = 2.0f * (w.hn[k] + w.r[k] - w.tn[k]);
+    if (w.write_h) w.h[k] -= lr * gp;
+    if (w.write_t) w.t[k] += lr * gp;
+    if (w.write_hn) w.hn[k] += lr * gn;
+    if (w.write_tn) w.tn[k] -= lr * gn;
+    if (w.write_r) w.r[k] -= lr * (gp - gn);
+  }
+  return true;
+}
+
 bool CpuHasAvx2Fma() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -132,6 +155,8 @@ void MatmulTransposeARowsExactAvx2(const float* a, const float* b, float* c,
                                    int64_t i_begin, int64_t i_end);
 int64_t FilterGeAvx2(const float* scores, int64_t m, float threshold,
                      int64_t cap, int64_t* out);
+bool TransEStepAvx2(const TransERows& rows, int64_t d, float margin,
+                    float lr);
 }  // namespace kernels
 #endif
 
@@ -234,6 +259,15 @@ int64_t FilterGe(const float* scores, int64_t m, float threshold, int64_t cap,
   }
 #endif
   return FilterGeScalar(scores, m, threshold, cap, out);
+}
+
+bool TransEStep(const TransERows& rows, int64_t d, float margin, float lr) {
+#ifdef SDEA_HAVE_AVX2_TU
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    return TransEStepAvx2(rows, d, margin, lr);
+  }
+#endif
+  return TransEStepScalar(rows, d, margin, lr);
 }
 
 }  // namespace kernels

@@ -100,6 +100,34 @@ void Gemv(const float* rows, int64_t m, int64_t d, const float* x, float* y);
 int64_t FilterGe(const float* scores, int64_t m, float threshold,
                  int64_t cap, int64_t* out);
 
+/// The rows of one TransE margin step: a triple (h, r, t) against its
+/// corruption (hn, r, tn). Entity rows may be the same row: a head
+/// corruption keeps tn == t, a tail corruption hn == h, a self-loop has
+/// h == t, and a drawn negative may land on the other endpoint. r never
+/// shares memory with an entity row. A row is written only when its flag
+/// is set.
+struct TransERows {
+  float* h;
+  float* t;
+  float* hn;
+  float* tn;
+  float* r;
+  bool write_h = true;
+  bool write_t = true;
+  bool write_hn = true;
+  bool write_tn = true;
+  bool write_r = true;
+};
+
+/// One SGD step on the hinge margin + |h + r - t|^2 - |hn + r - tn|^2 over
+/// d-float rows, dispatched on ActiveSimdLevel(). Returns false, writing
+/// nothing, when the hinge is inactive. Both levels keep the portable
+/// loop's float arithmetic and order, so they give its bits (NaN payloads
+/// aside): each distance sums its squared terms one at a time in
+/// ascending k, and per element the rows are written h, t, hn, tn, r, each
+/// write re-reading memory so aliased rows see the earlier writes.
+bool TransEStep(const TransERows& rows, int64_t d, float margin, float lr);
+
 }  // namespace kernels
 
 }  // namespace sdea::tmath

@@ -13,11 +13,19 @@
 // have the same bits as the scalar kernels except for NaN payloads: which
 // of two NaN operands propagates depends on instruction operand order,
 // so only NaN *positions* are part of the contract.
+//
+// TransEStepAvx2 is float arithmetic, not a dot product: it gives the
+// portable step's bits because every lane performs the portable loop's
+// operations on one element in the same order, and the distance sums add
+// the lanes one at a time. That holds only while the compiler fuses no
+// multiply into an add, which is why this TU builds with -ffp-contract=off.
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
+
+#include "tensor/kernels.h"
 
 namespace sdea::tmath::kernels {
 namespace {
@@ -154,6 +162,16 @@ void PackPanel(const float* b, int64_t k, int64_t w, float* p) {
   }
 }
 
+// s + v[0] + v[1] + ... + v[7], added left to right in float: the portable
+// loop's ascending-k sum over eight consecutive k, with no tree add.
+inline float AddLanesInOrder(float s, __m256 v) {
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, v);
+#pragma GCC unroll 8
+  for (int l = 0; l < 8; ++l) s += lanes[l];
+  return s;
+}
+
 }  // namespace
 
 void MatmulRowsExactAvx2(const float* a, const float* b, float* c, int64_t k,
@@ -223,6 +241,76 @@ int64_t FilterGeAvx2(const float* scores, int64_t m, float threshold,
     }
   }
   return w;
+}
+
+bool TransEStepAvx2(const TransERows& w, int64_t d, float margin, float lr) {
+  float d_pos = 0.0f;
+  float d_neg = 0.0f;
+  int64_t k = 0;
+  for (; k + 8 <= d; k += 8) {
+    const __m256 r = _mm256_loadu_ps(w.r + k);
+    const __m256 dp = _mm256_sub_ps(
+        _mm256_add_ps(_mm256_loadu_ps(w.h + k), r), _mm256_loadu_ps(w.t + k));
+    const __m256 dn =
+        _mm256_sub_ps(_mm256_add_ps(_mm256_loadu_ps(w.hn + k), r),
+                      _mm256_loadu_ps(w.tn + k));
+    d_pos = AddLanesInOrder(d_pos, _mm256_mul_ps(dp, dp));
+    d_neg = AddLanesInOrder(d_neg, _mm256_mul_ps(dn, dn));
+  }
+  for (; k < d; ++k) {
+    const float dp = w.h[k] + w.r[k] - w.t[k];
+    const float dn = w.hn[k] + w.r[k] - w.tn[k];
+    d_pos += dp * dp;
+    d_neg += dn * dn;
+  }
+  if (margin + d_pos - d_neg <= 0.0f) return false;  // Hinge inactive.
+
+  // Each write loads its row again after the writes before it, so a row
+  // that aliases an earlier one sees its update, as in the portable loop.
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 vlr = _mm256_set1_ps(lr);
+  for (k = 0; k + 8 <= d; k += 8) {
+    const __m256 r = _mm256_loadu_ps(w.r + k);
+    const __m256 gp = _mm256_mul_ps(
+        two, _mm256_sub_ps(_mm256_add_ps(_mm256_loadu_ps(w.h + k), r),
+                           _mm256_loadu_ps(w.t + k)));
+    const __m256 gn = _mm256_mul_ps(
+        two, _mm256_sub_ps(_mm256_add_ps(_mm256_loadu_ps(w.hn + k), r),
+                           _mm256_loadu_ps(w.tn + k)));
+    const __m256 step_p = _mm256_mul_ps(vlr, gp);
+    const __m256 step_n = _mm256_mul_ps(vlr, gn);
+    if (w.write_h) {
+      _mm256_storeu_ps(w.h + k,
+                       _mm256_sub_ps(_mm256_loadu_ps(w.h + k), step_p));
+    }
+    if (w.write_t) {
+      _mm256_storeu_ps(w.t + k,
+                       _mm256_add_ps(_mm256_loadu_ps(w.t + k), step_p));
+    }
+    if (w.write_hn) {
+      _mm256_storeu_ps(w.hn + k,
+                       _mm256_add_ps(_mm256_loadu_ps(w.hn + k), step_n));
+    }
+    if (w.write_tn) {
+      _mm256_storeu_ps(w.tn + k,
+                       _mm256_sub_ps(_mm256_loadu_ps(w.tn + k), step_n));
+    }
+    if (w.write_r) {
+      _mm256_storeu_ps(
+          w.r + k, _mm256_sub_ps(_mm256_loadu_ps(w.r + k),
+                                 _mm256_mul_ps(vlr, _mm256_sub_ps(gp, gn))));
+    }
+  }
+  for (; k < d; ++k) {
+    const float gp = 2.0f * (w.h[k] + w.r[k] - w.t[k]);
+    const float gn = 2.0f * (w.hn[k] + w.r[k] - w.tn[k]);
+    if (w.write_h) w.h[k] -= lr * gp;
+    if (w.write_t) w.t[k] += lr * gp;
+    if (w.write_hn) w.hn[k] += lr * gn;
+    if (w.write_tn) w.tn[k] -= lr * gn;
+    if (w.write_r) w.r[k] -= lr * (gp - gn);
+  }
+  return true;
 }
 
 }  // namespace sdea::tmath::kernels

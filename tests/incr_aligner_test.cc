@@ -1,19 +1,25 @@
 // incr::IncrementalAligner: the zero-diff golden (an empty stream leaves
 // every embedding bitwise-identical), affected-neighborhood masking (rows
 // outside the k-hop set come out of an increment bitwise-intact), the
-// bootstrap/repair lifecycle, and the SwapWithKg publish path.
+// bootstrap/repair lifecycle, repair against a full rescan of every
+// promoted pair, and the SwapWithKg publish path.
 #include "incr/aligner.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "datagen/streaming.h"
 #include "incr/update_log.h"
 #include "kg/knowledge_graph.h"
 #include "serve/snapshot.h"
+#include "tensor/kernels.h"
+#include "testing/kernel_config.h"
 
 namespace sdea::incr {
 namespace {
@@ -187,6 +193,90 @@ TEST(IncrementalAlignerTest, BootstrapPromotesAndRepairDemotes) {
   EXPECT_FALSE(rep2->no_op);
   EXPECT_EQ(rep2->demoted, rep1->promoted);
   EXPECT_GT(rep2->trained_triples, 0);
+}
+
+using Pairs = std::vector<std::pair<kg::EntityId, kg::EntityId>>;
+
+/// The promoted pairs a repair that rescans every pair against both whole
+/// sides keeps, in order: a pair stays when its cosine reaches `threshold`
+/// and no other row of either side scores strictly above it. Scores come
+/// from unit-row copies of the public tables through Gemv.
+Pairs FullScanKeeps(const IncrementalAligner& aligner, float threshold) {
+  Tensor s1 = aligner.embeddings1();
+  Tensor s2 = aligner.embeddings2();
+  tmath::L2NormalizeRowsInPlace(&s1);
+  tmath::L2NormalizeRowsInPlace(&s2);
+  const int64_t n1 = s1.dim(0);
+  const int64_t n2 = s2.dim(0);
+  const int64_t d = s1.dim(1);
+  std::vector<float> to2(static_cast<size_t>(n2));
+  std::vector<float> to1(static_cast<size_t>(n1));
+  Pairs kept;
+  for (const auto& [a, b] : aligner.promoted_pairs()) {
+    tmath::kernels::Gemv(s2.data(), n2, d, s1.data() + a * d, to2.data());
+    tmath::kernels::Gemv(s1.data(), n1, d, s2.data() + b * d, to1.data());
+    const float score = to2[static_cast<size_t>(b)];
+    bool keep = score >= threshold;
+    for (int64_t j = 0; j < n2; ++j) {
+      if (j != b && to2[static_cast<size_t>(j)] > score) keep = false;
+    }
+    for (int64_t i = 0; i < n1; ++i) {
+      if (i != a && to1[static_cast<size_t>(i)] > score) keep = false;
+    }
+    if (keep) kept.emplace_back(a, b);
+  }
+  return kept;
+}
+
+// Every increment's repair must decide exactly what a full rescan of every
+// promoted pair decides, whatever shortcut it takes: the demoted count is
+// the rescan's drop count and the surviving pairs lead promoted_pairs() in
+// their old order (bootstrap appends after them).
+TEST(IncrementalAlignerTest, RepairMatchesFullRescan) {
+  std::vector<tmath::SimdLevel> levels = {tmath::SimdLevel::kScalar};
+  if (tmath::Avx2Supported()) levels.push_back(tmath::SimdLevel::kAvx2);
+  for (tmath::SimdLevel level : levels) {
+    SCOPED_TRACE(tmath::SimdLevelName(level));
+    testing::ScopedSimdLevel simd(level);
+    datagen::StreamingConfig config = datagen::StreamingPreset().config;
+    config.base.num_matched = 600;
+    config.num_increments = 20;
+    datagen::StreamingBenchmark stream = datagen::GenerateStreaming(config);
+    const size_t n = stream.base_truth.size();
+    const Pairs seeds(
+        stream.base_truth.begin(),
+        stream.base_truth.begin() + static_cast<std::ptrdiff_t>(n * 3 / 10));
+    IncrementalAlignerOptions opts;
+    opts.dim = 48;
+    opts.base_epochs = 60;
+    opts.incr_epochs = 15;
+    opts.affected_frac_cap = 0.10;
+    opts.pull_lr = 0.01f;
+    IncrementalAligner aligner(&stream.kg1, &stream.kg2, opts);
+    ASSERT_TRUE(aligner.FitBase(seeds).ok());
+
+    int64_t checked = 0;
+    int64_t demoted = 0;
+    for (const UpdateBatch& batch : stream.increments) {
+      const Pairs kept = FullScanKeeps(aligner, opts.repair_threshold);
+      const int64_t before =
+          static_cast<int64_t>(aligner.promoted_pairs().size());
+      ApplyUpdate(batch.kg1, &stream.kg1);
+      ApplyUpdate(batch.kg2, &stream.kg2);
+      auto rep = aligner.ProcessIncrement();
+      ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+      EXPECT_EQ(rep->demoted, before - static_cast<int64_t>(kept.size()));
+      const Pairs& after = aligner.promoted_pairs();
+      ASSERT_GE(after.size(), kept.size());
+      EXPECT_TRUE(std::equal(kept.begin(), kept.end(), after.begin()));
+      checked += before;
+      demoted += rep->demoted;
+    }
+    // The stream must exercise both outcomes: pairs that survive several
+    // repairs and pairs that fall.
+    EXPECT_GT(demoted, 0);
+    EXPECT_GT(checked, 2 * demoted);
+  }
 }
 
 TEST(IncrementalAlignerTest, PublishPairsEmbeddingsWithPinnedKg) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstring>
@@ -226,6 +227,187 @@ TEST(KernelsTest, ExactAvx2MatchesScalarOnRandomShapesAndSpecialValues) {
   EXPECT_GT(narrow, 0);
   EXPECT_GT(ragged, 0);
   EXPECT_GT(empty_k, 0);
+}
+
+// Both levels, and the portable level first: every kernel test below runs
+// at each level the host can pin.
+std::vector<SimdLevel> Levels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (tmath::Avx2Supported()) levels.push_back(SimdLevel::kAvx2);
+  return levels;
+}
+
+// --- The TransE step ----------------------------------------------------
+
+// The incremental aligner's per-triple update loop as it stood before the
+// step kernel (baselines::TransE::Step did the same arithmetic with every
+// flag set): the reference every level must reproduce.
+void LegacyDistances(const tmath::kernels::TransERows& w, int64_t d,
+                     float* d_pos, float* d_neg) {
+  *d_pos = 0.0f;
+  *d_neg = 0.0f;
+  for (int64_t k = 0; k < d; ++k) {
+    const float dp = w.h[k] + w.r[k] - w.t[k];
+    const float dn = w.hn[k] + w.r[k] - w.tn[k];
+    *d_pos += dp * dp;
+    *d_neg += dn * dn;
+  }
+}
+
+bool LegacyTransEStep(const tmath::kernels::TransERows& w, int64_t d,
+                      float margin, float lr) {
+  float d_pos;
+  float d_neg;
+  LegacyDistances(w, d, &d_pos, &d_neg);
+  if (margin + d_pos - d_neg <= 0.0f) return false;
+  for (int64_t k = 0; k < d; ++k) {
+    const float gp = 2.0f * (w.h[k] + w.r[k] - w.t[k]);
+    const float gn = 2.0f * (w.hn[k] + w.r[k] - w.tn[k]);
+    if (w.write_h) w.h[k] -= lr * gp;
+    if (w.write_t) w.t[k] += lr * gp;
+    if (w.write_hn) w.hn[k] += lr * gn;
+    if (w.write_tn) w.tn[k] -= lr * gn;
+    if (w.write_r) w.r[k] -= lr * (gp - gn);
+  }
+  return true;
+}
+
+// Which of four entity rows play h, t, hn and tn.
+struct StepAlias {
+  const char* name;
+  int h, t, hn, tn;
+};
+
+// The step's rows over `ent` [4, d] and `rel` [1, d]; flag `off` (0..4 for
+// h, t, hn, tn, r; -1 for none) is cleared.
+tmath::kernels::TransERows StepRows(Tensor* ent, Tensor* rel,
+                                    const StepAlias& alias, int off) {
+  const int64_t d = ent->dim(1);
+  float* e = ent->data();
+  tmath::kernels::TransERows w{e + alias.h * d, e + alias.t * d,
+                               e + alias.hn * d, e + alias.tn * d,
+                               rel->data()};
+  bool* flags[] = {&w.write_h, &w.write_t, &w.write_hn, &w.write_tn,
+                   &w.write_r};
+  if (off >= 0) *flags[off] = false;
+  return w;
+}
+
+TEST(KernelsTest, TransEStepMatchesLegacyLoopAtEveryLevel) {
+  const StepAlias aliases[] = {
+      {"distinct rows", 0, 1, 2, 3},
+      {"head corruption (tn == t)", 0, 1, 2, 1},
+      {"tail corruption (hn == h)", 0, 1, 0, 2},
+      {"self-loop, head corruption", 0, 0, 2, 0},
+      {"self-loop, tail corruption", 0, 0, 0, 2},
+      {"negative head on the tail (hn == t)", 0, 1, 1, 1},
+      {"negative tail on the head (tn == h)", 0, 1, 0, 0},
+  };
+  Rng rng(20261020);
+  int64_t active = 0;
+  int64_t inactive = 0;
+  for (const int64_t d : {1, 3, 4, 7, 8, 16, 47, 48}) {
+    for (int f = 0; f < 3; ++f) {
+      const Fill fill = static_cast<Fill>(f);
+      const Tensor ent0 = FillTensor({4, d}, fill, &rng);
+      const Tensor rel0 = FillTensor({1, d}, fill, &rng);
+      for (const StepAlias& alias : aliases) {
+        // Margins that keep the hinge on, off, and on either side of its
+        // edge: one ulp of the distances apart around d_neg - d_pos, where
+        // a distance summed in another order flips the decision.
+        std::vector<float> margins = {1e6f, 1.5f, -1e6f};
+        Tensor probe_ent = ent0;
+        Tensor probe_rel = rel0;
+        float d_pos;
+        float d_neg;
+        LegacyDistances(StepRows(&probe_ent, &probe_rel, alias, -1), d,
+                        &d_pos, &d_neg);
+        const float big = std::max(d_pos, d_neg);
+        const float ulp = std::nextafter(big, INFINITY) - big;
+        for (int u = -3; u <= 3; ++u) {
+          margins.push_back(d_neg - d_pos + static_cast<float>(u) * ulp);
+        }
+        for (int off = -1; off < 5; ++off) {
+          for (const float margin : margins) {
+            const std::string what =
+                std::string(alias.name) + " d=" + std::to_string(d) +
+                " fill=" + std::to_string(f) + " off=" + std::to_string(off) +
+                " margin=" + std::to_string(margin);
+            Tensor want_ent = ent0;
+            Tensor want_rel = rel0;
+            const bool want = LegacyTransEStep(
+                StepRows(&want_ent, &want_rel, alias, off), d, margin, 0.01f);
+            if (want) {
+              ++active;
+            } else {
+              // An inactive hinge writes nothing.
+              ++inactive;
+              ExpectBitwiseEqual(want_ent, ent0);
+              ExpectBitwiseEqual(want_rel, rel0);
+            }
+            for (const SimdLevel level : Levels()) {
+              ScopedSimdLevel simd(level);
+              Tensor ent = ent0;
+              Tensor rel = rel0;
+              const std::string at =
+                  what + " level=" + tmath::SimdLevelName(level);
+              EXPECT_EQ(tmath::kernels::TransEStep(
+                            StepRows(&ent, &rel, alias, off), d, margin,
+                            0.01f),
+                        want)
+                  << at;
+              EXPECT_EQ(ContractBreaks(want_ent.data(), ent.data(),
+                                       ent.size(), "entities " + at),
+                        0);
+              EXPECT_EQ(ContractBreaks(want_rel.data(), rel.data(),
+                                       rel.size(), "relation " + at),
+                        0);
+            }
+            if (::testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(active, 0);
+  EXPECT_GT(inactive, 0);
+}
+
+// The incremental aligner's scans gather up to 64 query rows and score
+// them in one MatmulTransposeBRows call: every score must have the bits
+// of the one-query Gemv it replaces, at an n that leaves both a partial
+// 32-row panel and a column tail.
+TEST(KernelsTest, GatheredRowBlockMatchesPerRowGemv) {
+  Rng rng(64);
+  const int64_t d = 48, n = 203, table_rows = 150, block = 64;
+  ASSERT_NE(n % 32, 0);
+  ASSERT_NE(n % 4, 0);
+  for (const Fill fill : {Fill::kNormal, Fill::kFinite}) {
+    const Tensor table = FillTensor({table_rows, d}, fill, &rng);
+    const Tensor side = FillTensor({n, d}, fill, &rng);
+    Tensor gathered({block, d});
+    for (int64_t r = 0; r < block; ++r) {
+      const auto src = static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(table_rows)));
+      std::memcpy(gathered.data() + r * d, table.data() + src * d,
+                  static_cast<size_t>(d) * sizeof(float));
+    }
+    for (const SimdLevel level : Levels()) {
+      ScopedSimdLevel simd(level);
+      std::vector<float> scores(static_cast<size_t>(block * n));
+      tmath::kernels::MatmulTransposeBRows(gathered.data(), side.data(),
+                                           scores.data(), d, n, 0, block);
+      std::vector<float> row(static_cast<size_t>(n));
+      for (int64_t r = 0; r < block; ++r) {
+        tmath::kernels::Gemv(side.data(), n, d, gathered.data() + r * d,
+                             row.data());
+        EXPECT_EQ(std::memcmp(row.data(), scores.data() + r * n,
+                              static_cast<size_t>(n) * sizeof(float)),
+                  0)
+            << "row " << r << " level " << tmath::SimdLevelName(level);
+      }
+    }
+  }
 }
 
 TEST(KernelsTest, DispatchReportsAndPinsLevels) {

@@ -488,15 +488,23 @@ TEST(TrainGoldenTest, MinePseudoSeedsMatchesGolden) {
   EXPECT_EQ(HashPairs(pseudo->seeds.valid), 0x5b136a4e785c5d2cULL);
 }
 
-// Captured at commit a654bcc, before the incremental aligner's repair and
-// bootstrap passes moved from their own float dot product onto
-// kernels::Gemv, by running this case against that tree. The run both
-// promotes and demotes pairs, so a flipped repair or bootstrap decision
-// changes the promoted set and every embedding trained after it.
-TEST(TrainGoldenTest, IncrementalAlignerMatchesGolden) {
+/// What an incremental golden pins: the final tables, the sorted promoted
+/// pairs and every increment's (promoted, demoted, trained_triples).
+struct IncrementalRun {
+  Tensor emb1;
+  Tensor emb2;
+  std::vector<std::pair<kg::EntityId, kg::EntityId>> pairs;
+  std::vector<int64_t> steps;
+  int64_t promoted = 0;
+  int64_t demoted = 0;
+};
+
+/// The d_stream preset at `matched` pairs and `increments` increments,
+/// FitBase on the first 30% of the base truth.
+void RunIncremental(int64_t matched, int64_t increments, IncrementalRun* out) {
   datagen::StreamingConfig config = datagen::StreamingPreset().config;
-  config.base.num_matched = 300;
-  config.num_increments = 10;
+  config.base.num_matched = matched;
+  config.num_increments = increments;
   datagen::StreamingBenchmark stream = datagen::GenerateStreaming(config);
   const size_t n = stream.base_truth.size();
   const std::vector<std::pair<kg::EntityId, kg::EntityId>> seeds(
@@ -513,23 +521,51 @@ TEST(TrainGoldenTest, IncrementalAlignerMatchesGolden) {
   opts.k_hops = 2;
   incr::IncrementalAligner aligner(&stream.kg1, &stream.kg2, opts);
   ASSERT_TRUE(aligner.FitBase(seeds).ok());
-  int64_t promoted = 0;
-  int64_t demoted = 0;
   for (const incr::UpdateBatch& batch : stream.increments) {
     incr::ApplyUpdate(batch.kg1, &stream.kg1);
     incr::ApplyUpdate(batch.kg2, &stream.kg2);
     auto rep = aligner.ProcessIncrement();
     ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    promoted += rep->promoted;
-    demoted += rep->demoted;
+    out->promoted += rep->promoted;
+    out->demoted += rep->demoted;
+    out->steps.insert(out->steps.end(),
+                      {rep->promoted, rep->demoted, rep->trained_triples});
   }
-  auto pairs = aligner.promoted_pairs();
-  std::sort(pairs.begin(), pairs.end());
-  EXPECT_EQ(promoted, 42);
-  EXPECT_EQ(demoted, 27);
-  EXPECT_EQ(HashTensor(aligner.embeddings1()), 0x986b7d255a72688aULL);
-  EXPECT_EQ(HashTensor(aligner.embeddings2()), 0x4c1a3c015d9180e3ULL);
-  EXPECT_EQ(HashPairs(pairs), 0xd5756b5d87179162ULL);
+  out->emb1 = aligner.embeddings1();
+  out->emb2 = aligner.embeddings2();
+  out->pairs = aligner.promoted_pairs();
+  std::sort(out->pairs.begin(), out->pairs.end());
+}
+
+// Captured at commit a654bcc, before the incremental aligner's repair and
+// bootstrap passes moved from their own float dot product onto
+// kernels::Gemv, by running this case against that tree. The run both
+// promotes and demotes pairs, so a flipped repair or bootstrap decision
+// changes the promoted set and every embedding trained after it.
+TEST(TrainGoldenTest, IncrementalAlignerMatchesGolden) {
+  IncrementalRun run;
+  ASSERT_NO_FATAL_FAILURE(RunIncremental(300, 10, &run));
+  EXPECT_EQ(run.promoted, 42);
+  EXPECT_EQ(run.demoted, 27);
+  EXPECT_EQ(HashTensor(run.emb1), 0x986b7d255a72688aULL);
+  EXPECT_EQ(HashTensor(run.emb2), 0x4c1a3c015d9180e3ULL);
+  EXPECT_EQ(HashPairs(run.pairs), 0xd5756b5d87179162ULL);
+}
+
+// Captured at e80da19, before repair checked only the rows an increment
+// moved, scored in 64-row blocks and trained through one TransE step
+// kernel, by running this case against that tree. Twice the size of the
+// case above, so more promoted pairs survive several increments.
+TEST(TrainGoldenTest, IncrementalAlignerLongMatchesGolden) {
+  IncrementalRun run;
+  ASSERT_NO_FATAL_FAILURE(RunIncremental(600, 20, &run));
+  EXPECT_EQ(run.promoted, 99);
+  EXPECT_EQ(run.demoted, 82);
+  EXPECT_EQ(HashTensor(run.emb1), 0x4384ce289617b951ULL);
+  EXPECT_EQ(HashTensor(run.emb2), 0xdeccd48ff525c434ULL);
+  EXPECT_EQ(HashPairs(run.pairs), 0x481d600bcb217b0fULL);
+  EXPECT_EQ(HashBytes(run.steps.data(), run.steps.size() * sizeof(int64_t)),
+            0x1f9e421277c3720eULL);
 }
 
 }  // namespace
