@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot kernels underneath SDEA:
-// dense/sparse matmul, tokenizer encode, transformer & BiGRU forward,
-// candidate generation, stable matching, and benchmark generation.
+// dense/sparse matmul, tokenizer training and encode, token-table
+// pretraining, transformer & BiGRU forward, candidate generation, stable
+// matching, and benchmark generation.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "tensor/kernels.h"
 #include "tensor/topk.h"
 #include "testing/kernel_config.h"
+#include "text/pretrain.h"
 #include "text/tokenizer.h"
 
 namespace {
@@ -299,22 +301,61 @@ void BM_SparseMatmul(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMatmul)->Arg(1000)->Arg(4000);
 
-text::SubwordTokenizer* SharedTokenizer() {
-  static text::SubwordTokenizer* tok = [] {
-    auto* t = new text::SubwordTokenizer();
+// Attribute values of a generated KG: the text the encoder trains on.
+const std::vector<std::string>& SharedCorpus() {
+  static const std::vector<std::string>* corpus = [] {
+    auto* c = new std::vector<std::string>();
     datagen::GeneratorConfig cfg;
     cfg.num_matched = 300;
     const auto bench = datagen::BenchmarkGenerator().Generate(cfg);
-    std::vector<std::string> corpus;
     bench.kg1.Snapshot().ForEachAttribute(
         [&](int64_t, kg::EntityId, kg::AttributeId, const std::string& v) {
-          corpus.push_back(v);
+          c->push_back(v);
         });
-    SDEA_CHECK_OK(t->Train(corpus, text::TokenizerConfig{}));
+    return c;
+  }();
+  return *corpus;
+}
+
+text::SubwordTokenizer* SharedTokenizer() {
+  static text::SubwordTokenizer* tok = [] {
+    auto* t = new text::SubwordTokenizer();
+    SDEA_CHECK_OK(t->Train(SharedCorpus(), text::TokenizerConfig{}));
     return t;
   }();
   return tok;
 }
+
+// BPE training at the default 1024 merges: the merge loop plus the word
+// counting before it.
+void BM_TokenizerTrain(benchmark::State& state) {
+  const std::vector<std::string>& corpus = SharedCorpus();
+  for (auto _ : state) {
+    text::SubwordTokenizer t;
+    SDEA_CHECK_OK(t.Train(corpus, text::TokenizerConfig{}));
+    benchmark::DoNotOptimize(t.vocab().size());
+  }
+}
+BENCHMARK(BM_TokenizerTrain)->Unit(benchmark::kMillisecond);
+
+// GloVe pretraining of the token table at the encoder width align_batch
+// uses (d = 32, 16 epochs): co-occurrence counting plus the pair steps.
+void BM_CooccurrencePretrain(benchmark::State& state, SimdLevel level) {
+  if (SkipUnsupported(state, level)) return;
+  sdea::testing::ScopedSimdLevel pin_level(level);
+  const text::SubwordTokenizer& tok = *SharedTokenizer();
+  text::PretrainConfig cfg;
+  cfg.dim = 32;
+  for (auto _ : state) {
+    auto table = text::CooccurrencePretrainer().Train(SharedCorpus(), tok, cfg);
+    SDEA_CHECK_OK(table.status());
+    benchmark::DoNotOptimize(table->data());
+  }
+}
+BENCHMARK_CAPTURE(BM_CooccurrencePretrain, exact_scalar, SimdLevel::kScalar)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CooccurrencePretrain, exact_avx2, SimdLevel::kAvx2)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TokenizerEncode(benchmark::State& state) {
   text::SubwordTokenizer* tok = SharedTokenizer();

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/kernels.h"
+
 namespace sdea::nn {
 
 Linear::Linear(const std::string& name, int64_t in_dim, int64_t out_dim,
@@ -78,7 +80,7 @@ NodeId ApplyActivation(Graph* g, NodeId x, Activation act) {
 void ActivateInPlace(Tensor* x, Activation act) {
   switch (act) {
     case Activation::kRelu:
-      tmath::ReluInPlace(x->data(), x->size());
+      tmath::kernels::ReluInPlace(x->data(), x->size());
       return;
     case Activation::kTanh:
       tmath::TanhInPlace(x->data(), x->size());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/kernels.h"
+
 namespace sdea {
 
 NodeId Graph::AddNode(Tensor value, bool requires_grad,
@@ -184,7 +186,7 @@ NodeId Graph::Tanh(NodeId a) {
 
 NodeId Graph::Relu(NodeId a) {
   Tensor out = Value(a);
-  tmath::ReluInPlace(out.data(), out.size());
+  tmath::kernels::ReluInPlace(out.data(), out.size());
   NodeId id = static_cast<NodeId>(nodes_.size());
   return AddNode(std::move(out), RequiresGrad(a), [id, a](Graph* g) {
     const Tensor& x = g->Value(a);
@@ -442,24 +444,26 @@ NodeId Graph::LayerNormRows(NodeId a, NodeId gain, NodeId bias, float eps) {
       std::move(out), rg,
       [id, a, gain, bias, rows, cols, mean = std::move(mean),
        inv_std = std::move(inv_std)](Graph* g) {
+        if (rows == 0) return;  // Nothing adds to any gradient: leave them.
         const Tensor& x2 = g->Value(a);
         const Tensor& gv2 = g->Value(gain);
         const Tensor& dy = g->node(id).grad;
+        float* dgain =
+            g->RequiresGrad(gain) ? g->MutableGrad(gain).data() : nullptr;
+        float* dbias =
+            g->RequiresGrad(bias) ? g->MutableGrad(bias).data() : nullptr;
+        float* da = g->RequiresGrad(a) ? g->MutableGrad(a).data() : nullptr;
         for (int64_t i = 0; i < rows; ++i) {
           const float m = mean[static_cast<size_t>(i)];
           const float is = inv_std[static_cast<size_t>(i)];
-          if (g->RequiresGrad(gain) || g->RequiresGrad(bias)) {
+          if (dgain != nullptr || dbias != nullptr) {
             for (int64_t j = 0; j < cols; ++j) {
               const float xn = (x2[i * cols + j] - m) * is;
-              if (g->RequiresGrad(gain)) {
-                g->MutableGrad(gain)[j] += dy[i * cols + j] * xn;
-              }
-              if (g->RequiresGrad(bias)) {
-                g->MutableGrad(bias)[j] += dy[i * cols + j];
-              }
+              if (dgain != nullptr) dgain[j] += dy[i * cols + j] * xn;
+              if (dbias != nullptr) dbias[j] += dy[i * cols + j];
             }
           }
-          if (g->RequiresGrad(a)) {
+          if (da != nullptr) {
             // d xn_j = dy_j * gain_j; standard layernorm input gradient.
             double sum_dxn = 0.0, sum_dxn_xn = 0.0;
             for (int64_t j = 0; j < cols; ++j) {
@@ -468,7 +472,6 @@ NodeId Graph::LayerNormRows(NodeId a, NodeId gain, NodeId bias, float eps) {
               sum_dxn += dxn;
               sum_dxn_xn += static_cast<double>(dxn) * xn;
             }
-            Tensor& da = g->MutableGrad(a);
             const double inv_n = 1.0 / static_cast<double>(cols);
             for (int64_t j = 0; j < cols; ++j) {
               const float xn = (x2[i * cols + j] - m) * is;

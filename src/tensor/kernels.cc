@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -106,6 +107,30 @@ bool TransEStepScalar(const kernels::TransERows& w, int64_t d, float margin,
   return true;
 }
 
+void GloveStepScalar(const kernels::GloveRows& r, int64_t d, float weight,
+                     float log_x, float lr) {
+  float dot = 0.0f;
+  for (int64_t k = 0; k < d; ++k) dot += r.w[k] * r.c[k];
+  const float err = dot + *r.bw + *r.bc - log_x;
+  const float coeff = weight * err;
+  for (int64_t k = 0; k < d; ++k) {
+    const float grad_w = coeff * r.c[k];
+    const float grad_c = coeff * r.w[k];
+    r.gw[k] += grad_w * grad_w;
+    r.gc[k] += grad_c * grad_c;
+    r.w[k] -= lr * grad_w / std::sqrt(r.gw[k]);
+    r.c[k] -= lr * grad_c / std::sqrt(r.gc[k]);
+  }
+  *r.gbw += coeff * coeff;
+  *r.gbc += coeff * coeff;
+  *r.bw -= lr * coeff / std::sqrt(*r.gbw);
+  *r.bc -= lr * coeff / std::sqrt(*r.gbc);
+}
+
+void ReluInPlaceScalar(float* x, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) x[i] = std::max(0.0f, x[i]);
+}
+
 bool CpuHasAvx2Fma() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -157,6 +182,9 @@ int64_t FilterGeAvx2(const float* scores, int64_t m, float threshold,
                      int64_t cap, int64_t* out);
 bool TransEStepAvx2(const TransERows& rows, int64_t d, float margin,
                     float lr);
+void GloveStepAvx2(const GloveRows& rows, int64_t d, float weight,
+                   float log_x, float lr);
+void ReluInPlaceAvx2(float* x, int64_t n);
 }  // namespace kernels
 #endif
 
@@ -268,6 +296,27 @@ bool TransEStep(const TransERows& rows, int64_t d, float margin, float lr) {
   }
 #endif
   return TransEStepScalar(rows, d, margin, lr);
+}
+
+void GloveStep(const GloveRows& rows, int64_t d, float weight, float log_x,
+               float lr) {
+#ifdef SDEA_HAVE_AVX2_TU
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    GloveStepAvx2(rows, d, weight, log_x, lr);
+    return;
+  }
+#endif
+  GloveStepScalar(rows, d, weight, log_x, lr);
+}
+
+void ReluInPlace(float* x, int64_t n) {
+#ifdef SDEA_HAVE_AVX2_TU
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    ReluInPlaceAvx2(x, n);
+    return;
+  }
+#endif
+  ReluInPlaceScalar(x, n);
 }
 
 }  // namespace kernels

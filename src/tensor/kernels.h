@@ -128,6 +128,37 @@ struct TransERows {
 /// write re-reading memory so aliased rows see the earlier writes.
 bool TransEStep(const TransERows& rows, int64_t d, float margin, float lr);
 
+/// The rows of one GloVe step on a co-occurrence pair (i, j): word row w_i
+/// and context row c_j with their AdaGrad accumulators gw_i and gc_j (d
+/// floats each), and the biases bw_i and bc_j with theirs. No two of them
+/// share memory.
+struct GloveRows {
+  float* w;
+  float* c;
+  float* gw;
+  float* gc;
+  float* bw;
+  float* bc;
+  float* gbw;
+  float* gbc;
+};
+
+/// One AdaGrad step of the GloVe loss on a pair with weight f(x) and log x,
+/// dispatched on ActiveSimdLevel(): err = w . c + bw + bc - log_x and
+/// coeff = weight * err; then per element k, grad_w = coeff * c[k] and
+/// grad_c = coeff * w[k] (both from the rows before the step), each
+/// accumulator adds its gradient squared, and each row element moves by
+/// lr * grad / sqrt(accumulator); the biases follow with grad = coeff.
+/// Both levels give the portable loop's bits (NaN payloads aside): the dot
+/// adds its float products one at a time in ascending k, and every element
+/// runs the same correctly rounded float operations in the same order.
+void GloveStep(const GloveRows& rows, int64_t d, float weight, float log_x,
+               float lr);
+
+/// x[i] = max(0, x[i]) for i in [0, n), dispatched on ActiveSimdLevel():
+/// x if x > 0, else +0 (NaN and -0 both give +0) at both levels.
+void ReluInPlace(float* x, int64_t n);
+
 }  // namespace kernels
 
 }  // namespace sdea::tmath

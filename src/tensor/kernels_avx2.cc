@@ -14,14 +14,16 @@
 // of two NaN operands propagates depends on instruction operand order,
 // so only NaN *positions* are part of the contract.
 //
-// TransEStepAvx2 is float arithmetic, not a dot product: it gives the
-// portable step's bits because every lane performs the portable loop's
-// operations on one element in the same order, and the distance sums add
-// the lanes one at a time. That holds only while the compiler fuses no
-// multiply into an add, which is why this TU builds with -ffp-contract=off.
+// TransEStepAvx2 and GloveStepAvx2 are float arithmetic, not dot products
+// under the double contract: they give the portable steps' bits because
+// every lane performs the portable loop's operations on one element in
+// the same order, and their float sums add the lanes one at a time. That
+// holds only while the compiler fuses no multiply into an add, which is
+// why this TU builds with -ffp-contract=off.
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -311,6 +313,66 @@ bool TransEStepAvx2(const TransERows& w, int64_t d, float margin, float lr) {
     if (w.write_r) w.r[k] -= lr * (gp - gn);
   }
   return true;
+}
+
+void GloveStepAvx2(const GloveRows& r, int64_t d, float weight, float log_x,
+                   float lr) {
+  float dot = 0.0f;
+  int64_t k = 0;
+  for (; k + 8 <= d; k += 8) {
+    dot = AddLanesInOrder(dot, _mm256_mul_ps(_mm256_loadu_ps(r.w + k),
+                                             _mm256_loadu_ps(r.c + k)));
+  }
+  for (; k < d; ++k) dot += r.w[k] * r.c[k];
+  const float err = dot + *r.bw + *r.bc - log_x;
+  const float coeff = weight * err;
+
+  // No row aliases another, so eight elements step at once; each lane runs
+  // the portable loop's multiply, add, sqrt, divide and subtract, all
+  // correctly rounded.
+  const __m256 vcoeff = _mm256_set1_ps(coeff);
+  const __m256 vlr = _mm256_set1_ps(lr);
+  for (k = 0; k + 8 <= d; k += 8) {
+    const __m256 w = _mm256_loadu_ps(r.w + k);
+    const __m256 c = _mm256_loadu_ps(r.c + k);
+    const __m256 grad_w = _mm256_mul_ps(vcoeff, c);
+    const __m256 grad_c = _mm256_mul_ps(vcoeff, w);
+    const __m256 gw =
+        _mm256_add_ps(_mm256_loadu_ps(r.gw + k), _mm256_mul_ps(grad_w, grad_w));
+    const __m256 gc =
+        _mm256_add_ps(_mm256_loadu_ps(r.gc + k), _mm256_mul_ps(grad_c, grad_c));
+    _mm256_storeu_ps(r.gw + k, gw);
+    _mm256_storeu_ps(r.gc + k, gc);
+    _mm256_storeu_ps(
+        r.w + k, _mm256_sub_ps(w, _mm256_div_ps(_mm256_mul_ps(vlr, grad_w),
+                                                _mm256_sqrt_ps(gw))));
+    _mm256_storeu_ps(
+        r.c + k, _mm256_sub_ps(c, _mm256_div_ps(_mm256_mul_ps(vlr, grad_c),
+                                                _mm256_sqrt_ps(gc))));
+  }
+  for (; k < d; ++k) {
+    const float grad_w = coeff * r.c[k];
+    const float grad_c = coeff * r.w[k];
+    r.gw[k] += grad_w * grad_w;
+    r.gc[k] += grad_c * grad_c;
+    r.w[k] -= lr * grad_w / std::sqrt(r.gw[k]);
+    r.c[k] -= lr * grad_c / std::sqrt(r.gc[k]);
+  }
+  *r.gbw += coeff * coeff;
+  *r.gbc += coeff * coeff;
+  *r.bw -= lr * coeff / std::sqrt(*r.gbw);
+  *r.bc -= lr * coeff / std::sqrt(*r.gbc);
+}
+
+void ReluInPlaceAvx2(float* x, int64_t n) {
+  // MAXPS returns its second operand when either is NaN or both are zeros,
+  // so max(x, +0) is the portable std::max(0.0f, x) for every input.
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
+  }
+  for (; i < n; ++i) x[i] = std::max(0.0f, x[i]);
 }
 
 }  // namespace sdea::tmath::kernels

@@ -287,10 +287,6 @@ void TanhInPlace(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
 }
 
-void ReluInPlace(float* x, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) x[i] = std::max(0.0f, x[i]);
-}
-
 void SoftmaxRowInPlace(float* row, int64_t n) {
   float mx = row[0];
   for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);

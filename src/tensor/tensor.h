@@ -178,15 +178,14 @@ Tensor SoftmaxRows(const Tensor& a);
 // plain-tensor form above. Each Graph op and its no-grad counterpart (the
 // Infer forwards in nn/, RelationEmbeddingModule's embed-all) call the
 // same helper, so inference off the tape rounds exactly as the tape does.
+// ReLU is kernels::ReluInPlace (tensor/kernels.h), one SIMD dispatch for
+// both.
 
 /// x[i] = 1 / (1 + exp(-x[i])) for i in [0, n).
 void SigmoidInPlace(float* x, int64_t n);
 
 /// x[i] = tanh(x[i]).
 void TanhInPlace(float* x, int64_t n);
-
-/// x[i] = max(0, x[i]).
-void ReluInPlace(float* x, int64_t n);
 
 /// Softmax of one row in place: shifted by the row max, exponentials
 /// summed in double, scaled by the float-rounded inverse sum.

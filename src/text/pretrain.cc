@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "base/rng.h"
+#include "tensor/kernels.h"
 
 namespace sdea::text {
 
@@ -83,32 +84,12 @@ Result<Tensor> CooccurrencePretrainer::Train(
     for (const auto& [key, weight, log_x] : pairs) {
       const int64_t i = static_cast<int64_t>(key >> 32);
       const int64_t j = static_cast<int64_t>(key & 0xffffffffULL);
-      float dot = 0.0f;
-      const float* wi = w.data() + i * d;
-      const float* cj = c.data() + j * d;
-      for (int64_t k = 0; k < d; ++k) dot += wi[k] * cj[k];
-      const float err =
-          dot + bw[static_cast<size_t>(i)] + bc[static_cast<size_t>(j)] -
-          log_x;
-      const float coeff = weight * err;
-      float* wi_m = w.data() + i * d;
-      float* cj_m = c.data() + j * d;
-      float* gwi = gw.data() + i * d;
-      float* gcj = gc.data() + j * d;
-      for (int64_t k = 0; k < d; ++k) {
-        const float grad_w = coeff * cj_m[k];
-        const float grad_c = coeff * wi_m[k];
-        gwi[k] += grad_w * grad_w;
-        gcj[k] += grad_c * grad_c;
-        wi_m[k] -= config.lr * grad_w / std::sqrt(gwi[k]);
-        cj_m[k] -= config.lr * grad_c / std::sqrt(gcj[k]);
-      }
-      gbw[static_cast<size_t>(i)] += coeff * coeff;
-      gbc[static_cast<size_t>(j)] += coeff * coeff;
-      bw[static_cast<size_t>(i)] -=
-          config.lr * coeff / std::sqrt(gbw[static_cast<size_t>(i)]);
-      bc[static_cast<size_t>(j)] -=
-          config.lr * coeff / std::sqrt(gbc[static_cast<size_t>(j)]);
+      tmath::kernels::GloveStep(
+          {w.data() + i * d, c.data() + j * d, gw.data() + i * d,
+           gc.data() + j * d, &bw[static_cast<size_t>(i)],
+           &bc[static_cast<size_t>(j)], &gbw[static_cast<size_t>(i)],
+           &gbc[static_cast<size_t>(j)]},
+          d, weight, log_x, config.lr);
     }
   }
 

@@ -11,7 +11,7 @@
 namespace sdea::text {
 namespace {
 
-/// A word under BPE training: its symbol sequence and corpus frequency.
+/// A distinct corpus word: its initial symbols and corpus frequency.
 struct TrainWord {
   std::vector<std::string> symbols;
   int64_t freq = 0;
@@ -45,6 +45,210 @@ std::string MergeSymbols(const std::string& a, const std::string& b) {
   if (StartsWith(rhs, "##")) rhs = rhs.substr(2);
   return a + rhs;
 }
+
+/// BPE merge bookkeeping over interned symbols. Every adjacent symbol pair
+/// of the corpus words is keyed by (left id, right id) and keeps its
+/// corpus-weighted count and the words that may hold it. A merge re-counts
+/// only the words that hold the chosen pair, so the counts always equal a
+/// full recount over every word, and a max-heap picks the same pair as a
+/// full scan: the highest count, ties to the smallest joined key
+/// left + "\x01" + right.
+class PairMerger {
+ public:
+  explicit PairMerger(const std::vector<TrainWord>& words) {
+    words_.reserve(words.size());
+    for (const TrainWord& w : words) {
+      std::vector<int32_t> ids;
+      ids.reserve(w.symbols.size());
+      for (const std::string& s : w.symbols) ids.push_back(Intern(s));
+      words_.push_back(Word{std::move(ids), w.freq});
+    }
+    for (size_t w = 0; w < words_.size(); ++w) {
+      ++visit_;
+      AddPairs(static_cast<int32_t>(w));
+    }
+    Publish();
+  }
+
+  /// The pair to merge next, or -1 when no adjacent pair is left.
+  int32_t Best() {
+    while (!heap_.empty()) {
+      const HeapEntry& top = heap_.front();
+      if (pairs_[static_cast<size_t>(top.pair)].count == top.count) {
+        return top.pair;
+      }
+      // Stale: the pair's count changed after this entry was pushed.
+      std::pop_heap(heap_.begin(), heap_.end(), HeapLess{&pairs_});
+      heap_.pop_back();
+    }
+    return -1;
+  }
+
+  int64_t count(int32_t pair) const {
+    return pairs_[static_cast<size_t>(pair)].count;
+  }
+
+  /// Rewrites every occurrence of `pair` left to right, without overlap,
+  /// and returns the merged symbol.
+  std::string Merge(int32_t pair) {
+    ++merge_;
+    const int32_t left = pairs_[static_cast<size_t>(pair)].left;
+    const int32_t right = pairs_[static_cast<size_t>(pair)].right;
+    std::string merged_symbol =
+        MergeSymbols(symbols_[static_cast<size_t>(left)],
+                     symbols_[static_cast<size_t>(right)]);
+    const int32_t merged = Intern(merged_symbol);
+    // No word holds the pair after the rewrite, so its list is spent.
+    const std::vector<int32_t> holders =
+        std::move(pairs_[static_cast<size_t>(pair)].words);
+    pairs_[static_cast<size_t>(pair)].words.clear();
+    for (const int32_t w : holders) {
+      Word& word = words_[static_cast<size_t>(w)];
+      // A listed word may have lost the pair to an earlier merge, or be
+      // listed twice after losing and regaining it; the rewrite below
+      // leaves no occurrence, so the second listing is skipped too.
+      if (!Holds(word.symbols, left, right)) continue;
+      ++visit_;
+      RemovePairs(w);
+      std::vector<int32_t>& sym = word.symbols;
+      for (size_t i = 0; i + 1 < sym.size();) {
+        if (sym[i] == left && sym[i + 1] == right) {
+          sym[i] = merged;
+          sym.erase(sym.begin() + static_cast<int64_t>(i) + 1);
+        } else {
+          ++i;
+        }
+      }
+      AddPairs(w);
+    }
+    Publish();
+    return merged_symbol;
+  }
+
+ private:
+  struct Word {
+    std::vector<int32_t> symbols;
+    int64_t freq;
+  };
+
+  struct Pair {
+    int32_t left = 0;
+    int32_t right = 0;
+    std::string key;  ///< left + "\x01" + right: the tie order.
+    int64_t count = 0;
+    /// Every word that holds the pair, plus words that lost it since.
+    std::vector<int32_t> words;
+    int64_t seen_by = -1;      ///< The last word visit that met the pair.
+    int64_t touched_at = -1;   ///< The last merge round that changed it.
+    int64_t count_before = 0;  ///< Its count when that round began.
+  };
+
+  struct HeapEntry {
+    int64_t count;
+    int32_t pair;
+  };
+
+  /// Max-heap order: higher count first, then the smaller joined key.
+  struct HeapLess {
+    const std::vector<Pair>* pairs;
+    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+      if (a.count != b.count) return a.count < b.count;
+      return (*pairs)[static_cast<size_t>(a.pair)].key >
+             (*pairs)[static_cast<size_t>(b.pair)].key;
+    }
+  };
+
+  int32_t Intern(const std::string& symbol) {
+    const auto [it, added] =
+        symbol_ids_.emplace(symbol, static_cast<int32_t>(symbols_.size()));
+    if (added) symbols_.push_back(symbol);
+    return it->second;
+  }
+
+  static bool Holds(const std::vector<int32_t>& sym, int32_t left,
+                    int32_t right) {
+    for (size_t i = 0; i + 1 < sym.size(); ++i) {
+      if (sym[i] == left && sym[i + 1] == right) return true;
+    }
+    return false;
+  }
+
+  /// The pair (left, right), created with a zero count on first sight.
+  int32_t PairId(int32_t left, int32_t right) {
+    const uint64_t key = (static_cast<uint64_t>(left) << 32) |
+                         static_cast<uint32_t>(right);
+    const auto [it, added] =
+        pair_ids_.emplace(key, static_cast<int32_t>(pairs_.size()));
+    if (added) {
+      Pair& p = pairs_.emplace_back();
+      p.left = left;
+      p.right = right;
+      p.key = symbols_[static_cast<size_t>(left)] + "\x01" +
+              symbols_[static_cast<size_t>(right)];
+    }
+    return it->second;
+  }
+
+  /// Adds `delta` to a pair's count, noting its count before this round.
+  Pair& Change(int32_t id, int64_t delta) {
+    Pair& p = pairs_[static_cast<size_t>(id)];
+    if (p.touched_at != merge_) {
+      p.touched_at = merge_;
+      p.count_before = p.count;
+      touched_.push_back(id);
+    }
+    p.count += delta;
+    return p;
+  }
+
+  void RemovePairs(int32_t w) {
+    const Word& word = words_[static_cast<size_t>(w)];
+    for (size_t i = 0; i + 1 < word.symbols.size(); ++i) {
+      Change(PairId(word.symbols[i], word.symbols[i + 1]), -word.freq)
+          .seen_by = visit_;
+    }
+  }
+
+  /// Counts the word's pairs and lists the word under each pair it did not
+  /// hold before the rewrite (RemovePairs marked those it did).
+  void AddPairs(int32_t w) {
+    const Word& word = words_[static_cast<size_t>(w)];
+    for (size_t i = 0; i + 1 < word.symbols.size(); ++i) {
+      Pair& p =
+          Change(PairId(word.symbols[i], word.symbols[i + 1]), word.freq);
+      if (p.seen_by != visit_) {
+        p.seen_by = visit_;
+        p.words.push_back(w);
+      }
+    }
+  }
+
+  /// Pushes a heap entry for every pair whose count this round changed,
+  /// and drops the word lists of pairs whose count reached zero.
+  void Publish() {
+    for (const int32_t id : touched_) {
+      Pair& p = pairs_[static_cast<size_t>(id)];
+      if (p.count == p.count_before) continue;
+      if (p.count > 0) {
+        heap_.push_back(HeapEntry{p.count, id});
+        std::push_heap(heap_.begin(), heap_.end(), HeapLess{&pairs_});
+      } else {
+        std::vector<int32_t>().swap(p.words);
+      }
+    }
+    touched_.clear();
+  }
+
+  std::vector<std::string> symbols_;
+  std::unordered_map<std::string, int32_t> symbol_ids_;
+  std::vector<Word> words_;
+  std::vector<Pair> pairs_;
+  std::unordered_map<uint64_t, int32_t> pair_ids_;
+  std::vector<HeapEntry> heap_;
+  std::vector<int32_t> touched_;
+  int64_t merge_ = 0;
+  int64_t visit_ = 0;  ///< Counts word visits; one per counted word.
+};
 
 }  // namespace
 
@@ -86,46 +290,11 @@ Status SubwordTokenizer::Train(const std::vector<std::string>& corpus,
   }
 
   // Iteratively merge the most frequent adjacent pair.
+  PairMerger merger(words);
   for (int64_t merge = 0; merge < config.num_merges; ++merge) {
-    std::unordered_map<std::string, int64_t> pair_freq;
-    std::unordered_map<std::string, std::pair<std::string, std::string>>
-        pair_parts;
-    for (const TrainWord& w : words) {
-      for (size_t i = 0; i + 1 < w.symbols.size(); ++i) {
-        std::string key = w.symbols[i] + "\x01" + w.symbols[i + 1];
-        pair_freq[key] += w.freq;
-        if (pair_parts.find(key) == pair_parts.end()) {
-          pair_parts.emplace(key,
-                             std::make_pair(w.symbols[i], w.symbols[i + 1]));
-        }
-      }
-    }
-    if (pair_freq.empty()) break;
-    // Deterministic arg-max: highest frequency, ties by key.
-    std::string best_key;
-    int64_t best_freq = 0;
-    for (const auto& [key, freq] : pair_freq) {
-      if (freq > best_freq || (freq == best_freq && key < best_key)) {
-        best_key = key;
-        best_freq = freq;
-      }
-    }
-    if (best_freq < config.min_pair_frequency) break;
-    const auto& [left, right] = pair_parts[best_key];
-    const std::string merged = MergeSymbols(left, right);
-    vocab_.AddToken(merged);
-    // Apply the merge to every word containing the pair.
-    for (TrainWord& w : words) {
-      std::vector<std::string>& sym = w.symbols;
-      for (size_t i = 0; i + 1 < sym.size();) {
-        if (sym[i] == left && sym[i + 1] == right) {
-          sym[i] = merged;
-          sym.erase(sym.begin() + static_cast<int64_t>(i) + 1);
-        } else {
-          ++i;
-        }
-      }
-    }
+    const int32_t best = merger.Best();
+    if (best < 0 || merger.count(best) < config.min_pair_frequency) break;
+    vocab_.AddToken(merger.Merge(best));
   }
 
   trained_ = true;

@@ -410,6 +410,144 @@ TEST(KernelsTest, GatheredRowBlockMatchesPerRowGemv) {
   }
 }
 
+// --- The GloVe step and ReLU ---------------------------------------------
+
+// CooccurrencePretrainer::Train's per-pair update as it stood before the
+// step kernel: the reference every level must reproduce.
+void LegacyGloveStep(float* wi, float* cj, float* gwi, float* gcj, float* bw,
+                     float* bc, float* gbw, float* gbc, int64_t d,
+                     float weight, float log_x, float lr) {
+  float dot = 0.0f;
+  for (int64_t k = 0; k < d; ++k) dot += wi[k] * cj[k];
+  const float err = dot + *bw + *bc - log_x;
+  const float coeff = weight * err;
+  for (int64_t k = 0; k < d; ++k) {
+    const float grad_w = coeff * cj[k];
+    const float grad_c = coeff * wi[k];
+    gwi[k] += grad_w * grad_w;
+    gcj[k] += grad_c * grad_c;
+    wi[k] -= lr * grad_w / std::sqrt(gwi[k]);
+    cj[k] -= lr * grad_c / std::sqrt(gcj[k]);
+  }
+  *gbw += coeff * coeff;
+  *gbc += coeff * coeff;
+  *bw -= lr * coeff / std::sqrt(*gbw);
+  *bc -= lr * coeff / std::sqrt(*gbc);
+}
+
+// One pair's state: rows [4, d] hold w, c, gw and gc; scalars [4] hold
+// bw, bc, gbw and gbc.
+struct GloveState {
+  Tensor rows;
+  Tensor scalars;
+
+  tmath::kernels::GloveRows Rows() {
+    const int64_t d = rows.dim(1);
+    float* r = rows.data();
+    float* b = scalars.data();
+    return {r, r + d, r + 2 * d, r + 3 * d, b, b + 1, b + 2, b + 3};
+  }
+};
+
+TEST(KernelsTest, GloveStepMatchesLegacyLoopAtEveryLevel) {
+  struct Pair {
+    float weight;
+    float log_x;
+  };
+  // Plain pairs, a zero weight, one that overflows the step and a
+  // subnormal weight.
+  const Pair pairs[] = {{1.0f, 0.0f},   {0.37f, 2.3f},  {0.0f, -1.5f},
+                        {1e30f, 1e10f}, {5e-39f, 0.7f}, {0.81f, -0.25f}};
+  Rng rng(20261021);
+  int64_t finite = 0;
+  for (const int64_t d : {1, 7, 8, 31, 32, 33}) {
+    for (int f = 0; f < 3; ++f) {
+      const Fill fill = static_cast<Fill>(f);
+      GloveState start{FillTensor({4, d}, fill, &rng),
+                       FillTensor({4}, fill, &rng)};
+      if (fill == Fill::kNormal) {
+        // Accumulators start at 1 and only grow during training.
+        for (int64_t k = 2 * d; k < 4 * d; ++k) {
+          start.rows[k] = 1.0f + std::fabs(start.rows[k]);
+        }
+        for (int64_t k = 2; k < 4; ++k) {
+          start.scalars[k] = 1.0f + std::fabs(start.scalars[k]);
+        }
+      }
+      for (const Pair& pair : pairs) {
+        const std::string what = "d=" + std::to_string(d) +
+                                 " fill=" + std::to_string(f) +
+                                 " weight=" + std::to_string(pair.weight);
+        // Three steps on the same rows, so each starts from updated state.
+        GloveState want = start;
+        for (int step = 0; step < 3; ++step) {
+          const tmath::kernels::GloveRows r = want.Rows();
+          LegacyGloveStep(r.w, r.c, r.gw, r.gc, r.bw, r.bc, r.gbw, r.gbc, d,
+                          pair.weight, pair.log_x, 0.05f);
+        }
+        for (int64_t k = 0; k < want.rows.size(); ++k) {
+          finite += std::isfinite(want.rows[k]) ? 1 : 0;
+        }
+        for (const SimdLevel level : Levels()) {
+          ScopedSimdLevel simd(level);
+          GloveState got = start;
+          for (int step = 0; step < 3; ++step) {
+            tmath::kernels::GloveStep(got.Rows(), d, pair.weight, pair.log_x,
+                                      0.05f);
+          }
+          const std::string at =
+              what + " level=" + tmath::SimdLevelName(level);
+          EXPECT_EQ(ContractBreaks(want.rows.data(), got.rows.data(),
+                                   got.rows.size(), "rows " + at),
+                    0);
+          EXPECT_EQ(ContractBreaks(want.scalars.data(), got.scalars.data(),
+                                   got.scalars.size(), "biases " + at),
+                    0);
+        }
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(finite, 0);
+}
+
+TEST(KernelsTest, ReluMatchesLegacyLoopAtEveryLevel) {
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            FLT_TRUE_MIN,
+                            -FLT_TRUE_MIN,
+                            FLT_MAX,
+                            -FLT_MAX};
+  Rng rng(7);
+  for (const int64_t n : {1, 7, 8, 9, 31, 32, 33, 100}) {
+    for (int f = 0; f < 3; ++f) {
+      Tensor x = FillTensor({n}, static_cast<Fill>(f), &rng);
+      // Every special value at the front, in the 8-wide blocks when n
+      // allows, in the tail otherwise.
+      const int64_t front =
+          std::min(n, static_cast<int64_t>(std::size(specials)));
+      for (int64_t i = 0; i < front; ++i) x[i] = specials[i];
+      Tensor want = x;
+      for (int64_t i = 0; i < n; ++i) want[i] = std::max(0.0f, want[i]);
+      for (const SimdLevel level : Levels()) {
+        ScopedSimdLevel simd(level);
+        Tensor got = x;
+        tmath::kernels::ReluInPlace(got.data(), n);
+        // ReLU never returns NaN, so every bit is compared.
+        EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                              static_cast<size_t>(n) * sizeof(float)),
+                  0)
+            << "n=" << n << " fill=" << f
+            << " level=" << tmath::SimdLevelName(level);
+      }
+    }
+  }
+}
+
 TEST(KernelsTest, DispatchReportsAndPinsLevels) {
   EXPECT_STREQ(tmath::SimdLevelName(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(tmath::SimdLevelName(SimdLevel::kAvx2), "avx2");
